@@ -9,10 +9,11 @@ the paper reports for LlamaIndex-style retrieval).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,21 @@ def tokenize(text: str) -> List[str]:
 def _stable_hash(token: str) -> int:
     digest = hashlib.md5(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+#: Bound on the memo of :func:`_feature_slot`.  An entry, its feature string
+#: included, measured ~280 B, so a full memo is ~4.4 MB.
+_FEATURE_SLOT_MEMO_SIZE = 2 ** 14
+
+
+@functools.lru_cache(maxsize=_FEATURE_SLOT_MEMO_SIZE)
+def _feature_slot(feature: str, dimensions: int) -> Tuple[int, float]:
+    """Bucket and sign of one feature.  Two md5 digests each; memoised
+    because the same words and trigrams recur in every question, answer
+    and chunk."""
+    bucket = _stable_hash(feature) % dimensions
+    sign = 1.0 if (_stable_hash("sign:" + feature) & 1) == 0 else -1.0
+    return bucket, sign
 
 
 def cosine_similarity(left: np.ndarray, right: np.ndarray) -> float:
@@ -59,11 +75,15 @@ class HashingEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         """Embed one piece of text into a unit-normalised vector."""
-        vector = np.zeros(self.dimensions, dtype=np.float64)
-        for feature in self._features(text):
-            bucket = _stable_hash(feature) % self.dimensions
-            sign = 1.0 if (_stable_hash("sign:" + feature) & 1) == 0 else -1.0
-            vector[bucket] += sign
+        slots = [_feature_slot(feature, self.dimensions)
+                 for feature in self._features(text)]
+        if not slots:
+            return np.zeros(self.dimensions, dtype=np.float64)
+        buckets, signs = zip(*slots)
+        # Sums of +-1 are exact in any order, so this equals adding the
+        # signs into the buckets one feature at a time.
+        vector = np.bincount(buckets, weights=signs,
+                             minlength=self.dimensions)
         norm = float(np.linalg.norm(vector))
         if norm > 0:
             vector /= norm

@@ -10,11 +10,16 @@ implements all three on top of the hashing embedder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.llm.embeddings import HashingEmbedder, cosine_similarity
+
+#: Recall re-scores exactly every row whose matrix-product score is within
+#: this of the cut-off.  The product and :func:`cosine_similarity` differ by
+#: a few ulps on unit vectors (~1e-16), far inside the margin.
+_TIE_MARGIN = 1e-9
 
 
 @dataclass
@@ -33,8 +38,10 @@ class ConversationMemory:
     ``max_items`` bounds the vector store and ``max_summaries`` the summary
     list (oldest dropped first): a long-running serving session
     (``repro.serve``) records two turns per request, so without a bound the
-    vector store — and the per-request recall scan over it — would grow for
-    the life of the server.
+    vector store — and the per-request recall over it — would grow for
+    the life of the server.  The vectors are the rows of one preallocated
+    ``(max_items, dimensions)`` ring buffer, so recall ranks them all with
+    one matrix-vector product.
     """
 
     def __init__(self, buffer_size: int = 8, summary_chunk: int = 8,
@@ -52,8 +59,12 @@ class ConversationMemory:
         self._turn = 0
         self._buffer: List[MemoryItem] = []
         self._summaries: List[str] = []
-        self._vectors: List[np.ndarray] = []
+        # Ring buffer: item ``i`` of the store lives in row/slot
+        # ``i % max_items``; ``_next_slot`` is where the next one goes.
+        self._vectors = np.zeros((max_items, self.embedder.dimensions),
+                                 dtype=np.float64)
         self._vector_items: List[MemoryItem] = []
+        self._next_slot = 0
         self._overflow: List[MemoryItem] = []
 
     # ------------------------------------------------------------------
@@ -82,12 +93,13 @@ class ConversationMemory:
         return item
 
     def _index(self, item: MemoryItem) -> None:
-        self._vectors.append(self.embedder.embed(item.text))
-        self._vector_items.append(item)
-        if len(self._vectors) > self.max_items:
-            overflow = len(self._vectors) - self.max_items
-            del self._vectors[:overflow]
-            del self._vector_items[:overflow]
+        slot = self._next_slot
+        self._vectors[slot] = self.embedder.embed(item.text)
+        if slot == len(self._vector_items):
+            self._vector_items.append(item)
+        else:
+            self._vector_items[slot] = item
+        self._next_slot = (slot + 1) % self.max_items
 
     def _summarise_overflow(self) -> None:
         """Collapse evicted turns into a compact summary line."""
@@ -110,9 +122,12 @@ class ConversationMemory:
     # recall
     # ------------------------------------------------------------------
     def recent(self, count: Optional[int] = None) -> List[MemoryItem]:
-        """The sliding buffer (most recent last)."""
+        """The sliding buffer (most recent last), or its last ``count``
+        items."""
         if count is None:
             return list(self._buffer)
+        if count <= 0:
+            return []
         return self._buffer[-count:]
 
     def summaries(self) -> List[str]:
@@ -120,19 +135,45 @@ class ConversationMemory:
 
     def recall(self, query: str, k: int = 3,
                minimum_similarity: float = 0.05) -> List[MemoryItem]:
-        """Re-retrieve past items semantically similar to ``query``."""
-        if not self._vectors:
+        """Re-retrieve past items semantically similar to ``query``.
+
+        The ``k`` stored items with the highest :func:`cosine_similarity`
+        to ``query`` (best first, oldest first among equal scores) that
+        reach ``minimum_similarity``.  One matrix-vector product ranks every
+        stored row; only the rows within ``_TIE_MARGIN`` of the k-th best
+        and of ``minimum_similarity`` can make the cut, and those are
+        re-scored with :func:`cosine_similarity` itself, so the items and
+        their order are exactly those of scoring every item that way.
+        """
+        count = len(self._vector_items)
+        if k <= 0 or count == 0:
             return []
         query_vector = self.embedder.embed(query)
-        scored: List[Tuple[float, int]] = []
-        for index, vector in enumerate(self._vectors):
-            scored.append((cosine_similarity(query_vector, vector), index))
+        # einsum's loop runs on this thread; ``@`` hands a product this size
+        # to multi-threaded BLAS, whose wake-ups on a busy 2-vCPU host cost
+        # ~8 ms per call against ~0.6 ms here.
+        scores = np.einsum("ij,j->i", self._vectors[:count], query_vector)
+        top = min(k, count)
+        kth_best = np.partition(scores, -top)[-top]
+        cutoff = max(kth_best, minimum_similarity) - _TIE_MARGIN
+        slots = np.flatnonzero(scores >= cutoff)
+        # Oldest first: the ring's slots from its oldest onwards, then the
+        # slots before it.
+        oldest = self._next_slot if count == self.max_items else 0
+        slots = np.concatenate((slots[slots >= oldest], slots[slots < oldest]))
+        # A repeated turn stores an identical row, which scores identically:
+        # score each distinct row once.
+        exact: Dict[bytes, float] = {}
+        scored = []
+        for slot in slots.tolist():
+            row = self._vectors[slot]
+            key = row.tobytes()
+            if key not in exact:
+                exact[key] = cosine_similarity(query_vector, row)
+            scored.append((exact[key], slot))
         scored.sort(key=lambda pair: pair[0], reverse=True)
-        results = []
-        for score, index in scored[:k]:
-            if score >= minimum_similarity:
-                results.append(self._vector_items[index])
-        return results
+        return [self._vector_items[slot] for score, slot in scored[:k]
+                if score >= minimum_similarity]
 
     def context_block(self, query: str, k: int = 3) -> str:
         """Render memory relevant to ``query`` as a prompt block."""
@@ -158,6 +199,6 @@ class ConversationMemory:
         self._turn = 0
         self._buffer = []
         self._summaries = []
-        self._vectors = []
         self._vector_items = []
+        self._next_slot = 0
         self._overflow = []

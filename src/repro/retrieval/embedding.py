@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.query import QueryIntent
-from repro.llm.embeddings import HashingEmbedder, cosine_similarity
+from repro.llm.embeddings import HashingEmbedder
 from repro.retrieval.base import Retriever, register_retriever
 from repro.retrieval.context import RetrievedContext
 from repro.tracedb.database import TraceDatabase
@@ -104,7 +104,9 @@ class EmbeddingRetriever(Retriever):
 
         query_vector = self.embedder.embed(intent.question)
         scores = self._matrix @ query_vector
-        order = np.argsort(-scores)[: self.top_k]
+        # Stable, so the earliest of equally similar chunks wins; numpy's
+        # default sort leaves tied scores in a CPU-dependent order.
+        order = np.argsort(-scores, kind="stable")[: self.top_k]
 
         context = RetrievedContext(retriever_name=self.name)
         facts = context.facts

@@ -157,6 +157,22 @@ def test_routing_embedding_fallback(session):
     assert answer.text
 
 
+def test_embedding_retriever_ties_go_to_the_earliest_chunk(session):
+    from repro.retrieval.embedding import EmbeddingRetriever, _Chunk
+
+    text = "TRACE_ID: astar_evictions_lru program_counter=0x401000"
+    retriever = EmbeddingRetriever(session.database, top_k=4)
+    # Identical-text chunks score identically; filler chunks score lower.
+    retriever._chunks = [
+        _Chunk(text=text if index % 3 else f"filler {index} lbm mcf",
+               trace_key=f"chunk{index}", kind="summary")
+        for index in range(60)]
+    retriever._matrix = retriever.embedder.embed_batch(
+        [chunk.text for chunk in retriever._chunks])
+    context = retriever.retrieve(session.parser.parse(text))
+    assert context.sources == ["chunk1", "chunk2", "chunk4", "chunk5"]
+
+
 def test_routing_workload_analysis(session):
     # Also regression-covers parse_metadata_string on sentence-final
     # correlation values ("... is 0.86.") reached via the summaries stage.
