@@ -14,8 +14,8 @@ Layer stack (each importable as ``repro.<layer>``):
 * :mod:`repro.sim`       -- the trace-driven LLC / hierarchy simulator,
 * :mod:`repro.tracedb`   -- the eviction-annotated external store,
 * :mod:`repro.analytics` -- the declarative query layer over columnar
-  tables (:class:`Query` objects executed through swappable
-  stdlib/sqlite :class:`BaseTabularStore` backends),
+  tables (:class:`Query` objects executed by the pure-stdlib
+  :class:`StdlibBackend`),
 * :mod:`repro.retrieval` -- Sieve, Ranger and the embedding baseline
   (registry-driven),
 * :mod:`repro.llm`       -- simulated LLM backends (registry-driven),
@@ -36,12 +36,10 @@ Layer stack (each importable as ``repro.<layer>``):
 
 from repro.analytics import (
     Aggregate,
-    BaseTabularStore,
     Filter,
     Join,
     OrderBy,
     Query,
-    SqliteBackend,
     StdlibBackend,
     parse_query,
     run_query,
@@ -137,9 +135,7 @@ __all__ = [
     "Aggregate",
     "OrderBy",
     "Join",
-    "BaseTabularStore",
     "StdlibBackend",
-    "SqliteBackend",
     "parse_query",
     "run_query",
     # declarative experiment API

@@ -3,23 +3,17 @@
 One tested query engine replaces N ad-hoc loops: Sieve's grounding stages,
 ``ExperimentResult`` views, the serve layer's ``query`` op and the CLI's
 ``experiment report --query`` all express their lookups as
-:class:`Query` objects and execute them through a swappable
-:class:`BaseTabularStore` backend — the pure-stdlib columnar executor by
-default, or a ``sqlite3`` spill-to-disk backend for larger-than-memory
-result sets.  Both backends return bit-identical :class:`Table` results
-(differential-tested), and queries have lossless ``to_dict``/``from_dict``
-wire forms so they ride the JSON-lines serve protocol.
+:class:`Query` objects and execute them through one pure-stdlib columnar
+executor, :class:`StdlibBackend`.  The test suite holds that executor to an
+independent SQL oracle bit for bit, and queries have lossless
+``to_dict``/``from_dict`` wire forms so they ride the JSON-lines serve
+protocol.
 """
 
 from .backends import (
-    BACKENDS,
-    BaseTabularStore,
-    SqliteBackend,
     StdlibBackend,
     aggregate_values,
-    available_backends,
     canonical_value,
-    create_backend,
     run_query,
 )
 from .dsl import QuerySyntaxError, parse_query
@@ -36,22 +30,17 @@ from .query import (
 
 __all__ = [
     "AGGREGATE_FUNCS",
-    "BACKENDS",
     "FILTER_OPS",
     "Aggregate",
-    "BaseTabularStore",
     "Filter",
     "Join",
     "OrderBy",
     "Query",
     "QuerySyntaxError",
-    "SqliteBackend",
     "StdlibBackend",
     "aggregate_values",
     "as_query",
-    "available_backends",
     "canonical_value",
-    "create_backend",
     "parse_query",
     "run_query",
 ]

@@ -1,59 +1,26 @@
-"""Tabular-store backends that execute :class:`~repro.analytics.query.Query`.
+"""The analytics executor: runs :class:`~repro.analytics.query.Query` objects.
 
-Two implementations share one execution contract (documented on the
-:class:`Query` dataclasses) and are differential-tested against each other:
+:class:`StdlibBackend` holds registered :class:`~repro.tracedb.table.Table`
+objects by reference and executes queries directly over their column lists
+— no row dicts are materialised, so filtering/grouping large tables stays
+O(columns touched), not O(rows × columns).
 
-``StdlibBackend``
-    The default.  Registered :class:`~repro.tracedb.table.Table` objects are
-    held by reference and queries execute directly over the column lists —
-    no row dicts are materialised, so filtering/grouping large tables stays
-    O(columns touched), not O(rows × columns).
-
-``SqliteBackend``
-    Spills registered tables into a temporary ``sqlite3`` database (stdlib,
-    so no new dependencies) and compiles the same :class:`Query` objects to
-    SQL.  Aggregates run as Python UDFs that accumulate ``(row, value)``
-    pairs and re-sort by source row before delegating to the *same*
-    :class:`~repro.tracedb.table.Column` aggregate methods the stdlib
-    executor uses, so float accumulation order — and therefore every output
-    bit — matches by construction.
-
-Both backends return results in the engine's canonical value domain: booleans
-become ``0``/``1`` and ``NaN`` becomes ``None`` (sqlite has neither), and
-every query result carries a deterministic total row order (source row order
-is the final tie-break, mirroring a hidden ``__row__`` column in sqlite).
-
-Integers must fit in a signed 64-bit sqlite INTEGER; ``register_table``
-rejects anything larger so the two backends can never silently diverge.
-Non-scalar payload values (lists, dicts, ...) round-trip through the sqlite
-spill as tagged JSON text — they are opaque data valid in select/passthrough
-positions, and unspecified as filter/group/order/join keys.
+Results are in the engine's canonical value domain: booleans become
+``0``/``1`` and ``NaN`` becomes ``None``, and every query result carries a
+deterministic total row order (source row order is the final tie-break).
+The test suite holds this executor to an independent SQL executor over the
+same :class:`Query` objects, bit for bit.
 """
 
 from __future__ import annotations
 
-import abc
-import json
 import math
-import os
-import sqlite3
-import tempfile
 from functools import cmp_to_key
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import UnknownNameError
 from ..tracedb.table import Column, Table
-from .query import Aggregate, Filter, Query, as_query
-
-_INT64_MAX = 2 ** 63
-_ROW_COLUMN = "__row__"
-# Non-scalar payload values (lists, dicts, ...) spill to sqlite as JSON text
-# behind this tag and are decoded on the way out.  They are opaque: valid in
-# select/passthrough positions, unspecified as filter/group/order/join keys.
-_OPAQUE_TAG = "\x00json\x00"
-# Join rows are ordered by (left __row__, right __row__); the composite
-# fits int64 as long as each side stays under 2**31 rows.
-_ROW_STRIDE = 2 ** 32
+from .query import Query, as_query
 
 
 # ----------------------------------------------------------------------
@@ -63,8 +30,9 @@ _ROW_STRIDE = 2 ** 32
 def canonical_value(value: Any) -> Any:
     """Map a cell into the engine's canonical value domain.
 
-    ``bool`` → ``int`` and ``NaN`` → ``None`` — the two Python scalars
-    sqlite cannot represent distinctly.  Everything else passes through.
+    ``bool`` → ``int`` and ``NaN`` → ``None``, so equal keys group, join
+    and compare equal whatever their Python spelling.  Everything else
+    passes through.
     """
     if isinstance(value, bool):
         return int(value)
@@ -77,7 +45,7 @@ def aggregate_values(func: str, values: Sequence[Any], q: Optional[float] = None
     """Apply one aggregate function to raw cell values.
 
     Delegates to :class:`Column` so aggregate semantics exist in exactly one
-    place; both backends (stdlib directly, sqlite inside its UDFs) call this.
+    place.
     """
     column = Column("", values)
     if func == "count":
@@ -105,8 +73,7 @@ def _matches(op: str, cell: Any, literal: Any) -> bool:
     Implements SQL comparison semantics: NULL never matches anything except
     ``is_null``, and ordered comparisons are type-guarded so a numeric
     literal only matches numeric cells and a string literal only string
-    cells (sqlite's cross-type ordering would otherwise diverge from
-    Python's ``TypeError``).
+    cells (instead of Python's ``TypeError``).
     """
     if op == "is_null":
         return cell is None
@@ -144,7 +111,7 @@ def _order_comparator(
 ) -> Callable[[int], Any]:
     """Build a sort key comparing row positions by ``(values, descending)``
     order specs, with NULLs last in both directions and numbers before
-    strings (direction applies to kind rank and value, like sqlite)."""
+    strings (direction applies to kind rank and value)."""
 
     def compare(i: int, j: int) -> int:
         for values, descending in keys:
@@ -168,7 +135,7 @@ def _order_comparator(
 
 
 # ----------------------------------------------------------------------
-# query resolution (shared validation)
+# query resolution (validation)
 # ----------------------------------------------------------------------
 
 class _Source:
@@ -182,10 +149,10 @@ class _Source:
         self.column = column      # source column in that table
 
 
-def _resolve(query: Query, schemas: Mapping[str, Tuple[str, ...]]) -> List[_Source]:
-    """Validate ``query`` against registered schemas and return the source
-    namespace (left columns followed by joined right columns) every backend
-    executes over."""
+def _resolve(query: Query, schemas: Mapping[str, Sequence[str]]) -> List[_Source]:
+    """Validate ``query`` against the registered tables' column names and
+    return the source namespace (left columns followed by joined right
+    columns) the query executes over."""
 
     if query.table not in schemas:
         raise UnknownNameError(
@@ -213,7 +180,7 @@ def _resolve(query: Query, schemas: Mapping[str, Tuple[str, ...]]) -> List[_Sour
             picked = tuple(
                 (name, name if name not in taken else f"{join.table}.{name}")
                 for name in right_cols
-                if name not in key_cols and name != _ROW_COLUMN
+                if name not in key_cols
             )
         for column, alias in picked:
             if column not in right_cols:
@@ -255,139 +222,35 @@ def _resolve(query: Query, schemas: Mapping[str, Tuple[str, ...]]) -> List[_Sour
 
 
 # ----------------------------------------------------------------------
-# backend seam
+# the executor
 # ----------------------------------------------------------------------
 
-class BaseTabularStore(abc.ABC):
-    """Abstract tabular store: register :class:`Table` objects by name, then
-    :meth:`execute` declarative :class:`Query` objects against them.
-
-    Implementations must honour the execution contract documented on the
-    :mod:`repro.analytics.query` dataclasses bit-for-bit; the differential
-    suite in ``tests/test_analytics.py`` holds them to it.
-    """
-
-    name = "base"
-
-    def __init__(self) -> None:
-        self._schemas: Dict[str, Tuple[str, ...]] = {}
-        self._closed = False
-
-    # -- registration --------------------------------------------------
-
-    def register_table(self, name: str, table: Table) -> None:
-        """Register (or replace) ``table`` under ``name``."""
-        self._check_open()
-        if _ROW_COLUMN in table.columns:
-            raise ValueError(f"column name {_ROW_COLUMN!r} is reserved by the engine")
-        self._store_table(str(name), table)
-        self._schemas[str(name)] = tuple(table.columns)
-
-    def drop_table(self, name: str) -> None:
-        """Remove a registered table; unknown names raise."""
-        self._require(name)
-        self._discard_table(name)
-        del self._schemas[name]
-
-    def list_tables(self) -> List[str]:
-        """Sorted names of the registered tables."""
-        return sorted(self._schemas)
-
-    def has_table(self, name: str) -> bool:
-        return name in self._schemas
-
-    def table_columns(self, name: str) -> Tuple[str, ...]:
-        """Column names of a registered table, in table order."""
-        self._require(name)
-        return self._schemas[name]
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(f"{type(self).__name__} is closed")
-
-    def _require(self, name: str) -> None:
-        self._check_open()
-        if name not in self._schemas:
-            raise UnknownNameError(
-                f"unknown table {name!r}; registered: "
-                f"{', '.join(sorted(self._schemas)) or '(none)'}"
-            )
-
-    # -- execution -----------------------------------------------------
-
-    def execute(self, query: Union[Query, Mapping[str, Any]]) -> Table:
-        """Run ``query`` and return its result as a new :class:`Table`."""
-        self._check_open()
-        query = as_query(query)
-        sources = _resolve(query, self._schemas)
-        return self._execute(query, sources)
-
-    # -- backend hooks -------------------------------------------------
-
-    @abc.abstractmethod
-    def _store_table(self, name: str, table: Table) -> None:
-        """Persist ``table`` in backend storage (name already validated)."""
-
-    @abc.abstractmethod
-    def _discard_table(self, name: str) -> None:
-        """Drop backend storage for a registered table."""
-
-    @abc.abstractmethod
-    def load_table(self, name: str) -> Table:
-        """Return a registered table's full contents, canonicalised."""
-
-    @abc.abstractmethod
-    def _execute(self, query: Query, sources: List[_Source]) -> Table:
-        """Execute an already-validated query."""
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        """Release backend resources; the store is unusable afterwards
-        (any further use raises :class:`RuntimeError`).  Idempotent."""
-        self._closed = True
-
-    def __enter__(self) -> "BaseTabularStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class StdlibBackend(BaseTabularStore):
-    """Pure-stdlib columnar executor over in-memory :class:`Table` objects.
+class StdlibBackend:
+    """Pure-stdlib columnar executor: register :class:`Table` objects by
+    name, then :meth:`execute` declarative :class:`Query` objects against
+    them, honouring the execution contract documented on the
+    :mod:`repro.analytics.query` dataclasses.
 
     Tables are registered by reference (registration is O(1)); mutating a
     table after registering it is visible to later queries.
     """
 
-    name = "stdlib"
-
     def __init__(self) -> None:
-        super().__init__()
         self._tables: Dict[str, Table] = {}
 
-    def _store_table(self, name: str, table: Table) -> None:
-        self._tables[name] = table
+    def register_table(self, name: str, table: Table) -> None:
+        """Register (or replace) ``table`` under ``name``."""
+        self._tables[str(name)] = table
 
-    def _discard_table(self, name: str) -> None:
-        del self._tables[name]
+    def list_tables(self) -> List[str]:
+        """Sorted names of the registered tables."""
+        return sorted(self._tables)
 
-    def load_table(self, name: str) -> Table:
-        self._require(name)
-        table = self._tables[name]
-        return Table.from_columns(
-            {col: [canonical_value(v) for v in table[col].values] for col in table.columns}
-        )
-
-    def close(self) -> None:
-        super().close()
-        self._tables.clear()
-        self._schemas.clear()
-
-    # -- execution -----------------------------------------------------
-
-    def _execute(self, query: Query, sources: List[_Source]) -> Table:
+    def execute(self, query: Union[Query, Mapping[str, Any]]) -> Table:
+        """Run ``query`` and return its result as a new :class:`Table`."""
+        query = as_query(query)
+        sources = _resolve(query, {name: table.columns
+                                   for name, table in self._tables.items()})
         left = self._tables[query.table]
         if query.join is not None:
             data, count = self._joined_columns(query, sources, left)
@@ -503,327 +366,10 @@ class StdlibBackend(BaseTabularStore):
         return positions
 
 
-def _make_sqlite_aggregate(func: str) -> type:
-    """Build a sqlite UDF aggregate class for ``func``.
-
-    The UDF receives ``(source_row, value[, q])`` per row, re-sorts by
-    source row in ``finalize`` (sqlite feeds GROUP BY rows in an unspecified
-    order, and float accumulation is order-sensitive), then delegates to
-    :func:`aggregate_values` — the same code path the stdlib backend uses.
-    """
-
-    class _Aggregate:
-        def __init__(self) -> None:
-            self.pairs: List[Tuple[int, Any]] = []
-            self.q: Optional[float] = None
-
-        def step(self, row: int, value: Any, q: Optional[float] = None) -> None:
-            self.q = q
-            self.pairs.append((row, value))
-
-        def finalize(self) -> Any:
-            self.pairs.sort(key=lambda pair: pair[0])
-            values = [value for _, value in self.pairs]
-            if func == "first":
-                return values[0] if values else None
-            return aggregate_values(func, values, self.q)
-
-    _Aggregate.__name__ = f"_SqliteAgg_{func}"
-    return _Aggregate
-
-
-class SqliteBackend(BaseTabularStore):
-    """``sqlite3``-backed store: registered tables spill to a temporary
-    database file and queries compile to SQL.
-
-    Designed for result sets larger than comfortable in memory — the
-    registered data lives on disk, not in Python lists.  Aggregates execute
-    as Python UDFs sharing :func:`aggregate_values` with the stdlib backend,
-    and a hidden ``__row__`` column makes every ordering decision (plain
-    scans, first-seen group order, left-major joins, top-k ties) reproduce
-    the stdlib backend's exactly.
-    """
-
-    name = "sqlite"
-
-    def __init__(self, path: Optional[str] = None):
-        super().__init__()
-        self._owns_file = False
-        if path is None:
-            handle, path = tempfile.mkstemp(prefix="repro-analytics-", suffix=".sqlite3")
-            os.close(handle)
-            self._owns_file = True
-        self.path = path
-        self._connection = sqlite3.connect(path)
-        for func in ("sum", "mean", "min", "max", "median", "std", "first"):
-            self._connection.create_aggregate(f"cm_{func}", 2, _make_sqlite_aggregate(func))
-        self._connection.create_aggregate("cm_percentile", 3, _make_sqlite_aggregate("percentile"))
-
-    # -- registration --------------------------------------------------
-
-    def _store_table(self, name: str, table: Table) -> None:
-        quoted = _quote(name)
-        cols = ", ".join(_quote(col) for col in table.columns)
-        with self._connection:
-            self._connection.execute(f"DROP TABLE IF EXISTS {quoted}")
-            self._connection.execute(
-                f"CREATE TABLE {quoted} ({_quote(_ROW_COLUMN)} INTEGER PRIMARY KEY"
-                + (f", {cols}" if cols else "")
-                + ")"
-            )
-            placeholders = ", ".join("?" for _ in range(len(table.columns) + 1))
-            column_values = [table[col].values for col in table.columns]
-            rows = (
-                (i,) + tuple(_spill_value(name, col, values[i])
-                             for col, values in zip(table.columns, column_values))
-                for i in range(len(table))
-            )
-            self._connection.executemany(
-                f"INSERT INTO {quoted} VALUES ({placeholders})", rows
-            )
-
-    def _discard_table(self, name: str) -> None:
-        with self._connection:
-            self._connection.execute(f"DROP TABLE IF EXISTS {_quote(name)}")
-
-    def load_table(self, name: str) -> Table:
-        self._require(name)
-        columns = self._schemas[name]
-        select = ", ".join(_quote(col) for col in columns) or "NULL"
-        cursor = self._connection.execute(
-            f"SELECT {select} FROM {_quote(name)} ORDER BY {_quote(_ROW_COLUMN)}"
-        )
-        fetched = cursor.fetchall()
-        return Table.from_columns(
-            {col: [_unspill_value(row[idx]) for row in fetched]
-             for idx, col in enumerate(columns)}
-        )
-
-    def close(self) -> None:
-        super().close()
-        self._connection.close()
-        self._schemas.clear()
-        if self._owns_file:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-            self._owns_file = False
-
-    # -- execution -----------------------------------------------------
-
-    def _execute(self, query: Query, sources: List[_Source]) -> Table:
-        exprs = {
-            source.name: f'{"l" if source.side == "l" else "r"}.{_quote(source.column)}'
-            for source in sources
-        }
-        params: List[Any] = []
-        if query.join is not None:
-            row_expr = f'(l.{_quote(_ROW_COLUMN)} * {_ROW_STRIDE} + r.{_quote(_ROW_COLUMN)})'
-        else:
-            row_expr = f"l.{_quote(_ROW_COLUMN)}"
-
-        if query.aggregates:
-            names = list(query.group_by) + [agg.output_name for agg in query.aggregates]
-            select_parts = [
-                f"cm_first({row_expr}, {exprs[name]}) AS {_quote(name)}"
-                for name in query.group_by
-            ]
-            agg_sql: Dict[str, Tuple[str, List[Any]]] = {}
-            for agg in query.aggregates:
-                sql, sql_params = _aggregate_sql(agg, exprs, row_expr)
-                agg_sql[agg.output_name] = (sql, sql_params)
-                select_parts.append(f"{sql} AS {_quote(agg.output_name)}")
-                params.extend(sql_params)
-        else:
-            names = list(query.select or tuple(source.name for source in sources))
-            select_parts = [f"{exprs[name]} AS {_quote(name)}" for name in names]
-            agg_sql = {}
-
-        sql = [f"SELECT {', '.join(select_parts)}"]
-        sql.append(f"FROM {_quote(query.table)} AS l")
-        if query.join is not None:
-            on = " AND ".join(
-                f"l.{_quote(left)} = r.{_quote(right)}" for left, right in query.join.on
-            )
-            sql.append(f"JOIN {_quote(query.join.table)} AS r ON {on}")
-        if query.filters:
-            clauses = []
-            for item in query.filters:
-                clause, clause_params = _filter_sql(item, exprs[item.column])
-                clauses.append(clause)
-                params.extend(clause_params)
-            sql.append("WHERE " + " AND ".join(clauses))
-        if query.group_by:
-            sql.append("GROUP BY " + ", ".join(exprs[name] for name in query.group_by))
-
-        order_parts: List[str] = []
-        for spec in query.order_by:
-            if query.aggregates and spec.column in agg_sql:
-                expr, expr_params = agg_sql[spec.column]
-                order_parts.extend(_order_sql(expr, spec.descending))
-                # the ORDER BY fragment repeats the aggregate expression
-                # (and thus its bound parameters) three times
-                for _ in range(3):
-                    params.extend(expr_params)
-            else:
-                order_parts.extend(_order_sql(exprs[spec.column], spec.descending))
-        if query.aggregates:
-            order_parts.append(f"MIN({row_expr}) ASC")
-        else:
-            order_parts.append(f"{row_expr} ASC")
-        sql.append("ORDER BY " + ", ".join(order_parts))
-        if query.limit is not None:
-            sql.append("LIMIT ?")
-            params.append(query.limit)
-
-        cursor = self._connection.execute("\n".join(sql), params)
-        fetched = cursor.fetchall()
-        return Table.from_columns(
-            {name: [_unspill_value(row[idx]) for row in fetched]
-             for idx, name in enumerate(names)}
-        )
-
-
-def _quote(identifier: str) -> str:
-    return '"' + identifier.replace('"', '""') + '"'
-
-
-def _spill_value(table: str, column: str, value: Any) -> Any:
-    value = canonical_value(value)
-    if isinstance(value, str):
-        # Escape real strings that collide with the opaque-value tag so the
-        # decode in _unspill_value stays unambiguous.
-        if value.startswith(_OPAQUE_TAG):
-            return _OPAQUE_TAG + json.dumps(value)
-        return value
-    if value is None or isinstance(value, float):
-        return value
-    if isinstance(value, int):
-        if not -_INT64_MAX <= value < _INT64_MAX:
-            raise ValueError(
-                f"table {table!r} column {column!r}: integer {value} overflows "
-                "sqlite's signed 64-bit storage"
-            )
-        return value
-    # Opaque payload (lists, dicts, ...): spill as tagged JSON text so it
-    # survives select passthrough.  Such values are data, not keys — using
-    # them in filter/group/order/join positions is unspecified and will not
-    # match the stdlib backend.
-    try:
-        return _OPAQUE_TAG + json.dumps(value, separators=(",", ":"))
-    except (TypeError, ValueError):
-        raise TypeError(
-            f"table {table!r} column {column!r}: cannot spill "
-            f"{type(value).__name__} values to sqlite (scalars and "
-            "JSON-serialisable payloads only)"
-        ) from None
-
-
-def _unspill_value(value: Any) -> Any:
-    if isinstance(value, str) and value.startswith(_OPAQUE_TAG):
-        return json.loads(value[len(_OPAQUE_TAG):])
-    return value
-
-
-def _aggregate_sql(
-    agg: Aggregate, exprs: Mapping[str, str], row_expr: str
-) -> Tuple[str, List[Any]]:
-    if agg.func == "count":
-        return "COUNT(*)", []
-    expr = exprs[agg.column]
-    if agg.func == "percentile":
-        return f"cm_percentile({row_expr}, {expr}, ?)", [agg.q]
-    if agg.func == "sum":
-        # Over zero rows sqlite3 never instantiates a UDF aggregate and the
-        # result is NULL; cm_sum itself never returns NULL (the empty and
-        # the all-null sum are both 0), so COALESCE only fires there.
-        return f"COALESCE(cm_sum({row_expr}, {expr}), 0)", []
-    return f"cm_{agg.func}({row_expr}, {expr})", []
-
-
-def _filter_sql(item: Filter, expr: str) -> Tuple[str, List[Any]]:
-    op = item.op
-    if op == "is_null":
-        return f"{expr} IS NULL", []
-    if op == "not_null":
-        return f"{expr} IS NOT NULL", []
-    if op in ("in", "not_in"):
-        literals = [canonical_value(part) for part in item.value]
-        if not literals:
-            # SQL has no empty IN list; `x IN ()` is always false and
-            # `x NOT IN ()` matches every non-NULL x.
-            return ("0", []) if op == "in" else (f"{expr} IS NOT NULL", [])
-        placeholders = ", ".join("?" for _ in literals)
-        keyword = "IN" if op == "in" else "NOT IN"
-        return f"{expr} {keyword} ({placeholders})", literals
-    literal = canonical_value(item.value)
-    if op == "eq":
-        return f"{expr} = ?", [literal]
-    if op == "ne":
-        return f"{expr} != ?", [literal]
-    symbol = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}[op]
-    if isinstance(literal, str):
-        guard = f"typeof({expr}) = 'text'"
-    else:
-        guard = f"typeof({expr}) IN ('integer', 'real')"
-    return f"({guard} AND {expr} {symbol} ?)", [literal]
-
-
-def _order_sql(expr: str, descending: bool) -> List[str]:
-    direction = "DESC" if descending else "ASC"
-    return [
-        f"({expr} IS NULL) ASC",
-        f"(CASE WHEN typeof({expr}) = 'text' THEN 1 ELSE 0 END) {direction}",
-        f"{expr} {direction}",
-    ]
-
-
-# ----------------------------------------------------------------------
-# registry / convenience
-# ----------------------------------------------------------------------
-
-BACKENDS: Dict[str, Callable[[], BaseTabularStore]] = {
-    "stdlib": StdlibBackend,
-    "sqlite": SqliteBackend,
-}
-
-
-def available_backends() -> List[str]:
-    """Names accepted by :func:`create_backend` (and every ``--backend``/
-    ``backend=`` surface built on it)."""
-    return sorted(BACKENDS)
-
-
-def create_backend(name: str, **kwargs: Any) -> BaseTabularStore:
-    """Instantiate a tabular-store backend by registry name."""
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise UnknownNameError(
-            f"unknown analytics backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        ) from None
-    return factory(**kwargs)
-
-
-def run_query(
-    query: Union[Query, Mapping[str, Any]],
-    tables: Mapping[str, Table],
-    backend: Union[str, BaseTabularStore] = "stdlib",
-) -> Table:
-    """One-shot helper: register ``tables`` into ``backend`` and execute.
-
-    ``backend`` may be a registry name (a transient store is created and
-    closed) or an existing :class:`BaseTabularStore` instance (the provided
-    tables are (re-)registered into it and it stays open).
-    """
-    query = as_query(query)
-    if isinstance(backend, BaseTabularStore):
-        for name, table in tables.items():
-            backend.register_table(name, table)
-        return backend.execute(query)
-    with create_backend(backend) as store:
-        for name, table in tables.items():
-            store.register_table(name, table)
-        return store.execute(query)
+def run_query(query: Union[Query, Mapping[str, Any]], tables: Mapping[str, Table]) -> Table:
+    """One-shot helper: register ``tables`` into a fresh
+    :class:`StdlibBackend` and execute ``query``."""
+    store = StdlibBackend()
+    for name, table in tables.items():
+        store.register_table(name, table)
+    return store.execute(query)

@@ -10,9 +10,9 @@ tables:
 Queries are plain frozen dataclasses with lossless ``to_dict`` /
 ``from_dict`` wire forms (mirroring :class:`repro.core.experiment
 .ExperimentSpec`), so they ride the JSON-lines serve protocol unchanged.
-Execution semantics are defined once in :mod:`repro.analytics.backends`
-and every backend must honour them bit-for-bit; the differential test
-suite in ``tests/test_analytics.py`` enforces that contract.
+Execution semantics are defined once, by the executor in
+:mod:`repro.analytics.backends`; the differential suite in
+``tests/test_analytics.py`` holds it to an independent SQL oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +48,27 @@ def _check_literal(value: Any, where: str) -> None:
         raise ValueError(f"{where}: NaN/inf literals are not supported")
 
 
+def _names(value: Any, where: str) -> Tuple[str, ...]:
+    """Column-name list as a tuple; a bare string is refused rather than
+    split into one-character names."""
+    if isinstance(value, str):
+        raise ValueError(f"{where} must be a list of column names, got the string {value!r}")
+    return tuple(str(name) for name in value)
+
+
+def _pairs(value: Any, where: str) -> Tuple[Tuple[str, str], ...]:
+    """``[left, right]`` column pairs as tuples; a bare string (or a pair
+    that is one) is refused rather than split into characters."""
+    if isinstance(value, str):
+        raise ValueError(f"{where} must be a list of [left, right] pairs, got {value!r}")
+    pairs = []
+    for pair in value:
+        if isinstance(pair, str) or not isinstance(pair, Sequence) or len(pair) != 2:
+            raise ValueError(f"{where}: each pair must be [left, right], got {pair!r}")
+        pairs.append((str(pair[0]), str(pair[1])))
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class Filter:
     """One WHERE predicate: ``column <op> value``.
@@ -56,8 +77,8 @@ class Filter:
     never match NULL cells; ``ne``/``not_in`` therefore *exclude* NULLs,
     matching SQL.  Ordered comparisons are additionally type-guarded: a
     numeric literal only matches numeric cells and a string literal only
-    matches string cells, so mixed-type columns behave identically in the
-    stdlib executor and in sqlite.
+    matches string cells, so a mixed-type column never raises a Python
+    ``TypeError`` mid-scan.
     """
 
     column: str
@@ -133,7 +154,8 @@ class Aggregate:
         elif not self.column:
             raise ValueError(f"aggregate {self.func!r} requires a column")
         if self.func == "percentile":
-            if self.q is None or not 0.0 <= float(self.q) <= 1.0:
+            if (self.q is None or isinstance(self.q, bool)
+                    or not 0.0 <= float(self.q) <= 1.0):
                 raise ValueError("percentile requires q in [0, 1]")
             object.__setattr__(self, "q", float(self.q))
         elif self.q is not None:
@@ -175,20 +197,25 @@ class OrderBy:
 
     NULL cells sort last in *both* directions (the :meth:`Table.sort_by`
     convention); among non-NULL cells, numbers sort before strings and the
-    requested direction applies to both the kind rank and the value, which
-    is exactly how sqlite's cross-type comparison behaves.  Ties preserve
-    the source row order (stable).
+    requested direction applies to both the kind rank and the value (SQL's
+    cross-type ordering).  Ties preserve the source row order (stable).
+    ``descending`` must be a real ``bool``.
     """
 
     column: str
     descending: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.descending, bool):
+            raise ValueError(f"order_by {self.column}: descending must be true or "
+                             f"false, got {self.descending!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"column": self.column, "descending": self.descending}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "OrderBy":
-        return cls(column=payload["column"], descending=bool(payload.get("descending", False)))
+        return cls(column=payload["column"], descending=payload.get("descending", False))
 
 
 @dataclass(frozen=True)
@@ -208,12 +235,11 @@ class Join:
     select: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        pairs = tuple((str(left), str(right)) for left, right in self.on)
+        pairs = _pairs(self.on, "join on")
         if not pairs:
             raise ValueError("join requires at least one (left, right) key pair")
         object.__setattr__(self, "on", pairs)
-        picked = tuple((str(col), str(alias)) for col, alias in self.select)
-        object.__setattr__(self, "select", picked)
+        object.__setattr__(self, "select", _pairs(self.select, "join select"))
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"table": self.table, "on": [list(pair) for pair in self.on]}
@@ -225,8 +251,8 @@ class Join:
     def from_dict(cls, payload: Mapping[str, Any]) -> "Join":
         return cls(
             table=payload["table"],
-            on=tuple(tuple(pair) for pair in payload["on"]),
-            select=tuple(tuple(pair) for pair in payload.get("select", ())),
+            on=payload["on"],
+            select=payload.get("select", ()),
         )
 
 
@@ -254,9 +280,9 @@ class Query:
     join: Optional[Join] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "select", tuple(str(name) for name in self.select))
+        object.__setattr__(self, "select", _names(self.select, "select"))
         object.__setattr__(self, "filters", tuple(self.filters))
-        object.__setattr__(self, "group_by", tuple(str(name) for name in self.group_by))
+        object.__setattr__(self, "group_by", _names(self.group_by, "group_by"))
         object.__setattr__(self, "aggregates", tuple(self.aggregates))
         object.__setattr__(self, "order_by", tuple(self.order_by))
         if self.group_by and not self.aggregates:
@@ -266,7 +292,8 @@ class Query:
                 "select and aggregates are mutually exclusive; aggregated output "
                 "columns are group_by keys plus aggregate aliases"
             )
-        if self.limit is not None and (not isinstance(self.limit, int) or self.limit < 0):
+        if self.limit is not None and (not isinstance(self.limit, int)
+                                       or isinstance(self.limit, bool) or self.limit < 0):
             raise ValueError("limit must be a non-negative integer")
         seen = set()
         for name in self.output_columns() or ():
@@ -324,9 +351,9 @@ class Query:
         join = payload.get("join")
         return cls(
             table=payload["table"],
-            select=tuple(payload.get("select", ())),
+            select=payload.get("select", ()),
             filters=tuple(Filter.from_dict(item) for item in payload.get("filters", ())),
-            group_by=tuple(payload.get("group_by", ())),
+            group_by=payload.get("group_by", ()),
             aggregates=tuple(Aggregate.from_dict(item) for item in payload.get("aggregates", ())),
             order_by=tuple(OrderBy.from_dict(item) for item in payload.get("order_by", ())),
             limit=payload.get("limit"),

@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--compare", default=None, metavar="OLD_JSON",
                        help="with --perf: print per-timing deltas vs a "
                             "previous BENCH_<rev>.json report "
-                            "(name, old/new ms, ratio)")
+                            "(name, old/new ms, ratio); exits 1 without "
+                            "ratios when the reports' params differ")
     bench.add_argument("--store-dir", default=None, metavar="DIR",
                        help="with --perf: directory for the warm-start "
                             "section's store, kept afterwards e.g. for CI "
@@ -298,10 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="query_format",
         help="with --query: render the result as a fixed-width table or "
              "as CSV (default: table)")
-    experiment_report.add_argument(
-        "--backend", default="stdlib", dest="analytics_backend",
-        help="with --query: analytics backend to execute through "
-             "(stdlib or sqlite; default: stdlib)")
 
     serve = subparsers.add_parser(
         "serve", help="serve questions over the JSON-lines TCP protocol")
@@ -855,7 +852,7 @@ def _run_report_query(result, args: argparse.Namespace) -> int:
         print(f"error: bad --query: {error}", file=sys.stderr)
         return 2
     try:
-        table = result.query(query, backend=args.analytics_backend)
+        table = result.query(query)
     except (UnknownNameError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -1129,13 +1126,19 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
     path = write_report(report, path=args.perf_output)
     print(f"  report written to {path}")
     if args.compare:
-        from repro.perf.harness import compare_reports, load_report
+        from repro.perf.harness import (
+            compare_reports,
+            differing_params,
+            load_report,
+        )
         try:
             previous = load_report(args.compare)
         except (OSError, ValueError) as error:
             print(f"  cannot load comparison report {args.compare}: {error}")
             return 1
         print(compare_reports(previous, report))
+        if differing_params(previous, report):
+            return 1
     return 0
 
 

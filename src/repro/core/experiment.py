@@ -370,23 +370,22 @@ class ExperimentResult:
         return Table.from_columns(
             {name: list(values) for name, values in self.columns.items()})
 
-    def query(self, query, backend: str = "stdlib"):
+    def query(self, query):
         """Run a declarative :class:`~repro.analytics.Query` (or its wire
         form) against the cell table via :mod:`repro.analytics`.
 
         The cell table is registered under the query's own table name
         (conventionally ``"cells"``), so any single-table query works;
-        for cross-experiment joins use :meth:`join`.  ``backend`` is an
-        analytics backend registry name (``stdlib`` or ``sqlite``).
+        for cross-experiment joins use :meth:`join`.
         """
         from repro.analytics import as_query, run_query
 
         query = as_query(query)
-        return run_query(query, {query.table: self.as_table()}, backend=backend)
+        return run_query(query, {query.table: self.as_table()})
 
     def top_k(self, metric: str, k: int = 5,
               where: Optional[Dict[str, Any]] = None,
-              descending: bool = True, backend: str = "stdlib"):
+              descending: bool = True):
         """The ``k`` cells with the largest ``metric`` (axes + metric
         columns), optionally under an axis filter.
 
@@ -404,12 +403,12 @@ class ExperimentResult:
             filters=filters,
             order_by=(OrderBy(metric, descending),),
             limit=k,
-        ), backend=backend)
+        ))
 
     def join(self, other: "ExperimentResult",
              on: Sequence[str] = AXES,
              metrics: Sequence[str] = ("miss_rate",),
-             suffix: str = "_other", backend: str = "stdlib"):
+             suffix: str = "_other"):
         """Inner-join this cell table against another experiment's.
 
         Rows match on the ``on`` axes (all of :data:`AXES` by default, i.e.
@@ -428,10 +427,7 @@ class ExperimentResult:
             select=tuple((metric, f"{metric}{suffix}") for metric in metrics),
         ))
         joined = run_query(
-            query,
-            {"cells": self.as_table(), "other": other.as_table()},
-            backend=backend,
-        )
+            query, {"cells": self.as_table(), "other": other.as_table()})
         for metric in metrics:
             left = joined[metric].values
             right = joined[f"{metric}{suffix}"].values

@@ -44,7 +44,7 @@ Wire protocol (newline-delimited JSON)::
     → {"op": "experiment", "spec": {"workloads": [...], "configs": [...]}}
     ← {"ok": true, "result": {"columns": {...}, "counters": {...}, ...}}
     → {"op": "query", "fingerprint": "ab12...", "query": {"table": "cells",
-       ...}, "backend": "stdlib"}
+       ...}}
     ← {"ok": true, "result": {"fingerprint": "...", "columns": {...}}}
     → {"op": "stats"}   /   {"op": "ping"}   /   {"op": "health"}
     ← {"ok": true, "result": {...}}
@@ -58,9 +58,9 @@ running sweep is visible in ``stats`` under ``experiments``.
 The ``query`` op runs a declarative :class:`repro.analytics.Query` (wire
 form) against a **store-backed** experiment's cell table — top-k cells,
 grouped aggregates, filtered slices — and returns only the result columns,
-so clients analyse big sweeps without shipping whole tables.  ``backend``
-selects the server-side analytics backend (``stdlib`` default or
-``sqlite``); both return byte-identical columns.
+so clients analyse big sweeps without shipping whole tables.  The server
+ignores request keys it does not read, so a ``backend`` key from older
+clients is accepted and changes nothing.
 
 Resilience (see the :mod:`repro.serve.server` docstring for the server
 side, :mod:`repro.serve.client` for the client side):

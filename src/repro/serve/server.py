@@ -260,12 +260,7 @@ class CacheMindServer:
             if not isinstance(query, dict):
                 raise ValueError("'query' needs a 'query' object "
                                  "(Query.to_dict form)")
-            backend = payload.get("backend", "stdlib")
-            if not isinstance(backend, str):
-                raise ValueError("'backend' must be an analytics backend "
-                                 "name string")
-            full, table = self.service.query_experiment(
-                fingerprint, query, backend=backend)
+            full, table = self.service.query_experiment(fingerprint, query)
             # Columns ride verbatim (no transport metadata) so the remote
             # result table compares byte-identical to an in-process run.
             return {"fingerprint": full, "columns": table.to_dict()}

@@ -118,27 +118,25 @@ class CacheStatisticalExpert:
 
     Row lookups (PC slices, exact-equality counts, hit/miss outcomes) are
     expressed as declarative :class:`repro.analytics.Query` objects and
-    executed through a tabular-store ``backend`` (``"stdlib"`` by default;
-    ``"sqlite"`` spills the trace to disk first).  The cross-column row
+    executed by the analytics engine.  The cross-column row
     logic (bad-eviction classification, recency/miss correlation) stays as
     explicit loops — it is row-wise conditional logic the declarative layer
     deliberately does not model.
     """
 
-    def __init__(self, table: Table, backend: str = "stdlib"):
+    def __init__(self, table: Table):
         self.table = table
-        self._backend_name = backend
         self._store = None
 
     # ------------------------------------------------------------------
     # analytics engine plumbing
     # ------------------------------------------------------------------
     def _engine(self):
-        """The lazily-created tabular store with the trace registered."""
+        """The lazily-created executor with the trace registered."""
         if self._store is None:
-            from repro.analytics import create_backend
+            from repro.analytics import StdlibBackend
 
-            self._store = create_backend(self._backend_name)
+            self._store = StdlibBackend()
             self._store.register_table("trace", self.table)
         return self._store
 

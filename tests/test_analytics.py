@@ -1,13 +1,16 @@
-"""The analytics engine: Query objects, stdlib/sqlite backends, DSL, wiring.
+"""The analytics engine: Query objects, the stdlib executor, DSL, wiring.
 
 The flagship acceptance test is the randomized differential suite: every
 query in the matrix — NULLs, mixed types, empty groups, top-k ties, joins —
-must return byte-identical tables from the stdlib executor and the sqlite
-spill backend.
+must return byte-identical tables from the stdlib executor and the SQL
+oracle in ``sqlite_oracle.py``, as must every query the Sieve issues.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,18 +22,16 @@ from repro.analytics import (
     OrderBy,
     Query,
     QuerySyntaxError,
-    SqliteBackend,
     StdlibBackend,
     aggregate_values,
     as_query,
-    available_backends,
     canonical_value,
-    create_backend,
     parse_query,
     run_query,
 )
 from repro.errors import UnknownNameError
 from repro.tracedb.table import Column, Table
+from sqlite_oracle import SqliteOracle, run_oracle
 
 
 def make_table(**columns) -> Table:
@@ -40,8 +41,26 @@ def make_table(**columns) -> Table:
 
 @pytest.fixture(params=["stdlib", "sqlite"])
 def backend(request):
-    with create_backend(request.param) as store:
-        yield store
+    """The stdlib executor, and the SQL oracle that holds it to account."""
+    if request.param == "stdlib":
+        yield StdlibBackend()
+    else:
+        with SqliteOracle() as oracle:
+            yield oracle
+
+
+def via_oracle(monkeypatch):
+    """Route ``repro.analytics.run_query`` — what ``ExperimentResult.query``
+    and ``join`` call, in-process, behind the serve ``query`` op and the
+    CLI — through the SQL oracle; returns the list of queries it ran."""
+    executed = []
+
+    def oracle_run_query(query, tables):
+        executed.append(query)
+        return run_oracle(query, tables)
+
+    monkeypatch.setattr("repro.analytics.run_query", oracle_run_query)
+    return executed
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +162,49 @@ def test_as_query_coercion():
     assert as_query(query.to_dict()) == query
     with pytest.raises(TypeError):
         as_query("select *")
+
+
+# Wire forms the old from_dict misread instead of refusing.
+MALFORMED_WIRE_QUERIES = {
+    # read as a 1-row limit and re-emitted as `"limit": true`
+    "bool-limit": {"table": "cells", "limit": True},
+    # bool("false") is True: the client silently got descending order
+    "string-descending": {"table": "cells", "order_by": [
+        {"column": "miss_rate", "descending": "false"}]},
+    # bare strings were split into one-character column names
+    "string-select": {"table": "cells", "select": "ipc"},
+    "string-group-by": {"table": "cells", "group_by": "policy",
+                        "aggregates": [{"func": "count"}]},
+    "string-join-pair": {"table": "cells", "join": {"table": "other",
+                                                    "on": ["kk"]}},
+    # True became q=1.0 with output column p1_v
+    "bool-percentile-q": {"table": "cells", "aggregates": [
+        {"func": "percentile", "column": "miss_rate", "q": True}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WIRE_QUERIES))
+def test_malformed_wire_query_is_refused(case, stored_experiment, capsys):
+    from repro.cli import main
+    from repro.serve import CacheMindServer, CacheMindService
+
+    wire = MALFORMED_WIRE_QUERIES[case]
+    with pytest.raises(ValueError):
+        Query.from_dict(wire)
+    session, spec, _result, store_dir = stored_experiment
+    service = CacheMindService(session=session)
+    try:
+        with CacheMindServer(service, host="127.0.0.1", port=0) as server:
+            reply = server.dispatch_line(json.dumps(
+                {"op": "query", "fingerprint": spec.fingerprint(),
+                 "query": wire}).encode())
+    finally:
+        service.close()
+    assert reply["ok"] is False and reply["kind"] == "bad_request", reply
+    assert main(["experiment", "report", "--store-dir", store_dir,
+                 "--fingerprint", spec.fingerprint(),
+                 "--query", json.dumps(wire)]) == 2
+    assert "bad --query" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -305,36 +367,37 @@ def test_unknown_names_raise(backend):
 
 
 def test_store_table_management(backend):
-    table = make_table(a=[1, True, None], b=[2.5, "x", -3])
-    backend.register_table("t", table)
-    assert backend.list_tables() == ["t"]
-    assert backend.has_table("t")
-    assert backend.table_columns("t") == ("a", "b")
-    # round-trip through the backend canonicalises bools to ints
-    loaded = backend.load_table("t")
-    assert loaded["a"].values == [1, 1, None]
-    assert loaded["b"].values == [2.5, "x", -3]
-    backend.drop_table("t")
-    assert not backend.has_table("t")
-    with pytest.raises(UnknownNameError):
-        backend.load_table("t")
-    with pytest.raises(ValueError):
-        backend.register_table("t", make_table(__row__=[1]))
+    backend.register_table("t", make_table(a=[1, True, None], b=[2.5, "x", -3]))
+    backend.register_table("u", make_table(c=[1]))
+    assert backend.list_tables() == ["t", "u"]
+    # execution canonicalises bools to ints
+    result = backend.execute(Query("t"))
+    assert result.to_dict() == {"a": [1, 1, None], "b": [2.5, "x", -3]}
+    # re-registering a name replaces the table
+    backend.register_table("t", make_table(a=[7]))
+    assert backend.list_tables() == ["t", "u"]
+    assert backend.execute(Query("t")).to_dict() == {"a": [7]}
 
 
-def test_registry_and_run_query():
-    assert available_backends() == ["sqlite", "stdlib"]
-    with pytest.raises(UnknownNameError):
-        create_backend("pandas")
-    with pytest.raises(UnknownNameError):
-        run_query(Query("t"), {"t": make_table(a=[1])}, backend="pandas")
+def test_run_query():
     table = make_table(a=[3, 1, 2])
     result = run_query(Query("t").order("a"), {"t": table})
     assert result["a"].values == [1, 2, 3]
-    # an explicit instance is registered into and stays open
-    with StdlibBackend() as store:
-        run_query(Query("t"), {"t": table}, backend=store)
-        assert store.has_table("t")
+    assert run_query(Query("t").order("a").to_dict(), {"t": table}).to_dict() \
+        == result.to_dict()  # the wire form runs too
+    with pytest.raises(TypeError):  # there is one executor to choose from
+        run_query(Query("t"), {"t": table}, backend="stdlib")
+
+
+def test_analytics_exports_one_executor():
+    import repro
+    import repro.analytics
+
+    for name in ("SqliteBackend", "BaseTabularStore", "BACKENDS",
+                 "create_backend", "available_backends"):
+        assert not hasattr(repro.analytics, name), name
+    assert not hasattr(repro, "SqliteBackend")
+    assert not hasattr(repro, "BaseTabularStore")
 
 
 def test_canonical_value_and_aggregate_values():
@@ -349,14 +412,16 @@ def test_canonical_value_and_aggregate_values():
 
 
 # ----------------------------------------------------------------------
-# sqlite backend specifics
+# the SQL oracle's own guards
 # ----------------------------------------------------------------------
 def test_sqlite_spill_rejects_unspillable_values():
-    with SqliteBackend() as store:
+    with SqliteOracle() as store:
         with pytest.raises(ValueError):
             store.register_table("t", make_table(a=[2 ** 63]))  # int64 overflow
         with pytest.raises(TypeError):
             store.register_table("t", make_table(a=[{1, 2}]))  # not JSON-able
+        with pytest.raises(ValueError):
+            store.register_table("t", make_table(__row__=[1]))  # hidden column
 
 
 def test_opaque_payloads_round_trip_both_backends(backend):
@@ -368,16 +433,14 @@ def test_opaque_payloads_round_trip_both_backends(backend):
     result = backend.execute(Query("t").where("k", "le", 2))
     assert result["lines"].values == [[10, 20], {"a": 1}]
     assert result["s"].values == ["\x00json\x00not-a-payload", "plain"]
-    assert backend.load_table("t")["lines"].values == [[10, 20], {"a": 1}, None]
+    assert backend.execute(Query("t"))["lines"].values == [[10, 20], {"a": 1}, None]
 
 
 def test_sqlite_temp_database_cleaned_up():
-    store = SqliteBackend()
+    store = SqliteOracle()
     store.register_table("t", make_table(a=[1, 2]))
-    assert store.load_table("t")["a"].values == [1, 2]
+    assert store.execute(Query("t"))["a"].values == [1, 2]
     store.close()
-    import os
-
     assert store.path is None or not os.path.exists(store.path)
     with pytest.raises(RuntimeError):
         store.register_table("u", make_table(a=[1]))
@@ -385,13 +448,13 @@ def test_sqlite_temp_database_cleaned_up():
 
 def test_sqlite_named_database_file(tmp_path):
     path = str(tmp_path / "spill.sqlite3")
-    with SqliteBackend(path=path) as store:
+    with SqliteOracle(path=path) as store:
         store.register_table("t", make_table(a=[1]))
         assert store.execute(Query("t"))["a"].values == [1]
 
 
 # ----------------------------------------------------------------------
-# the differential matrix: randomized stdlib-vs-sqlite identity
+# the differential matrix: randomized stdlib-vs-oracle identity
 # ----------------------------------------------------------------------
 def random_table(rng: random.Random, rows: int) -> Table:
     """A messy table: NULLs everywhere, mixed types, heavy ties.
@@ -447,14 +510,15 @@ def test_differential_stdlib_vs_sqlite(seed):
     rng = random.Random(seed)
     left = random_table(rng, 60)
     right = random_table(rng, 40)
-    with StdlibBackend() as stdlib, SqliteBackend() as sqlite:
+    stdlib = StdlibBackend()
+    with SqliteOracle() as sqlite:
         for store in (stdlib, sqlite):
             store.register_table("t", left)
             store.register_table("u", right)
         for query in DIFFERENTIAL_QUERIES:
             expected = stdlib.execute(query).to_dict()
             actual = sqlite.execute(query).to_dict()
-            assert actual == expected, f"backends diverged on {query.to_dict()}"
+            assert actual == expected, f"diverged from the oracle on {query.to_dict()}"
             # and the wire form reproduces the native result exactly
             rewired = stdlib.execute(Query.from_dict(query.to_dict())).to_dict()
             assert rewired == expected
@@ -469,7 +533,8 @@ def test_differential_identity_is_type_strict():
         Aggregate("sum", column="v"), Aggregate("min", column="v")))
     empty_sum = Query("t", aggregates=(Aggregate("sum", column="v"),)
                       ).where("v", "gt", 100)
-    with StdlibBackend() as stdlib, SqliteBackend() as sqlite:
+    stdlib = StdlibBackend()
+    with SqliteOracle() as sqlite:
         stdlib.register_table("t", table)
         sqlite.register_table("t", table)
         for store in (stdlib, sqlite):
@@ -563,7 +628,7 @@ def stored_experiment(tmp_path_factory):
     return session, spec, result, store_dir
 
 
-def test_experiment_query_group_by(stored_experiment):
+def test_experiment_query_group_by(stored_experiment, monkeypatch):
     _session, _spec, result, _store_dir = stored_experiment
     table = result.query(Query(
         "cells", group_by=("workload",),
@@ -576,13 +641,15 @@ def test_experiment_query_group_by(stored_experiment):
         cells = [row["miss_rate"] for row in result.iter_rows()
                  if row["workload"] == workload]
         assert mean_miss == pytest.approx(sum(cells) / len(cells))
-    # wire form and the sqlite backend give the same bytes
+    # the wire form and the SQL oracle give the same bytes
     assert result.query(table_query := Query.from_dict(Query(
         "cells", group_by=("workload",),
         aggregates=(Aggregate("count", alias="n"),
                     Aggregate("mean", column="miss_rate", alias="mean_miss"))
     ).to_dict())).to_dict() == table.to_dict()
-    assert result.query(table_query, backend="sqlite").to_dict() == table.to_dict()
+    executed = via_oracle(monkeypatch)
+    assert result.query(table_query).to_dict() == table.to_dict()
+    assert executed == [table_query]
 
 
 def test_experiment_top_k(stored_experiment):
@@ -601,16 +668,16 @@ def test_experiment_top_k(stored_experiment):
         result.top_k("no_such_metric")
 
 
-def test_experiment_self_join_has_zero_deltas(stored_experiment):
+def test_experiment_self_join_has_zero_deltas(stored_experiment, monkeypatch):
     _session, _spec, result, _store_dir = stored_experiment
     joined = result.join(result, metrics=("miss_rate", "ipc"))
     assert len(joined) == len(result)
     assert joined["miss_rate_other"].values == joined["miss_rate"].values
     assert joined["miss_rate_delta"].values == [0.0] * len(result)
     assert joined["ipc_delta"].values == [0.0] * len(result)
-    sqlite_joined = result.join(result, metrics=("miss_rate", "ipc"),
-                                backend="sqlite")
-    assert sqlite_joined.to_dict() == joined.to_dict()
+    executed = via_oracle(monkeypatch)
+    oracle_joined = result.join(result, metrics=("miss_rate", "ipc"))
+    assert executed and oracle_joined.to_dict() == joined.to_dict()
 
 
 def test_experiment_iter_rows_is_lazy_and_matches_rows(stored_experiment):
@@ -622,29 +689,88 @@ def test_experiment_iter_rows_is_lazy_and_matches_rows(stored_experiment):
 
 
 # ----------------------------------------------------------------------
-# Sieve: every stage lookup runs through the engine, on either backend
+# Sieve: every stage lookup runs through the engine and matches the oracle
 # ----------------------------------------------------------------------
-def test_sieve_stages_identical_across_backends(session):
+def test_sieve_queries_identical_on_oracle(session, monkeypatch):
     from repro.retrieval.sieve import SieveRetriever
 
     from test_serve import INTENT_QUESTIONS
 
-    stdlib_sieve = SieveRetriever(session.database, analytics="stdlib")
-    sqlite_sieve = SieveRetriever(session.database, analytics="sqlite")
-    for question in INTENT_QUESTIONS:
-        via_stdlib = stdlib_sieve.retrieve_text(question)
-        via_sqlite = sqlite_sieve.retrieve_text(question)
-        assert via_stdlib.text == via_sqlite.text, question
-        assert via_stdlib.facts == via_sqlite.facts, question
-        assert via_stdlib.sources == via_sqlite.sources, question
-        assert via_stdlib.quality_label == via_sqlite.quality_label, question
-        assert via_stdlib.generated_code == via_sqlite.generated_code, question
+    recorded = []
+    execute = StdlibBackend.execute
+
+    def recording_execute(store, query):
+        result = execute(store, query)
+        recorded.append((query, dict(store._tables), result.to_dict()))
+        return result
+
+    # plus one question about a real access, so the slice stage samples
+    # a value column too
+    access = session.database.entry("astar_evictions_lru").data_frame.row(3)
+    questions = INTENT_QUESTIONS + [
+        f"What is the reuse distance of the access at PC {access['program_counter']} "
+        f"address {access['memory_address']} in astar under lru?"]
+    monkeypatch.setattr(StdlibBackend, "execute", recording_execute)
+    sieve = SieveRetriever(session.database)
+    for question in questions:
+        sieve.retrieve_text(question)
+    monkeypatch.undo()
+
+    # the stages issue slices, counts and value samples
+    assert any(query.aggregates for query, _, _ in recorded)
+    assert any(query.select for query, _, _ in recorded)
+    assert any(not query.aggregates and not query.select
+               for query, _, _ in recorded)
+    oracles = {}  # one spill per distinct registered-table set
+    try:
+        for query, tables, expected in recorded:
+            key = tuple(sorted((name, id(table)) for name, table in tables.items()))
+            if key not in oracles:
+                oracles[key] = SqliteOracle()
+                for name, table in tables.items():
+                    oracles[key].register_table(name, table)
+            actual = oracles[key].execute(query).to_dict()
+            # Compared as JSON text: payload cells such as the history's
+            # tuples come back from the oracle's JSON spill as lists, while
+            # 1 and 1.0 still differ.
+            assert json.dumps(actual) == json.dumps(expected), query.to_dict()
+    finally:
+        for oracle in oracles.values():
+            oracle.close()
+
+
+def test_runtime_never_loads_sqlite():
+    # `import repro`, a session and a Sieve answer that runs the analytics
+    # engine: none of it may import sqlite3 (it costs start-up time and RSS).
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.analytics import StdlibBackend\n"
+        "calls = []\n"
+        "execute = StdlibBackend.execute\n"
+        "StdlibBackend.execute = lambda store, query: (calls.append(query), "
+        "execute(store, query))[1]\n"
+        "session = repro.CacheMind(workloads=['astar'], policies=['lru'], "
+        "num_accesses=300, config=repro.TINY_CONFIG)\n"
+        "response = session.ask_request('What is the miss rate for PC 0x4008a0 "
+        "in astar under lru?')\n"
+        "print(response.route, len(calls), 'sqlite3' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    route, calls, loaded = proc.stdout.split()
+    assert route == "sieve" and int(calls) > 0
+    assert loaded == "False"
 
 
 # ----------------------------------------------------------------------
 # the serve layer: the `query` op and RemoteClient.query
 # ----------------------------------------------------------------------
-def test_remote_query_matches_in_process(stored_experiment):
+def test_remote_query_matches_in_process(stored_experiment, monkeypatch):
     from repro.serve import CacheMindServer, CacheMindService, RemoteClient
 
     session, spec, result, _store_dir = stored_experiment
@@ -659,8 +785,16 @@ def test_remote_query_matches_in_process(stored_experiment):
                 # a unique fingerprint prefix resolves server-side
                 remote = client.query(spec.fingerprint()[:10], query)
                 assert remote.to_dict() == expected.to_dict()
-                via_sqlite = client.query(spec.fingerprint(), query.to_dict(),
-                                          backend="sqlite")
+                # an older client's "backend" key is ignored, same columns
+                legacy = client.request({"op": "query", "fingerprint": spec.fingerprint(),
+                                         "query": query.to_dict(), "backend": "sqlite"})
+                assert legacy["columns"] == expected.to_dict()
+                # a positional backend is refused, never taken as the deadline
+                with pytest.raises(TypeError):
+                    client.query(spec.fingerprint(), query, "sqlite")
+                executed = via_oracle(monkeypatch)
+                via_sqlite = client.query(spec.fingerprint(), query.to_dict())
+                assert executed == [query]
                 assert via_sqlite.to_dict() == expected.to_dict()
     finally:
         service.close()
@@ -683,11 +817,15 @@ def test_query_op_error_paths(stored_experiment):
             {**wire, "query": {"table": "cells", "limit": -2}},
             # (any table name binds the cell table, so probe a bad column)
             {**wire, "query": {"table": "cells", "select": ["nope"]}},
-            {**wire, "backend": "pandas"},              # unknown backend
         ]:
             reply = server.dispatch_line(json.dumps(broken).encode())
             assert reply["ok"] is False, broken
             assert reply["kind"] == "bad_request", broken
+        # "backend" is no longer read, so any value is ignored like any
+        # other unknown key
+        ok = server.dispatch_line(json.dumps(wire).encode())
+        legacy = server.dispatch_line(json.dumps({**wire, "backend": "pandas"}).encode())
+        assert legacy == ok
     finally:
         service.close()
 
@@ -709,9 +847,10 @@ def test_query_op_without_store_is_a_client_error(session):
 
 
 # ----------------------------------------------------------------------
-# CLI: experiment report --query / --format csv / --backend
+# CLI: experiment report --query / --format csv
 # ----------------------------------------------------------------------
-def test_cli_report_query_csv_identical_across_backends(stored_experiment, capsys):
+def test_cli_report_query_csv_identical_across_backends(stored_experiment, capsys,
+                                                        monkeypatch):
     from repro.cli import main
 
     _session, spec, result, store_dir = stored_experiment
@@ -721,11 +860,14 @@ def test_cli_report_query_csv_identical_across_backends(stored_experiment, capsy
             "--fingerprint", spec.fingerprint()[:8], "--query", dsl]
     assert main([*base, "--format", "csv"]) == 0
     via_stdlib = capsys.readouterr().out
-    assert main([*base, "--format", "csv", "--backend", "sqlite"]) == 0
-    via_sqlite = capsys.readouterr().out
-    assert via_stdlib == via_sqlite  # byte-identical across backends
     assert via_stdlib.splitlines()[0] == "workload,m,count"
     assert via_stdlib == result.query(parse_query(dsl)).to_csv() + "\n"
+    with monkeypatch.context() as patch:
+        executed = via_oracle(patch)
+        assert main([*base, "--format", "csv"]) == 0
+        via_sqlite = capsys.readouterr().out
+    assert executed == [parse_query(dsl)]
+    assert via_stdlib == via_sqlite  # byte-identical to the oracle
 
     assert main(base) == 0  # default fixed-width rendering
     rendered = capsys.readouterr().out
@@ -763,5 +905,7 @@ def test_cli_report_query_errors(stored_experiment, capsys):
     assert "bad --query" in capsys.readouterr().err
     assert main([*base, "--query", "select no_such_column"]) == 1
     assert "no_such_column" in capsys.readouterr().err
-    assert main([*base, "--query", "limit 1", "--backend", "pandas"]) == 1
-    assert "pandas" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:  # --backend is gone
+        main([*base, "--query", "limit 1", "--backend", "stdlib"])
+    assert exited.value.code == 2
+    assert "--backend" in capsys.readouterr().err

@@ -28,7 +28,7 @@ from repro.sim.batch import (
 from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import ParallelSimulator, SimulationJob, planned_strategy
-from repro.perf.harness import compare_reports
+from repro.perf.harness import compare_reports, differing_params
 from repro.tracedb.database import build_database
 from repro.workloads.generator import generate_trace
 
@@ -336,3 +336,19 @@ def test_compare_reports_prints_deltas():
     assert "x0.50" in rendered
     assert "only in old: store/verify" in rendered
     assert "only in new: batch_rollout/batch_9cells" in rendered
+
+
+def test_compare_reports_refuses_mismatched_params():
+    old = {"revision": "aaaa111",
+           "params": {"num_accesses": 20000, "config": "small", "seed": 0},
+           "timings": [{"name": "replay_full/astar/lru", "seconds": 0.2}]}
+    new = {"revision": "bbbb222",
+           "params": {"num_accesses": 4000, "config": "small", "jobs": 2},
+           "timings": [{"name": "replay_full/astar/lru", "seconds": 0.1}]}
+    assert differing_params(old, new) == ["jobs", "num_accesses", "seed"]
+    rendered = compare_reports(old, new)
+    assert "aaaa111 -> bbbb222 refused: params differ" in rendered
+    assert "num_accesses: old 20000 vs new 4000" in rendered
+    assert "jobs: old None vs new 2" in rendered
+    assert "config" not in rendered  # equal keys are not listed
+    assert "replay_full/astar/lru" not in rendered and "x0.50" not in rendered

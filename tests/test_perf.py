@@ -58,22 +58,18 @@ def test_run_perf_suite_analytics_section():
     report = run_perf_suite(**SUITE_KWARGS)
     names = [timing["name"] for timing in report["timings"]]
     assert "analytics/stdlib_small" in names
-    assert "analytics/sqlite_spill_small" in names
-    assert "analytics/sqlite_small" in names
     assert "analytics/stdlib_large" in names
+    assert not any("sqlite" in name for name in names)
     analytics = report["analytics"]
-    assert analytics["all_identical"] is True
     assert len(analytics["sizes"]) == 2
     for size in analytics["sizes"]:
-        assert size["identical"] is True
         assert size["stdlib_rows_per_second"] > 0
-        assert size["sqlite_rows_per_second"] > 0
     derived = report["derived"]
     largest = analytics["sizes"][-1]
     assert derived["analytics_stdlib_rows_per_s"] == largest["stdlib_rows_per_second"]
-    assert derived["analytics_sqlite_rows_per_s"] == largest["sqlite_rows_per_second"]
+    assert "analytics_sqlite_rows_per_s" not in derived
     rendered = format_report(report)
-    assert "analytics:" in rendered and "identical" in rendered
+    assert "analytics: stdlib" in rendered and "sqlite" not in rendered
 
 
 def test_run_perf_suite_keeps_named_store_dir(tmp_path):
@@ -123,3 +119,21 @@ def test_bench_cli_perf_mode_writes_report(tmp_path, capsys):
     report = json.loads(output.read_text())
     assert report["params"]["policies"] == ["lru"]
     assert report["params"]["num_accesses"] == 400
+
+
+def test_bench_cli_compare_refuses_mismatched_params(tmp_path, capsys):
+    old = tmp_path / "BENCH_old.json"
+    old.write_text(json.dumps({
+        "revision": "old", "timings": [{"name": "replay_full/astar/lru", "seconds": 1.0}],
+        "params": {"workloads": ["astar"], "policies": ["lru"], "config": "tiny",
+                   "mode": "llc_only", "num_accesses": 20000, "repeats": 1, "jobs": 1,
+                   "seed": 0}}))
+    code = main(["bench", "--perf", "--quick", "--workloads", "astar",
+                 "--policies", "lru", "--accesses", "400", "--config", "tiny",
+                 "--jobs", "1", "--perf-output", str(tmp_path / "BENCH_new.json"),
+                 "--compare", str(old)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "refused: params differ" in out
+    assert "num_accesses: old 20000 vs new 400" in out
+    assert "ms  x" not in out  # no ratio lines
