@@ -1106,7 +1106,7 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
     from repro.perf.harness import BENCH_POLICIES, BENCH_WORKLOADS
 
     # The session defaults target the paper's evaluation; the perf defaults
-    # target the hot paths (fast-path LRU, a generic policy, the oracle).
+    # target the hot paths (LRU, a stateful policy, the oracle).
     # Explicit flags always win (None = flag omitted, see
     # _add_session_arguments).
     workloads = (tuple(args.workloads) if args.workloads is not None

@@ -663,29 +663,22 @@ class ExperimentRunner:
     so parallelism, memoisation and persistence compose exactly as in the
     session database build.
 
-    ``strategy`` picks how serial cache misses execute: ``"auto"``
-    (default) routes every group of >= 2 misses sharing a trace through the
-    lockstep :class:`~repro.sim.batch.BatchSimulator` (one trace pass, many
-    rollouts) and keeps per-cell replay for singletons; ``"batch"`` forces
-    the batch kernel even for singletons; ``"single"`` forces per-cell
-    replay everywhere (the equivalence oracle).  Either way results install
+    Serial cache misses that share a trace run as one
+    :class:`~repro.sim.batch.BatchSimulator` pass when there are >= 2 of
+    them (the policy-independent precomputes are then shared); a singleton
+    runs through its engine.  Both are entry points into the same replay
+    core, so the cell values do not depend on the route.  Results install
     through ``SimulationCache.put_result/put_entry``, so warm-store
     semantics are unchanged and re-runs simulate zero cells.
     """
 
-    STRATEGIES = ("auto", "batch", "single")
-
     def __init__(self, simulation_cache=None, jobs: int = 1,
                  executor: str = "auto",
-                 max_records: Optional[int] = None,
-                 strategy: str = "auto"):
-        if strategy not in self.STRATEGIES:
-            raise ValueError(f"strategy must be one of {self.STRATEGIES}")
+                 max_records: Optional[int] = None):
         self.simulation_cache = simulation_cache
         self.jobs = max(1, int(jobs))
         self.executor = executor
         self.max_records = max_records
-        self.strategy = strategy
 
     # ------------------------------------------------------------------
     def _cache(self):
@@ -776,7 +769,7 @@ class ExperimentRunner:
         pending: Dict[Tuple[str, str],
                       List[Tuple[PlannedJob, Any, str]]] = {}
         # Serial cache misses, grouped by the trace they replay: >= 2
-        # cells sharing a trace advance in one lockstep batch pass.
+        # cells sharing a trace run as one batch over a shared replay core.
         serial_pending: Dict[Tuple[str, int, int],
                              List[Tuple[PlannedJob, Any, str,
                                         SimulationEngine]]] = {}
@@ -820,7 +813,7 @@ class ExperimentRunner:
                         (job, trace, description))
                 else:
                     # Serial miss: deferred so misses sharing a trace can
-                    # batch into one lockstep pass below.
+                    # batch below.
                     serial_pending.setdefault(
                         (job.workload, job.num_accesses, job.seed),
                         []).append((job, trace, description, engine))
@@ -835,10 +828,7 @@ class ExperimentRunner:
 
         for group_pending in serial_pending.values():
             shared_trace = group_pending[0][1]
-            use_batch = (self.strategy == "batch"
-                         or (self.strategy == "auto"
-                             and len(group_pending) >= 2))
-            if use_batch:
+            if len(group_pending) >= 2:
                 tally["batch_groups"] += 1
                 tally["batch_cells"] += len(group_pending)
                 rollouts = [RolloutSpec(policy=job.policy,
@@ -958,11 +948,9 @@ def run_experiment(spec: Union[ExperimentSpec, Dict[str, Any]],
                    simulation_cache=None, jobs: int = 1,
                    executor: str = "auto",
                    max_records: Optional[int] = None,
-                   strategy: str = "auto",
                    progress: Optional[ProgressCallback] = None
                    ) -> ExperimentResult:
     """Module-level convenience: compile and execute one spec."""
     runner = ExperimentRunner(simulation_cache=simulation_cache, jobs=jobs,
-                              executor=executor, max_records=max_records,
-                              strategy=strategy)
+                              executor=executor, max_records=max_records)
     return runner.run(spec, progress=progress)

@@ -79,8 +79,8 @@ from repro.llm.backend import LLMBackend, get_backend
 from repro.llm.memory import ConversationMemory
 from repro.retrieval.base import Retriever, get_retriever, resolve_retriever_name
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
-from repro.sim.engine import (SimulationEngine, SimulationResult, TraceReuse,
-                              compute_full_reuse, compute_next_use)
+from repro.sim.engine import SimulationEngine, SimulationResult
+from repro.sim.replay import TraceReuse, compute_full_reuse, compute_next_use
 from repro.sim.parallel import ParallelSimulator, SimulationJob
 from repro.tracedb.database import (
     DEFAULT_POLICIES,

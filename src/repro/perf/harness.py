@@ -61,7 +61,8 @@ from repro.workloads.generator import generate_trace
 SCHEMA_VERSION = 1
 
 #: Default measurement matrix: bundled workloads x a policy spread covering
-#: the LRU fast path, a generic (stateful) policy and the future-aware oracle.
+#: recency (LRU), a stateful re-reference predictor (SRRIP) and the
+#: future-aware oracle (Belady).
 BENCH_WORKLOADS = ("astar", "lbm", "mcf")
 BENCH_POLICIES = ("lru", "srrip", "belady")
 
@@ -440,11 +441,13 @@ def run_perf_suite(quick: bool = False,
         "warm_zero_simulations": warm_counters.get("simulations_run") == 0,
     }
 
-    # --- batch rollouts: one trace pass, many lockstep cells --------------
+    # --- batch rollouts: one replay core, many cells ----------------------
     # Grid sizes 1/4/9/16 over (native policy x LLC-scaled config) cells
-    # sharing one trace, each measured twice: per-cell single replay vs the
-    # lockstep BatchSimulator.  Results are checked identical before the
-    # timed runs, so the speedup is for byte-equal work.
+    # sharing one trace, each measured twice: one engine.run per cell vs
+    # one BatchSimulator.  Both take the same native kernels, so the ratio
+    # measures only what sharing the policy-independent precomputes (LLC
+    # stream, block/set columns, miss classes, reuse, base timing) saves.
+    # Results are checked identical before the timed runs.
     batch_trace = traces[workloads[0]]
     batch_configs = [config]
     for scale in (2, 4, 8):

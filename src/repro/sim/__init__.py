@@ -8,6 +8,12 @@ configurable cache hierarchy and produces:
 * per-level hit/miss statistics,
 * an analytic cycle count / IPC estimate used by the actionable-insight use
   cases (bypass, Mockingjay, software prefetching).
+
+Every replay goes through one core (:mod:`repro.sim.replay`): shared
+policy-independent precomputes, one policy loop per rollout (the
+:meth:`Cache.access` step or a native kernel) and one stats/timing
+post-pass.  :class:`SimulationEngine` and :class:`BatchSimulator` are its
+two entry points.
 """
 
 from repro.sim.config import (
@@ -20,7 +26,6 @@ from repro.sim.config import (
     TINY_CONFIG,
 )
 from repro.sim.cache import (
-    AccessOutcome,
     Cache,
     CacheLine,
     CacheStats,
@@ -28,15 +33,9 @@ from repro.sim.cache import (
     DETAIL_LEVELS,
     DETAIL_STATS,
 )
-from repro.sim.cpu import CPUModel, TimingResult
-from repro.sim.hierarchy import CacheHierarchy, HierarchyResult
-from repro.sim.engine import (
-    PreparedReplay,
-    SimulationEngine,
-    SimulationResult,
-    TraceReuse,
-    simulate,
-)
+from repro.sim.cpu import TimingResult
+from repro.sim.replay import ReplayCore, TraceReuse
+from repro.sim.engine import SimulationEngine, SimulationResult, simulate
 from repro.sim.batch import (
     BatchSimulator,
     NATIVE_POLICIES,
@@ -50,7 +49,6 @@ from repro.sim.parallel import (
     default_jobs,
     planned_strategy,
 )
-from repro.sim.prefetch import NextLinePrefetcher, StridePrefetcher
 
 __all__ = [
     "CacheConfig",
@@ -60,21 +58,17 @@ __all__ = [
     "PAPER_CONFIG",
     "SMALL_CONFIG",
     "TINY_CONFIG",
-    "AccessOutcome",
     "Cache",
     "CacheLine",
     "CacheStats",
     "DETAIL_FULL",
     "DETAIL_LEVELS",
     "DETAIL_STATS",
-    "CPUModel",
     "TimingResult",
-    "CacheHierarchy",
-    "HierarchyResult",
+    "ReplayCore",
+    "TraceReuse",
     "SimulationEngine",
     "SimulationResult",
-    "PreparedReplay",
-    "TraceReuse",
     "simulate",
     "BatchSimulator",
     "NATIVE_POLICIES",
@@ -85,6 +79,4 @@ __all__ = [
     "SimulationJob",
     "default_jobs",
     "planned_strategy",
-    "NextLinePrefetcher",
-    "StridePrefetcher",
 ]

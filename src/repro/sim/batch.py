@@ -1,63 +1,35 @@
-"""Multi-rollout batch simulation kernel: one trace pass, many rollouts.
+"""Batch entry point into the replay core: one trace, many rollouts.
 
-Every (policy, config, detail) cell of an experiment grid used to replay the
-whole trace independently, so grid cost scaled as cells x single-replay
-cost.  This module follows the "parallel rollouts as array programs" shape
-(Considine, arXiv:2604.12902): N rollouts that share a trace advance in
-lockstep over the columnar :class:`~repro.workloads.trace.MemoryTrace`
-spine, and everything that is *policy-independent* is computed once per
-(trace, geometry) group and shared read-only across rollouts:
+Every (policy, config, mode, detail) cell of an experiment grid used to
+replay the whole trace independently, so grid cost scaled as cells x
+single-replay cost.  This module follows the "parallel rollouts as array
+programs" shape (Considine, arXiv:2604.12902): the rollouts of one trace
+share a single :class:`~repro.sim.replay.ReplayCore`, so everything that is
+*policy-independent* — the LLC stream (L1/L2 filtering in hierarchy mode),
+block and set columns, miss classes, reuse arrays, the demand mask and the
+base timing — is computed once per geometry it depends on, and only the
+per-rollout policy loop and post-pass repeat.
 
-* block addresses (once per ``block_bytes``) and set indices (once per
-  ``(block_bytes, num_sets)``), decoded straight from the typed address
-  column with shift/mask math;
-* the miss classification (compulsory/capacity/conflict) — a pure function
-  of ``(block_bytes, capacity)`` because the seen-set and the
-  fully-associative shadow cache are updated on *every* access regardless
-  of the studied policy's hit/miss outcome — precomputed as one shared
-  ``bytearray`` of class codes;
-* the oracle next-use array (once per ``block_bytes``), shared across every
-  ``requires_future`` rollout instead of per cell;
-* per-set access counts, the base timing accumulation (instructions /
-  base cycles, a pure function of the trace and ``retire_width``) and the
-  constant-stall partial-sum tables;
-* the L1/L2-filtered LLC stream in hierarchy mode (the upper levels are
-  always LRU, so the filtered stream is identical for every LLC policy).
-
-Per-rollout state is kept as flat preallocated columns (resident-block /
-next-use / RRPV slots of size ``num_sets * num_ways`` indexed
-arithmetically) rather than per-cell object graphs.  Four *native* stats
-kernels (lru, fifo, belady, srrip) replay this way; every other policy,
-every full-detail rollout and hierarchy mode run through the unmodified
-:class:`~repro.sim.engine.SimulationEngine` with the shared precomputes
-injected via :class:`~repro.sim.engine.PreparedReplay` — so every rollout,
-native or not, is **byte-identical** to a standalone ``engine.run``
-(equivalence is enforced by ``tests/test_batch.py`` across the full policy
-x workload x mode x detail matrix).
+Each rollout runs through :meth:`SimulationEngine.replay`, the same code a
+standalone ``engine.run`` takes, so every rollout is **byte-identical** to
+it (enforced by ``tests/test_batch.py`` across the full policy x workload x
+mode x detail matrix).  Policies in :data:`NATIVE_POLICIES` run their
+native kernels at stats detail in either mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.policies.base import NEVER, get_policy
-from repro.sim.cache import CacheStats, DETAIL_FULL, DETAIL_LEVELS, DETAIL_STATS
-from repro.sim.config import CacheConfig, HierarchyConfig
-from repro.sim.cpu import LEVEL_DRAM, LEVEL_LLC, TimingResult
-from repro.sim.engine import (
-    PreparedReplay,
-    SimulationEngine,
-    SimulationResult,
-    TraceReuse,
-    compute_full_reuse,
-    compute_next_use,
-)
-from repro.workloads.trace import FLAG_PREFETCH, FLAG_WRITE, MemoryTrace
+from repro.sim.cache import DETAIL_LEVELS, DETAIL_STATS
+from repro.sim.config import HierarchyConfig
+from repro.sim.engine import SimulationEngine, SimulationResult
+from repro.sim.replay import NATIVE_POLICIES, ReplayCore, native_kernel
+from repro.workloads.trace import MemoryTrace
 
-#: Policies with a native lockstep stats kernel (all other policies batch
-#: through the engine with shared precomputes).
-NATIVE_POLICIES = ("lru", "fifo", "belady", "srrip")
+__all__ = ["BatchSimulator", "NATIVE_POLICIES", "RolloutSpec",
+           "rollout_strategy", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -85,587 +57,42 @@ class RolloutSpec:
             raise ValueError(f"detail must be one of {DETAIL_LEVELS}")
 
 
-def _is_pow2(value: int) -> bool:
-    return value > 0 and value & (value - 1) == 0
-
-
 def rollout_strategy(spec: RolloutSpec) -> str:
-    """Execution strategy the batch kernel will pick for one rollout.
-
-    ``"native:<policy>"`` — the flat-column lockstep kernel;
-    ``"engine"`` — a standalone engine replay fed the shared precomputes.
-    Native kernels cover the stats-detail llc_only path for the policies in
-    :data:`NATIVE_POLICIES` on power-of-two geometries (every bundled
-    config); the policy must be requested *by name* so its parameters are
-    the registry defaults the kernels replicate.
-    """
-    llc = spec.config.llc
-    if (spec.detail == DETAIL_STATS and spec.mode == "llc_only"
-            and spec.policy in NATIVE_POLICIES
-            and _is_pow2(llc.block_bytes) and _is_pow2(llc.num_sets)):
+    """Policy loop one rollout takes: ``"native:<policy>"`` for a native
+    kernel, ``"engine"`` for the generic :meth:`Cache.access` loop."""
+    if native_kernel(spec.policy, spec.detail) is not None:
         return f"native:{spec.policy}"
     return "engine"
 
 
-@dataclass
-class _KernelTally:
-    """Counters one native kernel produces for one rollout."""
-
-    hits: int
-    evictions: int
-    compulsory: int
-    capacity: int
-    conflict: int
-    per_set_hits: List[int]
-    stall_cycles: float
-    llc_stall_events: int
-    dram_stall_events: int
-
-
 class BatchSimulator:
-    """Advance many rollouts of one trace in a single lockstep pass.
+    """Run many rollouts of one trace over one shared replay core.
 
     Construct one per trace and call :meth:`run` with the rollout specs;
     results come back in spec order, each byte-identical to what a fresh
     ``SimulationEngine(...).run(trace, policy)`` would produce.  The
     strategy chosen for each rollout of the last :meth:`run` is recorded in
     :attr:`strategies`.
-
-    All shared precomputes are cached on the instance, keyed by the
-    geometry parameters they actually depend on — so a 9-cell grid over 3
-    configs sharing a block size decodes block addresses once, classifies
-    misses once per distinct capacity, and computes the oracle next-use
-    array exactly once.
     """
 
     def __init__(self, trace: MemoryTrace):
         self.trace = trace
-        self._columns = trace.columns()
         self.strategies: List[str] = []
-        self._demand: Optional[bytearray] = None
-        self._blocks: Dict[int, List[int]] = {}
-        self._sets: Dict[Tuple[int, int], List[int]] = {}
-        self._mclass: Dict[Tuple[int, int], bytearray] = {}
-        self._psa: Dict[Tuple[int, int], List[int]] = {}
-        self._next_use: Dict[int, List[int]] = {}
-        self._full_reuse: Dict[int, TraceReuse] = {}
-        self._base_timing: Dict[int, Tuple[int, float]] = {}
-        self._stall_tables: Dict[float, List[float]] = {}
-        self._llc_only_stream: Optional[tuple] = None
-        self._streams: Dict[Tuple[CacheConfig, CacheConfig], tuple] = {}
-        self._stream_next_use: Dict[tuple, List[int]] = {}
-        self._stream_full_reuse: Dict[tuple, TraceReuse] = {}
+        self._core = ReplayCore(trace)
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
     def run(self, specs: Sequence[RolloutSpec]) -> List[SimulationResult]:
         """Execute every rollout; results in spec order."""
         self.strategies = [rollout_strategy(spec) for spec in specs]
-        results: List[SimulationResult] = []
-        for spec, strategy in zip(specs, self.strategies):
-            if strategy.startswith("native:"):
-                results.append(self._run_native(spec))
-            else:
-                results.append(self._run_engine(spec))
-        return results
-
-    # ------------------------------------------------------------------
-    # shared precomputes (policy-independent, cached per geometry)
-    # ------------------------------------------------------------------
-    def _demand_column(self) -> bytearray:
-        """1 for demand accesses (not write, not prefetch) — the accesses
-        that stall the pipeline in the analytic timing model."""
-        if self._demand is None:
-            mask = FLAG_WRITE | FLAG_PREFETCH
-            flags = self._columns[2]
-            self._demand = bytearray(
-                1 if not (flag & mask) else 0 for flag in flags)
-        return self._demand
-
-    def _block_column(self, block_bytes: int) -> List[int]:
-        got = self._blocks.get(block_bytes)
-        if got is None:
-            shift = block_bytes.bit_length() - 1
-            addresses = self._columns[1]
-            got = [address >> shift for address in addresses]
-            self._blocks[block_bytes] = got
-        return got
-
-    def _set_column(self, block_bytes: int, num_sets: int) -> List[int]:
-        key = (block_bytes, num_sets)
-        got = self._sets.get(key)
-        if got is None:
-            mask = num_sets - 1
-            got = [block & mask for block in self._block_column(block_bytes)]
-            self._sets[key] = got
-        return got
-
-    def _miss_classes(self, block_bytes: int, capacity: int) -> bytearray:
-        """Per-position miss class codes (0=compulsory, 1=capacity,
-        2=conflict) — what :meth:`Cache._classify_miss` would answer if the
-        access missed.
-
-        Policy-independent: the seen-set and the fully-associative LRU
-        shadow are updated on every access (hit or miss), so the state at
-        position ``p`` depends only on accesses ``0..p-1``.  The shadow is
-        a plain insertion-ordered dict (del+reinsert == ``move_to_end``),
-        matching the cache's ``OrderedDict`` semantics exactly.
-        """
-        key = (block_bytes, capacity)
-        got = self._mclass.get(key)
-        if got is None:
-            blocks = self._block_column(block_bytes)
-            got = bytearray(len(blocks))
-            seen = set()
-            shadow: Dict[int, None] = {}
-            add = seen.add
-            for position, block in enumerate(blocks):
-                if block in shadow:
-                    got[position] = 2  # conflict: shadow would have hit
-                    del shadow[block]
-                    shadow[block] = None
-                else:
-                    if block in seen:
-                        got[position] = 1  # capacity
-                    else:
-                        got[position] = 0  # compulsory
-                        add(block)
-                    shadow[block] = None
-                    while len(shadow) > capacity:
-                        del shadow[next(iter(shadow))]
-            self._mclass[key] = got
-        return got
-
-    def _per_set_accesses(self, block_bytes: int, num_sets: int) -> List[int]:
-        key = (block_bytes, num_sets)
-        got = self._psa.get(key)
-        if got is None:
-            got = [0] * num_sets
-            for set_index in self._set_column(block_bytes, num_sets):
-                got[set_index] += 1
-            self._psa[key] = got
-        return got
-
-    def _trace_next_use(self, block_bytes: int) -> List[int]:
-        got = self._next_use.get(block_bytes)
-        if got is None:
-            full = self._full_reuse.get(block_bytes)
-            if full is not None:
-                got = full.next_use
-            else:
-                got = compute_next_use(self._columns[1], block_bytes)
-            self._next_use[block_bytes] = got
-        return got
-
-    def _trace_full_reuse(self, block_bytes: int) -> TraceReuse:
-        got = self._full_reuse.get(block_bytes)
-        if got is None:
-            got = compute_full_reuse(self._columns[1], block_bytes)
-            self._full_reuse[block_bytes] = got
-        return got
-
-    def _base_timing_for(self, retire_width: int) -> Tuple[int, float]:
-        """(instructions, base_cycles): identical accumulation order to the
-        engine's fused loop, so the floats match bit-for-bit."""
-        got = self._base_timing.get(retire_width)
-        if got is None:
-            _pcs, _addresses, flags, instr = self._columns
-            instructions = 0
-            base_cycles = 0.0
-            for flag, gap in zip(flags, instr):
-                if not (flag & FLAG_PREFETCH):
-                    retired = gap + 1
-                    instructions += retired
-                    base_cycles += retired / retire_width
-            got = (instructions, base_cycles)
-            self._base_timing[retire_width] = got
-        return got
-
-    def _stall_table(self, stall: float) -> List[float]:
-        """``table[k]`` == the float sum of ``k`` repeated additions of
-        ``stall`` starting from 0.0 — exactly how the engine accumulates
-        each level's stall total, so the per-level floats are identical."""
-        got = self._stall_tables.get(stall)
-        if got is None:
-            got = [0.0] * (len(self.trace) + 1)
-            total = 0.0
-            for position in range(len(self.trace)):
-                total += stall
-                got[position + 1] = total
-            self._stall_tables[stall] = got
-        return got
-
-    def _stream_for(self, spec: RolloutSpec) -> tuple:
-        """(llc_stream, upper_levels, stream_key) for one rollout's mode."""
-        if spec.mode == "llc_only":
-            if self._llc_only_stream is None:
-                # Mode/geometry independent: pure decode of the columns.
-                engine = SimulationEngine(config=spec.config, mode="llc_only")
-                self._llc_only_stream = engine._build_llc_stream(self.trace)
-            stream, upper = self._llc_only_stream
-            return stream, upper, "llc_only"
-        key = (spec.config.l1d, spec.config.l2)
-        got = self._streams.get(key)
-        if got is None:
-            # The upper levels are always LRU, so the filtered stream is
-            # identical for every LLC policy/config with these upper caches.
-            engine = SimulationEngine(config=spec.config, mode="hierarchy")
-            got = engine._build_llc_stream(self.trace)
-            self._streams[key] = got
-        return got[0], got[1], key
-
-    def _stream_reuse(self, stream, stream_key, block_bytes: int,
-                      full: bool) -> TraceReuse:
-        if stream_key == "llc_only":
-            if full:
-                return self._trace_full_reuse(block_bytes)
-            return TraceReuse(next_use=self._trace_next_use(block_bytes))
-        key = (stream_key, block_bytes)
-        if full:
-            got = self._stream_full_reuse.get(key)
-            if got is None:
-                got = compute_full_reuse(
-                    [address for _i, _pc, address, _w, _p in stream],
-                    block_bytes)
-                self._stream_full_reuse[key] = got
-            return got
-        got = self._stream_next_use.get(key)
-        if got is None:
-            full_reuse = self._stream_full_reuse.get(key)
-            if full_reuse is not None:
-                got = full_reuse.next_use
-            else:
-                got = compute_next_use(
-                    [address for _i, _pc, address, _w, _p in stream],
-                    block_bytes)
-            self._stream_next_use[key] = got
-        return TraceReuse(next_use=got)
-
-    # ------------------------------------------------------------------
-    # engine rollouts (shared precomputes, unmodified replay code)
-    # ------------------------------------------------------------------
-    def _run_engine(self, spec: RolloutSpec) -> SimulationResult:
-        engine = SimulationEngine(
-            config=spec.config, mode=spec.mode,
-            history_window=spec.history_window,
-            annotate_context=spec.annotate_context,
-            max_records=spec.max_records, detail=spec.detail)
-        policy = get_policy(spec.policy)
-        block_bytes = spec.config.llc.block_bytes
-        requires_future = bool(getattr(policy, "requires_future", False))
-        stream = upper = reuse = None
-        if spec.detail == DETAIL_FULL:
-            stream, upper, stream_key = self._stream_for(spec)
-            reuse = self._stream_reuse(stream, stream_key, block_bytes,
-                                       full=True)
-        elif spec.mode == "hierarchy":
-            stream, upper, stream_key = self._stream_for(spec)
-            if requires_future:
-                reuse = self._stream_reuse(stream, stream_key, block_bytes,
-                                           full=False)
-        elif requires_future:
-            reuse = TraceReuse(next_use=self._trace_next_use(block_bytes))
-        prepared = PreparedReplay(llc_stream=stream, upper_levels=upper,
-                                  reuse=reuse)
-        return engine.run(self.trace, policy, prepared=prepared)
-
-    # ------------------------------------------------------------------
-    # native rollouts (flat-column lockstep kernels)
-    # ------------------------------------------------------------------
-    def _run_native(self, spec: RolloutSpec) -> SimulationResult:
-        config = spec.config
-        llc = config.llc
-        block_bytes = llc.block_bytes
-        num_sets = llc.num_sets
-        num_ways = llc.num_ways
-
-        blocks = self._block_column(block_bytes)
-        sets = self._set_column(block_bytes, num_sets)
-        demand = self._demand_column()
-        mclass = self._miss_classes(block_bytes, llc.num_blocks)
-
-        # Stall constants: identical expressions to the engine's fused loop.
-        overlap = 1.0 - config.core.overlap_factor
-        to_llc = float(config.l1d.latency_cycles + config.l2.latency_cycles
-                       + llc.latency_cycles)
-        to_dram = to_llc + config.dram.access_latency_cycles
-        llc_stall = to_llc * overlap
-        dram_stall = to_dram * overlap
-
-        kernel = _NATIVE_KERNELS[spec.policy]
-        next_use = (self._trace_next_use(block_bytes)
-                    if spec.policy == "belady" else None)
-        tally = kernel(blocks, sets, demand, mclass, num_sets, num_ways,
-                       llc_stall, dram_stall, next_use)
-
-        accesses = len(self.trace)
-        stats = CacheStats(
-            accesses=accesses,
-            hits=tally.hits,
-            misses=accesses - tally.hits,
-            evictions=tally.evictions,
-            bypasses=0,
-            compulsory_misses=tally.compulsory,
-            capacity_misses=tally.capacity,
-            conflict_misses=tally.conflict,
-            per_set_accesses=list(self._per_set_accesses(block_bytes,
-                                                         num_sets)),
-            per_set_hits=tally.per_set_hits,
-        )
-        instructions, base_cycles = self._base_timing_for(
-            config.core.retire_width)
-        timing = TimingResult(
-            instructions=instructions,
-            base_cycles=base_cycles,
-            stall_cycles=tally.stall_cycles,
-        )
-        llc_count = tally.hits
-        dram_count = accesses - tally.hits
-        if llc_count:
-            timing.accesses_by_level[LEVEL_LLC] = llc_count
-        if dram_count:
-            timing.accesses_by_level[LEVEL_DRAM] = dram_count
-        if tally.llc_stall_events:
-            timing.stalls_by_level[LEVEL_LLC] = self._stall_table(
-                llc_stall)[tally.llc_stall_events]
-        if tally.dram_stall_events:
-            timing.stalls_by_level[LEVEL_DRAM] = self._stall_table(
-                dram_stall)[tally.dram_stall_events]
-
-        policy = get_policy(spec.policy)
-        return SimulationResult(
-            workload=self.trace.workload,
-            policy_name=policy.name,
-            policy_description=policy.describe(),
-            config=config,
-            mode=spec.mode,
-            detail=spec.detail,
-            llc_stats=stats,
-            level_stats={"llc": stats},
-            timing=timing,
-            binary=self.trace.binary,
-        )
-
-
-# ----------------------------------------------------------------------
-# native kernels
-# ----------------------------------------------------------------------
-# Each kernel replays the whole trace for ONE rollout over the SHARED
-# decoded columns; per-rollout state is flat and preallocated.  The
-# ``stall`` accumulator interleaves the llc/dram constant additions in
-# per-access order — the exact float-accumulation order of the engine's
-# fused loop — while the per-level totals are reconstructed from the shared
-# partial-sum tables (each level's total is a pure repeated addition).
-
-
-def _rollout_lru(blocks, sets, demand, mclass, num_sets, num_ways,
-                 llc_stall, dram_stall, _next_use) -> _KernelTally:
-    # Insertion order of each per-set dict doubles as recency order (hits
-    # delete+reinsert), mirroring the cache's fast-LRU tag dict exactly.
-    tags: List[dict] = [{} for _ in range(num_sets)]
-    per_set_hits = [0] * num_sets
-    hits = evictions = 0
-    compulsory = capacity = conflict = 0
-    stall = 0.0
-    llc_events = dram_events = 0
-    for block, set_index, dem, mc in zip(blocks, sets, demand, mclass):
-        t = tags[set_index]
-        if block in t:
-            del t[block]
-            t[block] = None
-            per_set_hits[set_index] += 1
-            hits += 1
-            if dem:
-                stall += llc_stall
-                llc_events += 1
-        else:
-            if mc == 0:
-                compulsory += 1
-            elif mc == 1:
-                capacity += 1
-            else:
-                conflict += 1
-            if len(t) == num_ways:
-                del t[next(iter(t))]
-                evictions += 1
-            t[block] = None
-            if dem:
-                stall += dram_stall
-                dram_events += 1
-    return _KernelTally(hits, evictions, compulsory, capacity, conflict,
-                        per_set_hits, stall, llc_events, dram_events)
-
-
-def _rollout_fifo(blocks, sets, demand, mclass, num_sets, num_ways,
-                  llc_stall, dram_stall, _next_use) -> _KernelTally:
-    # Insertion order == fill order; hits do not reorder, so the first dict
-    # key is the min-inserted_at line FIFO's choose_victim picks.
-    tags: List[dict] = [{} for _ in range(num_sets)]
-    per_set_hits = [0] * num_sets
-    hits = evictions = 0
-    compulsory = capacity = conflict = 0
-    stall = 0.0
-    llc_events = dram_events = 0
-    for block, set_index, dem, mc in zip(blocks, sets, demand, mclass):
-        t = tags[set_index]
-        if block in t:
-            per_set_hits[set_index] += 1
-            hits += 1
-            if dem:
-                stall += llc_stall
-                llc_events += 1
-        else:
-            if mc == 0:
-                compulsory += 1
-            elif mc == 1:
-                capacity += 1
-            else:
-                conflict += 1
-            if len(t) == num_ways:
-                del t[next(iter(t))]
-                evictions += 1
-            t[block] = None
-            if dem:
-                stall += dram_stall
-                dram_events += 1
-    return _KernelTally(hits, evictions, compulsory, capacity, conflict,
-                        per_set_hits, stall, llc_events, dram_events)
-
-
-def _rollout_belady(blocks, sets, demand, mclass, num_sets, num_ways,
-                    llc_stall, dram_stall, next_use) -> _KernelTally:
-    # Flat per-way columns: resident block and its next use, indexed by
-    # set_index * num_ways + way.  Fills-only caches fill ways 0..W-1 in
-    # order, so the per-set occupancy counter IS the next free way; the
-    # victim scan takes the first way-order maximum (strictly-greater
-    # comparisons), matching max(lines, key=next_use).
-    total_ways = num_sets * num_ways
-    resident_block = [-1] * total_ways
-    resident_next = [0] * total_ways
-    occupancy = [0] * num_sets
-    slot_of: Dict[int, int] = {}
-    per_set_hits = [0] * num_sets
-    hits = evictions = 0
-    compulsory = capacity = conflict = 0
-    stall = 0.0
-    llc_events = dram_events = 0
-    for position, (block, set_index, dem, mc) in enumerate(
-            zip(blocks, sets, demand, mclass)):
-        slot = slot_of.get(block)
-        nxt = next_use[position]
-        if slot is not None:
-            resident_next[slot] = nxt
-            per_set_hits[set_index] += 1
-            hits += 1
-            if dem:
-                stall += llc_stall
-                llc_events += 1
-        else:
-            if mc == 0:
-                compulsory += 1
-            elif mc == 1:
-                capacity += 1
-            else:
-                conflict += 1
-            base = set_index * num_ways
-            filled = occupancy[set_index]
-            if filled < num_ways:
-                slot = base + filled
-                occupancy[set_index] = filled + 1
-            else:
-                slot = base
-                farthest = resident_next[base]
-                for way in range(1, num_ways):
-                    value = resident_next[base + way]
-                    if value > farthest:
-                        farthest = value
-                        slot = base + way
-                del slot_of[resident_block[slot]]
-                evictions += 1
-            resident_block[slot] = block
-            resident_next[slot] = nxt
-            slot_of[block] = slot
-            if dem:
-                stall += dram_stall
-                dram_events += 1
-    return _KernelTally(hits, evictions, compulsory, capacity, conflict,
-                        per_set_hits, stall, llc_events, dram_events)
-
-
-def _rollout_srrip(blocks, sets, demand, mclass, num_sets, num_ways,
-                   llc_stall, dram_stall, _next_use) -> _KernelTally:
-    # Flat RRPV column (2-bit counters, the registry default): hit -> 0,
-    # fill -> max-1, victim = first way at max in way order, ageing every
-    # way and retrying when none is — exactly _RRIPBase.choose_victim over
-    # a full set.
-    max_rrpv = 3
-    insertion = max_rrpv - 1
-    total_ways = num_sets * num_ways
-    resident_block = [-1] * total_ways
-    rrpv = [max_rrpv] * total_ways
-    occupancy = [0] * num_sets
-    slot_of: Dict[int, int] = {}
-    per_set_hits = [0] * num_sets
-    hits = evictions = 0
-    compulsory = capacity = conflict = 0
-    stall = 0.0
-    llc_events = dram_events = 0
-    for block, set_index, dem, mc in zip(blocks, sets, demand, mclass):
-        slot = slot_of.get(block)
-        if slot is not None:
-            rrpv[slot] = 0
-            per_set_hits[set_index] += 1
-            hits += 1
-            if dem:
-                stall += llc_stall
-                llc_events += 1
-        else:
-            if mc == 0:
-                compulsory += 1
-            elif mc == 1:
-                capacity += 1
-            else:
-                conflict += 1
-            base = set_index * num_ways
-            filled = occupancy[set_index]
-            if filled < num_ways:
-                slot = base + filled
-                occupancy[set_index] = filled + 1
-            else:
-                while True:
-                    slot = -1
-                    for way in range(num_ways):
-                        if rrpv[base + way] >= max_rrpv:
-                            slot = base + way
-                            break
-                    if slot >= 0:
-                        break
-                    for way in range(num_ways):
-                        aged = rrpv[base + way] + 1
-                        rrpv[base + way] = (aged if aged < max_rrpv
-                                            else max_rrpv)
-                del slot_of[resident_block[slot]]
-                evictions += 1
-            resident_block[slot] = block
-            rrpv[slot] = insertion
-            slot_of[block] = slot
-            if dem:
-                stall += dram_stall
-                dram_events += 1
-    return _KernelTally(hits, evictions, compulsory, capacity, conflict,
-                        per_set_hits, stall, llc_events, dram_events)
-
-
-_NATIVE_KERNELS = {
-    "lru": _rollout_lru,
-    "fifo": _rollout_fifo,
-    "belady": _rollout_belady,
-    "srrip": _rollout_srrip,
-}
+        return [SimulationEngine(
+                    config=spec.config, mode=spec.mode,
+                    history_window=spec.history_window,
+                    annotate_context=spec.annotate_context,
+                    max_records=spec.max_records,
+                    detail=spec.detail).replay(self._core, spec.policy)
+                for spec in specs]
 
 
 def run_batch(trace: MemoryTrace,
               specs: Sequence[RolloutSpec]) -> List[SimulationResult]:
-    """Convenience wrapper: one lockstep pass over ``trace`` for ``specs``."""
+    """Convenience wrapper: one shared replay core for ``specs``."""
     return BatchSimulator(trace).run(list(specs))

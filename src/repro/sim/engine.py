@@ -1,7 +1,8 @@
 """Trace-driven simulation engine producing eviction-annotated records.
 
 The engine replays a :class:`~repro.workloads.trace.MemoryTrace` — reading
-its raw typed columns, not per-access objects — and appends one row per LLC
+its raw typed columns, not per-access objects — through the replay core
+(:mod:`repro.sim.replay`) and, at full detail, appends one row per LLC
 access into a columnar :class:`~repro.tracedb.schema.AccessLog`, annotated
 with forward reuse distances, recency, eviction victims, resident lines,
 policy eviction scores and source/assembly context — exactly the columns the
@@ -24,11 +25,12 @@ Two detail levels are supported:
 * ``"full"`` (default) — one :class:`AccessRecord` per LLC access, with
   resident-line and eviction-score snapshots, source context and the
   wrong-eviction count.  This is what the trace database consumes.
-* ``"stats"`` — aggregate statistics and timing only.  The replay skips
-  record construction, context annotation, per-access snapshot lists and —
-  unless the policy declares ``requires_future`` — the whole reuse-distance
-  precomputation, and runs a single fused simulate+timing loop.  Hit/miss/
-  eviction/bypass counts, per-set rates and IPC are identical to a full run.
+* ``"stats"`` — aggregate statistics and timing only: no records, context
+  or snapshots, and — unless the policy declares ``requires_future`` — no
+  reuse-distance precomputation.  A policy given by name runs its native
+  kernel when it has one.  Hit/miss/eviction/bypass counts, per-set rates
+  and IPC are identical to a full run, because both details share the
+  policy step and the stats/timing post-pass.
 """
 
 from __future__ import annotations
@@ -36,111 +38,27 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.policies.base import NEVER, ReplacementPolicy, get_policy
+from repro.policies.base import NEVER, get_policy
 from repro.sim.cache import (
     Cache,
     CacheStats,
     DETAIL_FULL,
     DETAIL_LEVELS,
-    DETAIL_STATS,
 )
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
-from repro.sim.cpu import (
-    CPUModel,
-    LEVEL_DRAM,
-    LEVEL_L1,
-    LEVEL_L2,
-    LEVEL_LLC,
-    TimingResult,
+from repro.sim.cpu import TimingResult
+from repro.sim.replay import (
+    LLCStream,
+    ReplayCore,
+    ReuseProvider,
+    TraceReuse,
+    native_kernel,
+    policy_steps,
 )
-from repro.policies.basic import LRUPolicy
-from repro.tracedb.schema import (
-    AccessLog,
-    AccessRecord,
-    MISS_TYPE_CODES,
-    NEVER_REUSED,
-)
-from repro.workloads.trace import FLAG_PREFETCH, FLAG_WRITE, MemoryTrace
-
-
-@dataclass
-class TraceReuse:
-    """Reuse-distance precomputation for one access stream.
-
-    ``next_use`` is always present (the stats path only needs it for
-    ``requires_future`` policies); ``prev_use`` and ``positions_by_block``
-    are the richer full-detail form.  Instances are shared read-only across
-    rollouts and across cells via :meth:`SimulationCache.reuse_for`, so they
-    must never be mutated after construction.
-    """
-
-    next_use: List[int]
-    prev_use: Optional[List[int]] = None
-    positions_by_block: Optional[Dict[int, List[int]]] = None
-
-
-#: Provider signature for shared reuse precomputation:
-#: ``(trace, block_bytes, full) -> TraceReuse`` (llc_only streams only —
-#: hierarchy streams depend on the upper-level geometry, not just the trace).
-ReuseProvider = Callable[[MemoryTrace, int, bool], TraceReuse]
-
-
-def compute_next_use(addresses: Sequence[int], block_bytes: int) -> List[int]:
-    """Per-position next-use indices over one address sequence.
-
-    Single reverse pass — cheaper than the full per-block position lists the
-    record-building path needs.  ``NEVER`` marks "no next use".
-    """
-    next_use = [NEVER] * len(addresses)
-    next_seen: Dict[int, int] = {}
-    for position in range(len(addresses) - 1, -1, -1):
-        block = addresses[position] // block_bytes
-        next_use[position] = next_seen.get(block, NEVER)
-        next_seen[block] = position
-    return next_use
-
-
-def compute_full_reuse(addresses: Sequence[int],
-                       block_bytes: int) -> TraceReuse:
-    """Full reuse precomputation (next/prev use + per-block positions).
-
-    Positions are indices into the given access stream, matching what
-    :meth:`SimulationEngine._compute_reuse` historically produced over the
-    LLC stream; the full-detail replay needs all three pieces.
-    """
-    positions_by_block: Dict[int, List[int]] = {}
-    for position, address in enumerate(addresses):
-        block = address // block_bytes
-        positions_by_block.setdefault(block, []).append(position)
-
-    next_use = [NEVER] * len(addresses)
-    prev_use = [-1] * len(addresses)
-    for positions in positions_by_block.values():
-        for i, position in enumerate(positions):
-            if i + 1 < len(positions):
-                next_use[position] = positions[i + 1]
-            if i > 0:
-                prev_use[position] = positions[i - 1]
-    return TraceReuse(next_use=next_use, prev_use=prev_use,
-                      positions_by_block=positions_by_block)
-
-
-@dataclass
-class PreparedReplay:
-    """Precomputed replay inputs shared across rollouts of one trace.
-
-    The batch kernel computes the LLC stream (hierarchy filtering), the
-    upper-level service map and the reuse arrays once per (trace, geometry)
-    group and hands the same objects to every rollout via
-    :meth:`SimulationEngine.run`; all fields are treated as read-only.
-    ``None`` fields fall back to the engine's own per-run computation.
-    """
-
-    llc_stream: Optional[List[Tuple[int, int, int, bool, bool]]] = None
-    upper_levels: Optional[Dict[int, str]] = None
-    reuse: Optional[TraceReuse] = None
+from repro.tracedb.schema import AccessLog, AccessRecord, NEVER_REUSED
+from repro.workloads.trace import MemoryTrace
 
 
 @dataclass
@@ -243,140 +161,112 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def run(self, trace: MemoryTrace, policy,
-            prepared: Optional[PreparedReplay] = None) -> SimulationResult:
+    def run(self, trace: MemoryTrace, policy) -> SimulationResult:
         """Simulate ``trace`` with ``policy`` at the LLC.
 
         ``policy`` may be a :class:`ReplacementPolicy` instance or a
-        registered policy name.  ``prepared`` optionally supplies
-        precomputed (shared, read-only) replay inputs — the batch kernel's
-        way of amortising stream filtering and reuse precomputation across
-        many rollouts; a ``None`` field falls back to local computation, so
-        results are identical either way.
+        registered policy name; see :meth:`replay`.
         """
+        return self.replay(ReplayCore(trace, self.reuse_cache), policy)
+
+    def replay(self, core: ReplayCore, policy) -> SimulationResult:
+        """One rollout of ``policy`` over a (possibly shared) replay core.
+
+        A policy given by name runs its native kernel where
+        :func:`~repro.sim.replay.native_kernel` has one; an instance always
+        runs the generic :meth:`Cache.access` loop.  Both end in the same
+        post-pass, so the result is identical either way.
+        """
+        kernel = None
         if isinstance(policy, str):
+            kernel = native_kernel(policy, self.detail)
             policy = get_policy(policy)
-        if self.detail == DETAIL_STATS:
-            return self._run_stats(trace, policy, prepared)
-        if prepared is not None and prepared.llc_stream is not None:
-            llc_stream = prepared.llc_stream
-            upper_levels = prepared.upper_levels or {}
+        llc = self.config.llc
+        full = self.detail == DETAIL_FULL
+        stream = core.stream(self.config, self.mode)
+        # Full detail annotates every access with reuse distances, so every
+        # policy then sees real next-use values; at stats detail only the
+        # oracle policies do.
+        reuse = None
+        if full or getattr(policy, "requires_future", False):
+            reuse = stream.reuse(llc.block_bytes, full)
+        next_use = reuse.next_use if reuse is not None else None
+        log = None
+        wrong_evictions = bypasses = 0
+        if kernel is not None:
+            hits, evictions = kernel(stream.blocks(llc.block_bytes),
+                                     stream.sets(llc), llc.num_sets,
+                                     llc.num_ways, next_use)
         else:
-            llc_stream, upper_levels = self._build_llc_stream(trace)
-        reuse = prepared.reuse if prepared is not None else None
-        if reuse is None or reuse.prev_use is None:
-            if self.mode == "llc_only" and self.reuse_cache is not None:
-                reuse = self.reuse_cache(trace,
-                                         self.config.llc.block_bytes, True)
+            cache = Cache(llc, policy, detail=self.detail)
+            steps = policy_steps(cache, stream, next_use)
+            if full:
+                hits, log, wrong_evictions = self._annotate(
+                    core.trace, stream, cache, steps, reuse)
             else:
-                reuse = compute_full_reuse(
-                    [address for _i, _pc, address, _w, _p in llc_stream],
-                    self.config.llc.block_bytes)
-        self._positions_by_block = reuse.positions_by_block or {}
-        return self._replay_llc(trace, policy, llc_stream, upper_levels,
-                                reuse.next_use, reuse.prev_use)
+                hits = bytearray(steps)
+            evictions, bypasses = cache.evictions, cache.bypasses
+        llc_stats, timing = core.post_pass(stream, self.config, hits,
+                                           evictions, bypasses)
+        return SimulationResult(
+            workload=core.trace.workload,
+            policy_name=getattr(policy, "name", type(policy).__name__),
+            policy_description=policy.describe(),
+            config=self.config,
+            mode=self.mode,
+            detail=self.detail,
+            log=log,
+            llc_stats=llc_stats,
+            level_stats={"llc": llc_stats},
+            timing=timing,
+            wrong_evictions=wrong_evictions,
+            binary=core.trace.binary,
+        )
 
     # ------------------------------------------------------------------
-    # pass 1: determine which accesses reach the LLC
+    # full detail: the access log
     # ------------------------------------------------------------------
-    def _build_llc_stream(self, trace: MemoryTrace
-                          ) -> Tuple[List[Tuple[int, int, int, bool, bool]],
-                                     Dict[int, str]]:
-        """Return the LLC-bound accesses and the service level of the rest.
-
-        The first element is a list of ``(trace_index, pc, address, is_write,
-        is_prefetch)`` tuples (decoded straight from the trace columns) that
-        reach the LLC; the second maps every other trace index to the level
-        (L1 or L2) that serviced it.
-        """
-        pcs, addresses, flags, _instr = trace.columns()
-        if self.mode == "llc_only":
-            return [(index, pc, address, bool(flag & FLAG_WRITE),
-                     bool(flag & FLAG_PREFETCH))
-                    for index, (pc, address, flag)
-                    in enumerate(zip(pcs, addresses, flags))], {}
-
-        # The upper levels are always LRU, so the stats-only fast path is
-        # behaviourally identical and filtering needs no outcome details.
-        l1d = Cache(self.config.l1d, LRUPolicy(), detail=DETAIL_STATS)
-        l2 = Cache(self.config.l2, LRUPolicy(), detail=DETAIL_STATS)
-        l1_access = l1d.access_fast
-        l2_access = l2.access_fast
-        llc_stream: List[Tuple[int, int, int, bool, bool]] = []
-        upper_levels: Dict[int, str] = {}
-        for index, (pc, address, flag) in enumerate(zip(pcs, addresses, flags)):
-            is_write = bool(flag & FLAG_WRITE)
-            is_prefetch = bool(flag & FLAG_PREFETCH)
-            if l1_access(pc, address, is_write, index,
-                         is_prefetch=is_prefetch):
-                upper_levels[index] = LEVEL_L1
-                continue
-            if l2_access(pc, address, is_write, index,
-                         is_prefetch=is_prefetch):
-                upper_levels[index] = LEVEL_L2
-                continue
-            llc_stream.append((index, pc, address, is_write, is_prefetch))
-        return llc_stream, upper_levels
-
-    # ------------------------------------------------------------------
-    # pass 2 support: reuse-distance precomputation over the LLC stream
-    # ------------------------------------------------------------------
-    def _next_use_of_block(self, block: int, position: int) -> int:
-        """Next LLC-stream position at which ``block`` is accessed after
-        ``position`` (exclusive), or ``NEVER``."""
-        positions = self._positions_by_block.get(block)
-        if not positions:
-            return NEVER
-        index = bisect.bisect_right(positions, position)
-        if index >= len(positions):
-            return NEVER
-        return positions[index]
-
-    # ------------------------------------------------------------------
-    # pass 2: replay the LLC with the policy under study
-    # ------------------------------------------------------------------
-    def _replay_llc(self, trace: MemoryTrace, policy: ReplacementPolicy,
-                    llc_stream: List[Tuple[int, int, int, bool, bool]],
-                    upper_levels: Dict[int, str],
-                    next_use: List[int], prev_use: List[int]) -> SimulationResult:
-        llc = Cache(self.config.llc, policy, classify_misses=True)
-        cpu = CPUModel(self.config)
-        block_bytes = self.config.llc.block_bytes
+    def _annotate(self, trace: MemoryTrace, stream: LLCStream, cache: Cache,
+                  steps: Iterator[bool], reuse: TraceReuse
+                  ) -> Tuple[bytearray, AccessLog, int]:
+        """Consume the policy steps: the hit column, the access log (up to
+        ``max_records`` rows) and the count of wrong evictions, victims
+        reused before the accessed block.  Each row is built while its
+        snapshots are current, so no per-access snapshot is retained."""
+        llc = self.config.llc
+        blocks = stream.blocks(llc.block_bytes)
+        sets = stream.sets(llc)
+        classes = stream.miss_classes(llc)
+        next_use, prev_use = reuse.next_use, reuse.prev_use
+        positions_by_block = reuse.positions_by_block or {}
         binary = trace.binary
-
-        log = AccessLog()
-        history: List[Tuple[int, int]] = []  # (block, pc) of recent LLC accesses
-        llc_levels: Dict[int, str] = {}
-        wrong_evictions = 0
         annotate = self.annotate_context and binary is not None
+        window = self.history_window
+        hits = bytearray()
+        log = AccessLog()
+        history: List[Tuple[int, int]] = []  # (block, pc) of recent accesses
+        wrong_evictions = 0
         # Source/assembly context is a pure function of the PC, so it is
         # resolved once per unique PC instead of once per access.
         context_by_pc: Dict[int, Tuple[str, str, str]] = {}
         empty_context = ("", "", "")
 
-        for position, (trace_index, pc, address, is_write,
-                       is_prefetch) in enumerate(llc_stream):
-            block = address // block_bytes
-            outcome = llc.access(pc, address, is_write,
-                                 access_index=position,
-                                 next_use=next_use[position],
-                                 is_prefetch=is_prefetch)
-            llc_levels[trace_index] = LEVEL_LLC if outcome.hit else LEVEL_DRAM
-
+        for position, (pc, block, hit) in enumerate(
+                zip(stream.pcs, blocks, steps)):
+            hits.append(hit)
+            evicted_block = cache.evicted
             accessed_rd = (NEVER_REUSED if next_use[position] >= NEVER
-                          else next_use[position] - position)
-            recency = (NEVER_REUSED if prev_use[position] < 0
-                       else position - prev_use[position])
+                           else next_use[position] - position)
             evicted_rd = NEVER_REUSED
-            evicted_block = outcome.evicted_block
-            if evicted_block is not None:
-                evicted_next = self._next_use_of_block(evicted_block, position)
+            if evicted_block >= 0:
+                evicted_next = _next_use_after(positions_by_block,
+                                               evicted_block, position)
                 if evicted_next < NEVER:
                     evicted_rd = evicted_next - position
                     if accessed_rd == NEVER_REUSED or evicted_rd < accessed_rd:
                         wrong_evictions += 1
 
-            if self.max_records is None or len(log) < self.max_records:
+            if self.max_records is None or position < self.max_records:
                 if annotate:
                     context = context_by_pc.get(pc)
                     if context is None:
@@ -387,215 +277,30 @@ class SimulationEngine:
                 else:
                     context = empty_context
                 log.append(
-                    position, pc, block, outcome.set_index, outcome.hit,
-                    MISS_TYPE_CODES[outcome.miss_type],
-                    -1 if evicted_block is None else evicted_block,
-                    accessed_rd, evicted_rd, recency,
+                    position, pc, block, sets[position], hit,
+                    0 if hit else classes[position], evicted_block,
+                    accessed_rd, evicted_rd,
+                    (NEVER_REUSED if prev_use[position] < 0
+                     else position - prev_use[position]),
                     context[0], context[1], context[2],
-                    list(outcome.resident_lines),
-                    list(history[-self.history_window:]),
-                    list(outcome.eviction_scores),
+                    cache.resident, history[-window:], cache.scores,
                 )
 
             history.append((block, pc))
-            if len(history) > 4 * self.history_window:
-                del history[: 2 * self.history_window]
+            if len(history) > 4 * window:
+                del history[: 2 * window]
+        return hits, log, wrong_evictions
 
-        # Timing: walk the whole trace once — straight over the raw columns —
-        # using the recorded service levels.
-        _pcs, _addresses, trace_flags, trace_instr = trace.columns()
-        for trace_index, (flag, gap) in enumerate(zip(trace_flags, trace_instr)):
-            is_prefetch = bool(flag & FLAG_PREFETCH)
-            if not is_prefetch:
-                cpu.retire(gap + 1)
-            level = upper_levels.get(trace_index) or llc_levels.get(trace_index)
-            if level is None:
-                # llc_only mode guarantees an LLC level for every access; this
-                # branch only guards against malformed traces.
-                level = LEVEL_DRAM
-            cpu.memory_access(level, is_write=bool(flag & FLAG_WRITE),
-                              is_prefetch=is_prefetch)
 
-        result = SimulationResult(
-            workload=trace.workload,
-            policy_name=getattr(policy, "name", type(policy).__name__),
-            policy_description=policy.describe(),
-            config=self.config,
-            mode=self.mode,
-            detail=self.detail,
-            log=log,
-            llc_stats=llc.stats,
-            level_stats={"llc": llc.stats},
-            timing=cpu.finish(),
-            wrong_evictions=wrong_evictions,
-            binary=binary,
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    # stats-only replay
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _next_use_sequence(addresses: Sequence[int],
-                           block_bytes: int) -> List[int]:
-        """Back-compat alias for :func:`compute_next_use` (only computed at
-        all when the policy declares ``requires_future``)."""
-        return compute_next_use(addresses, block_bytes)
-
-    def _run_stats(self, trace: MemoryTrace, policy: ReplacementPolicy,
-                   prepared: Optional[PreparedReplay] = None
-                   ) -> SimulationResult:
-        """Aggregate-only replay: no records, snapshots or context lookups."""
-        config = self.config
-        llc = Cache(config.llc, policy, classify_misses=True,
-                    detail=DETAIL_STATS)
-        requires_future = bool(getattr(policy, "requires_future", False))
-        if self.mode == "llc_only":
-            llc_stats, timing = self._replay_stats_llc_only(
-                trace, llc, requires_future, prepared)
-        else:
-            llc_stats, timing = self._replay_stats_hierarchy(
-                trace, llc, requires_future, prepared)
-        return SimulationResult(
-            workload=trace.workload,
-            policy_name=getattr(policy, "name", type(policy).__name__),
-            policy_description=policy.describe(),
-            config=config,
-            mode=self.mode,
-            detail=self.detail,
-            llc_stats=llc_stats,
-            level_stats={"llc": llc_stats},
-            timing=timing,
-            binary=trace.binary,
-        )
-
-    def _replay_stats_llc_only(self, trace: MemoryTrace, llc: Cache,
-                               requires_future: bool,
-                               prepared: Optional[PreparedReplay] = None
-                               ) -> Tuple[CacheStats, TimingResult]:
-        """Fused simulate+timing loop over the raw trace columns.
-
-        Accumulates the analytic timing model inline in the same order as
-        :class:`CPUModel`, so IPC/cycles match the full-detail path exactly.
-        """
-        config = self.config
-        pcs, addresses, flags, instr = trace.columns()
-        next_use = None
-        if requires_future:
-            if prepared is not None and prepared.reuse is not None:
-                next_use = prepared.reuse.next_use
-            elif self.reuse_cache is not None:
-                next_use = self.reuse_cache(
-                    trace, config.llc.block_bytes, False).next_use
-            else:
-                next_use = compute_next_use(addresses,
-                                            config.llc.block_bytes)
-
-        # Hoisted loop state: one bound method, precomputed stall constants.
-        access_fast = llc.access_fast
-        retire_width = config.core.retire_width
-        overlap = 1.0 - config.core.overlap_factor
-        to_llc = float(config.l1d.latency_cycles + config.l2.latency_cycles
-                       + config.llc.latency_cycles)
-        to_dram = to_llc + config.dram.access_latency_cycles
-        llc_stall = to_llc * overlap
-        dram_stall = to_dram * overlap
-
-        instructions = 0
-        base_cycles = 0.0
-        stall_cycles = 0.0
-        llc_stall_total = 0.0
-        dram_stall_total = 0.0
-        llc_count = dram_count = 0
-        llc_stall_events = dram_stall_events = 0
-
-        for position, (pc, address, flag, gap) in enumerate(
-                zip(pcs, addresses, flags, instr)):
-            is_prefetch = bool(flag & FLAG_PREFETCH)
-            is_write = bool(flag & FLAG_WRITE)
-            if next_use is None:
-                hit = access_fast(pc, address, is_write,
-                                  position, NEVER, is_prefetch)
-            else:
-                hit = access_fast(pc, address, is_write,
-                                  position, next_use[position], is_prefetch)
-            if not is_prefetch:
-                retired = gap + 1
-                instructions += retired
-                base_cycles += retired / retire_width
-            if hit:
-                llc_count += 1
-                if not (is_write or is_prefetch):
-                    stall_cycles += llc_stall
-                    llc_stall_total += llc_stall
-                    llc_stall_events += 1
-            else:
-                dram_count += 1
-                if not (is_write or is_prefetch):
-                    stall_cycles += dram_stall
-                    dram_stall_total += dram_stall
-                    dram_stall_events += 1
-
-        timing = TimingResult(
-            instructions=instructions,
-            base_cycles=base_cycles,
-            stall_cycles=stall_cycles,
-        )
-        if llc_count:
-            timing.accesses_by_level[LEVEL_LLC] = llc_count
-        if dram_count:
-            timing.accesses_by_level[LEVEL_DRAM] = dram_count
-        if llc_stall_events:
-            timing.stalls_by_level[LEVEL_LLC] = llc_stall_total
-        if dram_stall_events:
-            timing.stalls_by_level[LEVEL_DRAM] = dram_stall_total
-        return llc.stats, timing
-
-    def _replay_stats_hierarchy(self, trace: MemoryTrace, llc: Cache,
-                                requires_future: bool,
-                                prepared: Optional[PreparedReplay] = None
-                                ) -> Tuple[CacheStats, TimingResult]:
-        """Stats-only hierarchy replay: filter, replay LLC, one timing walk."""
-        if prepared is not None and prepared.llc_stream is not None:
-            llc_stream = prepared.llc_stream
-            upper_levels = prepared.upper_levels or {}
-        else:
-            llc_stream, upper_levels = self._build_llc_stream(trace)
-        block_bytes = self.config.llc.block_bytes
-        next_use = None
-        if requires_future:
-            if prepared is not None and prepared.reuse is not None:
-                next_use = prepared.reuse.next_use
-            else:
-                next_use = compute_next_use(
-                    [address for _i, _pc, address, _w, _p in llc_stream],
-                    block_bytes)
-
-        access_fast = llc.access_fast
-        llc_hits: List[bool] = []
-        for position, (_trace_index, pc, address, is_write,
-                       is_prefetch) in enumerate(llc_stream):
-            llc_hits.append(access_fast(
-                pc, address, is_write, position,
-                NEVER if next_use is None else next_use[position],
-                is_prefetch))
-
-        # The filtered stream is sparse relative to the trace, so the timing
-        # walk reuses CPUModel rather than a fused loop (identical numbers).
-        cpu = CPUModel(self.config)
-        llc_position = 0
-        _pcs, _addresses, trace_flags, trace_instr = trace.columns()
-        for trace_index, (flag, gap) in enumerate(zip(trace_flags, trace_instr)):
-            is_prefetch = bool(flag & FLAG_PREFETCH)
-            if not is_prefetch:
-                cpu.retire(gap + 1)
-            level = upper_levels.get(trace_index)
-            if level is None:
-                level = LEVEL_LLC if llc_hits[llc_position] else LEVEL_DRAM
-                llc_position += 1
-            cpu.memory_access(level, is_write=bool(flag & FLAG_WRITE),
-                              is_prefetch=is_prefetch)
-        return llc.stats, cpu.finish()
+def _next_use_after(positions_by_block: Dict[int, List[int]], block: int,
+                    position: int) -> int:
+    """Next stream position after ``position`` (exclusive) at which
+    ``block`` is accessed, or ``NEVER``."""
+    positions = positions_by_block.get(block)
+    if not positions:
+        return NEVER
+    index = bisect.bisect_right(positions, position)
+    return positions[index] if index < len(positions) else NEVER
 
 
 def simulate(trace: MemoryTrace, policy, config: HierarchyConfig = SMALL_CONFIG,

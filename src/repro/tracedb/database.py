@@ -348,8 +348,8 @@ def build_database(workloads: Sequence[str] = DEFAULT_WORKLOADS,
         return database
 
     # Serial build: policies pending for the same workload replay its trace
-    # in one lockstep batch pass (order preserved: pending is workload-major
-    # with policies inner, and so is this flush).
+    # as one batch over a shared replay core (order preserved: pending is
+    # workload-major with policies inner, and so is this flush).
     by_workload: Dict[str, List[str]] = {}
     for workload_name, policy_name in pending:
         by_workload.setdefault(workload_name, []).append(policy_name)

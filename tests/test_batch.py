@@ -1,13 +1,14 @@
-"""BatchSimulator: lockstep multi-rollout replay must be byte-identical.
+"""BatchSimulator: many rollouts over one shared replay core.
 
-The batch kernel is an execution strategy, not a new simulator: every
-rollout — native lockstep kernel or engine-with-shared-precomputes — must
-produce exactly the result a standalone ``SimulationEngine.run`` would,
-down to float accumulation order in the timing model and every column of
-the full-detail access log.  These tests pin that contract across the
-policy x workload x mode x detail matrix, plus the wiring that selects the
-strategy (ExperimentRunner, build_database, ParallelSimulator fallback)
-and the perf-report comparison tooling that rides along.
+Batching is an execution strategy, not a new simulator: every rollout —
+native kernel or generic policy loop — must produce exactly the result a
+standalone ``SimulationEngine.run`` with a policy *instance* (always the
+generic :meth:`Cache.access` loop) would, down to float accumulation order
+in the timing model and every column of the full-detail access log.  These
+tests pin that contract across the policy x workload x mode x detail
+matrix, plus the wiring that batches (ExperimentRunner, build_database,
+ParallelSimulator fallback) and the perf-report comparison tooling that
+rides along.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import pickle
 
 import pytest
 
-from repro.core.experiment import ExperimentRunner
+from repro.core.experiment import ExperimentRunner, ExperimentSpec
 from repro.core.pipeline import SimulationCache
 from repro.policies import available_policies, get_policy
 from repro.sim.batch import (
@@ -30,14 +31,14 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import ParallelSimulator, SimulationJob, planned_strategy
 from repro.perf.harness import compare_reports, differing_params
 from repro.tracedb.database import build_database
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import generate_trace, get_workload
 
 NUM_ACCESSES = 600
 WORKLOADS = ("astar", "lbm")
 
 EXPERIMENT_SPEC = dict(workloads=list(WORKLOADS),
                        policies=["lru", "belady", "hawkeye"],
-                       configs=["tiny"], detail="stats",
+                       configs=["tiny"], details=["stats"],
                        num_accesses=[NUM_ACCESSES], seeds=[1])
 
 
@@ -108,28 +109,31 @@ def test_mixed_specs_in_one_batch():
 # ----------------------------------------------------------------------
 def test_rollout_strategy_native_coverage():
     for policy in NATIVE_POLICIES:
-        assert (rollout_strategy(RolloutSpec(policy, TINY_CONFIG))
-                == f"native:{policy}")
-    # Everything outside the native envelope goes through the engine.
+        for mode in ("llc_only", "hierarchy"):
+            assert (rollout_strategy(RolloutSpec(policy, TINY_CONFIG,
+                                                 mode=mode))
+                    == f"native:{policy}")
+    # Everything outside the native envelope takes the generic loop.
     assert rollout_strategy(RolloutSpec("hawkeye", TINY_CONFIG)) == "engine"
     assert (rollout_strategy(RolloutSpec("lru", TINY_CONFIG, detail="full"))
             == "engine")
-    assert (rollout_strategy(RolloutSpec("lru", TINY_CONFIG,
-                                         mode="hierarchy")) == "engine")
 
 
-def test_non_pow2_geometry_falls_back_to_engine():
+def test_non_pow2_geometry_runs_native_kernel():
     llc = TINY_CONFIG.llc
     odd_llc = dataclasses.replace(
         llc, size_bytes=3 * llc.num_ways * llc.block_bytes)
     odd_config = dataclasses.replace(TINY_CONFIG, name="tiny-odd",
                                      llc=odd_llc)
     assert odd_llc.num_sets == 3
-    spec = RolloutSpec("lru", odd_config)
-    assert rollout_strategy(spec) == "engine"
     trace = _trace("lbm")
-    batched, = BatchSimulator(trace).run([spec])
-    _assert_identical(batched, _single(trace, spec))
+    for mode in ("llc_only", "hierarchy"):
+        specs = [RolloutSpec(policy, odd_config, mode=mode)
+                 for policy in NATIVE_POLICIES]
+        assert all(rollout_strategy(spec).startswith("native:")
+                   for spec in specs)
+        for spec, batched in zip(specs, BatchSimulator(trace).run(specs)):
+            _assert_identical(batched, _single(trace, spec))
 
 
 def test_run_records_strategies():
@@ -150,42 +154,53 @@ def test_rollout_spec_validation():
 # ----------------------------------------------------------------------
 # ExperimentRunner wiring
 # ----------------------------------------------------------------------
+def _assert_cells_match_direct_replay(result):
+    """Every cell equals a direct ``SimulationEngine.run`` of its job with
+    a policy instance (the generic loop, whatever route the cell took)."""
+    columns = result.columns
+    for index in range(len(result)):
+        trace = get_workload(columns["workload"][index],
+                             seed=columns["seed"][index]).generate(
+                                 columns["num_accesses"][index])
+        reference = SimulationEngine(
+            config=TINY_CONFIG, detail=columns["detail"][index]).run(
+                trace, get_policy(columns["policy"][index]))
+        llc = reference.llc_stats
+        assert columns["accesses"][index] == llc.accesses
+        assert columns["hits"][index] == llc.hits
+        assert columns["misses"][index] == llc.misses
+        assert columns["evictions"][index] == llc.evictions
+        assert columns["miss_rate"][index] == llc.miss_rate
+        assert columns["instructions"][index] == reference.timing.instructions
+        assert columns["cycles"][index] == reference.timing.cycles
+        assert columns["ipc"][index] == reference.ipc
+
+
 def test_experiment_batch_matches_single_strategy():
-    batch = ExperimentRunner(simulation_cache=SimulationCache(),
-                             strategy="auto").run(EXPERIMENT_SPEC)
-    single = ExperimentRunner(simulation_cache=SimulationCache(),
-                              strategy="single").run(EXPERIMENT_SPEC)
-    assert batch.columns == single.columns
-    assert batch.counters["batch_groups"] == len(WORKLOADS)
-    assert batch.counters["batch_cells"] == batch.counters["simulations_run"]
-    assert single.counters["batch_cells"] == 0
+    assert ExperimentSpec.from_dict(EXPERIMENT_SPEC).details == ("stats",)
+    result = ExperimentRunner(simulation_cache=SimulationCache()).run(
+        EXPERIMENT_SPEC)
+    assert set(result.columns["detail"]) == {"stats"}
+    assert result.counters["batch_groups"] == len(WORKLOADS)
+    assert result.counters["batch_cells"] == result.counters["simulations_run"]
+    _assert_cells_match_direct_replay(result)
 
 
 def test_experiment_full_detail_batch_matches_single():
-    spec = dict(EXPERIMENT_SPEC, detail="full")
-    batch = ExperimentRunner(simulation_cache=SimulationCache(),
-                             strategy="auto").run(spec)
-    single = ExperimentRunner(simulation_cache=SimulationCache(),
-                              strategy="single").run(spec)
-    assert batch.columns == single.columns
-    assert batch.counters["batch_cells"] > 0
+    spec = dict(EXPERIMENT_SPEC, details=["full"])
+    assert ExperimentSpec.from_dict(spec).details == ("full",)
+    result = ExperimentRunner(simulation_cache=SimulationCache()).run(spec)
+    assert set(result.columns["detail"]) == {"full"}
+    assert result.counters["batch_cells"] > 0
+    _assert_cells_match_direct_replay(result)
 
 
-def test_experiment_singleton_uses_single_replay_under_auto():
+def test_experiment_singleton_uses_single_replay():
     spec = dict(EXPERIMENT_SPEC, policies=["lru"], workloads=["astar"])
-    result = ExperimentRunner(simulation_cache=SimulationCache(),
-                              strategy="auto").run(spec)
+    result = ExperimentRunner(simulation_cache=SimulationCache()).run(spec)
     assert result.counters["batch_groups"] == 0
     assert result.counters["simulations_run"] == 1
-    forced = ExperimentRunner(simulation_cache=SimulationCache(),
-                              strategy="batch").run(spec)
-    assert forced.counters["batch_groups"] == 1
-    assert forced.columns == result.columns
-
-
-def test_experiment_runner_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        ExperimentRunner(strategy="bogus")
+    _assert_cells_match_direct_replay(result)
 
 
 def test_warm_store_rerun_simulates_zero_cells_after_batch(tmp_path):
