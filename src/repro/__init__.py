@@ -90,7 +90,7 @@ from repro.retrieval.base import (
 )
 from repro.sim.config import PAPER_CONFIG, SMALL_CONFIG, TINY_CONFIG, HierarchyConfig
 from repro.sim.engine import SimulationEngine, SimulationResult, simulate
-from repro.tracedb.database import TraceDatabase, TraceEntry, build_database
+from repro.tracedb.database import TraceDatabase, TraceEntry
 from repro.tracedb.store import TraceStore
 from repro.workloads.generator import (
     WorkloadGenerator,
@@ -154,7 +154,6 @@ __all__ = [
     # store
     "TraceDatabase",
     "TraceEntry",
-    "build_database",
     # registries
     "ReplacementPolicy",
     "available_policies",

@@ -16,13 +16,15 @@ that runs the whole evaluation matrix as one call:
   (:func:`~repro.core.plan.merge_job_lists`): however the grid names a
   cell twice — duplicated axis values, a baseline policy already in the
   policy list — it simulates exactly once.
-* :class:`ExperimentRunner` executes a compiled plan through the
-  :class:`~repro.core.pipeline.SimulationCache` (and therefore the
-  persistent :class:`~repro.tracedb.store.TraceStore`, when one is
-  attached: warm cells skip simulation across processes) with the
-  cache-miss subset fanned out over
+* :class:`ExperimentRunner` executes a compiled plan through
+  :meth:`SimulationCache.run_jobs
+  <repro.core.pipeline.SimulationCache.run_jobs>`, the one job executor
+  asks and database builds share (and therefore through the persistent
+  :class:`~repro.tracedb.store.TraceStore`, when one is attached: warm
+  cells skip simulation across processes), with serial misses batched per
+  trace and ``jobs > 1`` misses fanned out over
   :class:`~repro.sim.parallel.ParallelSimulator` workers per
-  (config, detail) group.
+  (config, mode, detail) group.
 * :class:`ExperimentResult` is a columnar cell table — one row per unique
   grid cell with miss/hit rate, IPC and cycle accounting — with lossless
   ``to_dict``/``from_dict``, derived views (:meth:`~ExperimentResult.pivot`,
@@ -70,12 +72,9 @@ from repro.core.answer import _dataclass_from_dict
 from repro.core.plan import PlannedJob, merge_job_lists
 from repro.policies.base import get_policy
 from repro.sim.config import HierarchyConfig, resolve_config
-from repro.sim.batch import BatchSimulator, RolloutSpec
-from repro.sim.engine import SimulationEngine
-from repro.sim.parallel import ParallelSimulator, SimulationJob
 from repro.errors import StoreReadOnlyError
 from repro.tracedb.store import StoreCorruptionWarning
-from repro.workloads.generator import get_workload, workload_kind
+from repro.workloads.generator import get_workload
 from repro.workloads.ingest import ensure_store_traces_registered
 
 #: metrics where a smaller value wins (everything else is higher-is-better).
@@ -657,19 +656,15 @@ class ExperimentRunner:
     """Execute compiled grids through the simulation memoiser.
 
     ``simulation_cache`` defaults to the process-wide singleton; attach a
-    store-backed cache for cross-process warm runs.  ``jobs > 1`` fans the
-    cache-miss subset of each (config, detail) group out over a
-    :class:`ParallelSimulator`; results land back in the shared memoiser,
-    so parallelism, memoisation and persistence compose exactly as in the
-    session database build.
-
-    Serial cache misses that share a trace run as one
-    :class:`~repro.sim.batch.BatchSimulator` pass when there are >= 2 of
-    them (the policy-independent precomputes are then shared); a singleton
-    runs through its engine.  Both are entry points into the same replay
-    core, so the cell values do not depend on the route.  Results install
-    through ``SimulationCache.put_result/put_entry``, so warm-store
-    semantics are unchanged and re-runs simulate zero cells.
+    store-backed cache for cross-process warm runs.  The unique jobs run
+    through :meth:`SimulationCache.run_jobs
+    <repro.core.pipeline.SimulationCache.run_jobs>`, the executor asks and
+    database builds use too: serial misses sharing a trace batch over one
+    replay core, ``jobs > 1`` fans the misses of each (config, mode,
+    detail) group out over a :class:`~repro.sim.parallel.ParallelSimulator`,
+    and every value installs through the memoiser and its store, so re-runs
+    simulate zero cells.  This runner maps the values to cell rows and
+    takes its counters from the executor's tally.
     """
 
     def __init__(self, simulation_cache=None, jobs: int = 1,
@@ -711,19 +706,23 @@ class ExperimentRunner:
             get_workload(workload)
         compile_seconds = time.perf_counter() - started
         execute_started = time.perf_counter()
-        # Counted per-cell by this run (not as a delta of the shared
-        # cache's global counters): other threads sharing the cache — the
-        # serving layer runs sweeps concurrently with asks — must not
-        # leak their hits/misses into this result's telemetry, which the
-        # CLI's --expect-warm assertion and the stored record rely on.
-        tally = {"simulations_run": 0, "cache_hits": 0, "store_hits": 0,
-                 "batch_groups": 0, "batch_cells": 0}
-        outputs = self._execute(spec, plan, cache, progress, tally)
+        # The executor's tally counts this run's own cells (not a delta of
+        # the shared cache's global counters): other threads sharing the
+        # cache — the serving layer runs sweeps concurrently with asks —
+        # must not leak their hits/misses into this result's telemetry,
+        # which the CLI's --expect-warm assertion and the stored record
+        # rely on.
+        values, tally = cache.run_jobs(
+            plan.jobs, spec.config_map, jobs=self.jobs,
+            executor=self.executor, max_records=self.max_records,
+            progress=progress)
         execute_seconds = time.perf_counter() - execute_started
 
         columns: Dict[str, List[Any]] = {name: [] for name in COLUMNS}
         for job in plan.jobs:
-            for name, value in outputs[job.key].items():
+            row = (self._row_from_entry if job.detail == "full"
+                   else self._row_from_result)(job, values[job.key])
+            for name, value in row.items():
                 columns[name].append(value)
         counters = {
             "planned_cells": plan.planned_cells,
@@ -752,145 +751,6 @@ class ExperimentRunner:
                     f"continuing without persistence",
                     StoreCorruptionWarning, stacklevel=2)
         return result
-
-    # ------------------------------------------------------------------
-    def _execute(self, spec: ExperimentSpec, plan: ExperimentPlan, cache,
-                 progress: Optional[ProgressCallback],
-                 tally: Dict[str, int]) -> Dict[Tuple, Dict[str, Any]]:
-        """Run every unique job; returns job-key -> cell row values.
-
-        ``tally`` accumulates this run's own simulation/hit counts (cell by
-        cell, via :meth:`SimulationCache.lookup_entry` provenance), so the
-        result telemetry stays honest when other threads share the cache.
-        """
-        config_map = spec.config_map
-        engines: Dict[Tuple[str, str], SimulationEngine] = {}
-        outputs: Dict[Tuple, Dict[str, Any]] = {}
-        pending: Dict[Tuple[str, str],
-                      List[Tuple[PlannedJob, Any, str]]] = {}
-        # Serial cache misses, grouped by the trace they replay: >= 2
-        # cells sharing a trace run as one batch over a shared replay core.
-        serial_pending: Dict[Tuple[str, int, int],
-                             List[Tuple[PlannedJob, Any, str,
-                                        SimulationEngine]]] = {}
-        total = plan.unique_jobs
-        done = 0
-
-        def advance() -> None:
-            nonlocal done
-            done += 1
-            if progress is not None:
-                progress(done, total)
-
-        # Announce the total before any work: observers (the serving
-        # telemetry) learn the grid size without compiling the spec
-        # themselves.
-        if progress is not None:
-            progress(0, total)
-
-        for job in plan.jobs:
-            group = (job.config_name, job.detail)
-            engine = engines.get(group)
-            if engine is None:
-                engine = SimulationEngine(
-                    config=config_map[job.config_name], mode=spec.mode,
-                    max_records=self.max_records, detail=job.detail)
-                # Oracle cells share one reuse precompute per trace.
-                engine.reuse_cache = cache.reuse_for
-                engines[group] = engine
-            trace, description = cache.get_trace(
-                job.workload, job.num_accesses, job.seed)
-            if job.detail == "full":
-                found, origin = cache.lookup_entry(engine, trace, job.policy,
-                                                   description=description)
-            else:
-                found, origin = cache.lookup_result(engine, trace, job.policy)
-            if found is None:
-                if self.jobs > 1:
-                    # Dispatch only the cache misses to workers, exactly
-                    # like the parallel session database build.
-                    pending.setdefault(group, []).append(
-                        (job, trace, description))
-                else:
-                    # Serial miss: deferred so misses sharing a trace can
-                    # batch below.
-                    serial_pending.setdefault(
-                        (job.workload, job.num_accesses, job.seed),
-                        []).append((job, trace, description, engine))
-                continue
-            tally["cache_hits"] += 1
-            if origin == "store":
-                tally["store_hits"] += 1
-            outputs[job.key] = (self._row_from_entry(job, found)
-                                if job.detail == "full"
-                                else self._row_from_result(job, found))
-            advance()
-
-        for group_pending in serial_pending.values():
-            shared_trace = group_pending[0][1]
-            if len(group_pending) >= 2:
-                tally["batch_groups"] += 1
-                tally["batch_cells"] += len(group_pending)
-                rollouts = [RolloutSpec(policy=job.policy,
-                                        config=config_map[job.config_name],
-                                        mode=spec.mode, detail=job.detail,
-                                        max_records=self.max_records)
-                            for job, _trace, _desc, _engine in group_pending]
-                results = BatchSimulator(shared_trace).run(rollouts)
-            else:
-                results = [engine.run(trace, job.policy)
-                           for job, trace, _desc, engine in group_pending]
-            # Install via put_*, which persists to the store exactly as
-            # get_entry's miss path would.
-            for (job, trace, description, engine), result in zip(
-                    group_pending, results):
-                tally["simulations_run"] += 1
-                if job.detail == "full":
-                    from repro.tracedb.database import make_entry
-                    entry = make_entry(result,
-                                       workload_description=description)
-                    cache.put_entry(engine, trace, job.policy, description,
-                                    entry)
-                    outputs[job.key] = self._row_from_entry(job, entry)
-                else:
-                    cache.put_result(engine, trace, job.policy, result)
-                    outputs[job.key] = self._row_from_result(job, result)
-                advance()
-
-        for group, group_pending in pending.items():
-            config_name, detail = group
-            engine = engines[group]
-            simulator = ParallelSimulator(
-                jobs=self.jobs, executor=self.executor,
-                config=config_map[config_name], mode=spec.mode,
-                max_records=self.max_records, detail=detail)
-            # Ingested traces ship to workers verbatim (a spawned worker
-            # cannot regenerate a trace that only exists in this process's
-            # registry); synthetic jobs regenerate in-worker as before.
-            simulation_jobs = [
-                SimulationJob(workload=job.workload, policy=job.policy,
-                              num_accesses=job.num_accesses, seed=job.seed,
-                              description=description,
-                              trace=(trace if workload_kind(job.workload)
-                                     == "ingested" else None))
-                for job, trace, description in group_pending
-            ]
-            if detail == "full":
-                produced = simulator.run_entries(simulation_jobs)
-            else:
-                produced = simulator.run_results(simulation_jobs)
-            for (job, trace, description), item in zip(group_pending,
-                                                       produced):
-                tally["simulations_run"] += 1
-                if detail == "full":
-                    cache.put_entry(engine, trace, job.policy, description,
-                                    item)
-                    outputs[job.key] = self._row_from_entry(job, item)
-                else:
-                    cache.put_result(engine, trace, job.policy, item)
-                    outputs[job.key] = self._row_from_result(job, item)
-                advance()
-        return outputs
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -6,7 +6,8 @@ This module is the public seam over the whole reproduction.  A
 * a lazily built :class:`~repro.tracedb.database.TraceDatabase` whose
   underlying simulations are memoised in a process-wide
   :class:`SimulationCache` (repeated sessions over the same
-  ``(workload, policy, config)`` tuples never re-simulate),
+  ``(workload, policy, config)`` tuples never re-simulate); the session's
+  ``database`` property is the one way to build a database,
 * a :class:`~repro.core.query.QueryParser` shared with the retrievers,
 * one retriever per registered strategy, constructed on first use, with
   intent-based routing: Sieve for trace-grounded lookups, Ranger for
@@ -21,7 +22,13 @@ Asking is the explicit three-stage serving API (``repro.core.plan``):
 requests are planned (:meth:`CacheMind.plan` — parsed intent, retriever
 route, the exact simulation jobs required), batches are merged so duplicate
 jobs simulate once, and execution emits :class:`AskResponse` envelopes with
-per-stage timings (:meth:`CacheMind.ask_request_many`).  The legacy
+per-stage timings (:meth:`CacheMind.ask_request_many`).
+
+:meth:`SimulationCache.run_jobs` is the one executor that turns planned jobs
+into memoised values.  Asks, experiment grids (``repro.core.experiment``)
+and database builds all run through it, so they share the memo and store
+lookups, the per-trace batch rollouts, the worker fan-out and the store
+writes.  The legacy
 :meth:`CacheMind.ask`/:meth:`ask_many` delegate to that path with
 byte-identical answers, and ``repro.serve`` puts a thread-safe service, an
 asyncio front-end and a JSON-lines server on top of it (the
@@ -39,7 +46,16 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.answer import Answer, AskResponse
 from repro.core.experiment import (
@@ -78,6 +94,7 @@ from repro.errors import StoreReadOnlyError, UnknownNameError
 from repro.llm.backend import LLMBackend, get_backend
 from repro.llm.memory import ConversationMemory
 from repro.retrieval.base import Retriever, get_retriever, resolve_retriever_name
+from repro.sim.batch import BatchSimulator, RolloutSpec
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
 from repro.sim.engine import SimulationEngine, SimulationResult
 from repro.sim.replay import TraceReuse, compute_full_reuse, compute_next_use
@@ -107,6 +124,20 @@ SIEVE_TYPES = (HIT_MISS, MISS_RATE, POLICY_COMPARISON, TRICK,
 # ----------------------------------------------------------------------
 # simulation memoisation
 # ----------------------------------------------------------------------
+class _Miss(NamedTuple):
+    """One planned job that :meth:`SimulationCache.run_jobs` must simulate.
+
+    ``description`` is the workload description for a full-detail job
+    (whose value is an entry) and ``None`` for a stats job (a result).
+    """
+
+    job: PlannedJob
+    engine: SimulationEngine
+    trace: MemoryTrace
+    description: Optional[str]
+    key: tuple
+
+
 class SimulationCache:
     """Process-wide memoiser for simulation runs and generated traces.
 
@@ -123,6 +154,11 @@ class SimulationCache:
     computed results/entries are persisted, so a warm session in a new
     process runs zero simulations.  Store loads count as ``hits`` (an
     avoided simulation) and additionally as ``store_hits``.
+
+    Values enter through one lookup (:meth:`_lookup`) and one install
+    (:meth:`_install`): :meth:`get_or_run` runs one simulation through
+    them, and :meth:`run_jobs` — the executor under asks, experiment grids
+    and database builds — runs a list of planned jobs.
     """
 
     def __init__(self, max_entries: int = 256,
@@ -275,14 +311,76 @@ class SimulationCache:
                 f"persistence for this record",
                 StoreCorruptionWarning, stacklevel=3)
 
-    def _install_entry(self, sim_key: tuple, entry_key: tuple,
-                       entry: "TraceEntry") -> None:
-        """Memoise a loaded/computed entry plus its embedded result
-        (caller must NOT hold the lock)."""
+    def _probe(self, memo: "OrderedDict", kind: str, key: tuple):
+        """``(value, origin)`` from ``memo``, then the store's ``kind``
+        records: origin is ``"memory"``, ``"store"`` or ``"miss"``.  A found
+        value counts as a hit (an avoided simulation), a store load also as
+        a store hit."""
         with self._lock:
-            if entry.result is not None:
-                self._put(self._results, sim_key, entry.result)
-            self._put(self._entries, entry_key, entry)
+            value = self._get(memo, key)
+            if value is not None:
+                self._hits += 1
+                return value, "memory"
+        value = self.store.load(kind, key) if self.store is not None else None
+        if value is None:
+            return None, "miss"
+        with self._lock:
+            self._put(memo, key, value)
+            self._hits += 1
+            self._store_hits += 1
+        return value, "store"
+
+    def _lookup(self, key: tuple, description: Optional[str] = None):
+        """``(value, origin)`` without simulating (origin as in
+        :meth:`_probe`; value is ``None`` only for a miss).
+
+        ``description=None`` looks up the result under the simulation
+        ``key``.  A string looks up the entry under ``key +
+        (description,)``; on an entry miss it falls back to a memoised or
+        stored result and derives the entry from it, so a damaged entry
+        record heals without re-simulating.
+        """
+        if description is not None:
+            entry, origin = self._probe(self._entries, "entry",
+                                        key + (description,))
+            if origin == "store":
+                # A later get_or_run for the same key is then a memory hit.
+                with self._lock:
+                    self._put(self._results, key, entry.result)
+            if entry is not None:
+                return entry, origin
+        result, origin = self._probe(self._results, "result", key)
+        if result is not None and description is not None:
+            entry = make_entry(result, workload_description=description)
+            return self._install(key, entry, description,
+                                 simulated=False), origin
+        return result, origin
+
+    def _install(self, key: tuple, value, description: Optional[str] = None,
+                 simulated: bool = True):
+        """Memoise and persist a freshly computed value; returns it.
+
+        ``value`` is an entry when ``description`` is given (its embedded
+        result is memoised too) and a result otherwise.  A simulated value
+        counts one miss and persists its result record before its entry
+        record, so a torn second write leaves a result the entry can be
+        re-derived from; an entry derived from an existing result persists
+        only the entry record.
+        """
+        result = value.result if description is not None else value
+        with self._lock:
+            self._put(self._results, key, result)
+            if description is not None:
+                self._put(self._entries, key + (description,), value)
+            if simulated:
+                self._misses += 1
+        if self.store is not None:
+            if simulated:
+                self._store_save(self.store.save_result, key, result)
+            if description is not None:
+                self._store_save(self.store.save_entry,
+                                 key + (description,), value)
+        return value
 
     def get_or_run(self, engine: SimulationEngine, trace: MemoryTrace,
                    policy_name: str) -> SimulationResult:
@@ -292,172 +390,134 @@ class SimulationCache:
         a real simulation (whose result is persisted).
         """
         key = self._key(engine, trace, policy_name)
-        with self._lock:
-            result = self._get(self._results, key)
-            if result is not None:
-                self._hits += 1
-                return result
-        if self.store is not None:
-            result = self.store.load_result(key)
-            if result is not None:
-                with self._lock:
-                    self._put(self._results, key, result)
-                    self._hits += 1
-                    self._store_hits += 1
-                return result
+        result, _origin = self._lookup(key)
+        if result is not None:
+            return result
         if engine.reuse_cache is None:
             # Oracle cells over the same trace then share one reuse
             # precompute, keyed by content fingerprint.
             engine.reuse_cache = self.reuse_for
-        result = engine.run(trace, policy_name)
-        with self._lock:
-            self._put(self._results, key, result)
-            self._misses += 1
-        if self.store is not None:
-            self._store_save(self.store.save_result, key, result)
-        return result
+        return self._install(key, engine.run(trace, policy_name))
 
-    def lookup_result(self, engine: SimulationEngine, trace: MemoryTrace,
-                      policy_name: str
-                      ) -> Tuple[Optional[SimulationResult], str]:
-        """``(result, origin)`` without simulating: origin is ``"memory"``,
-        ``"store"`` or ``"miss"`` (result is ``None`` only for a miss).
+    def run_jobs(self, planned: Sequence[PlannedJob],
+                 configs: Dict[str, HierarchyConfig], jobs: int = 1,
+                 executor: str = "auto", max_records: Optional[int] = None,
+                 progress: Optional[ProgressCallback] = None
+                 ) -> Tuple[Dict[tuple, object], Dict[str, int]]:
+        """Turn planned jobs into memoised values: the one job executor.
 
-        The provenance lets callers keep their own hit/store-hit counters —
-        the experiment runner needs counts that stay honest while other
-        threads share this cache, which a before/after delta of the global
-        counters cannot provide.
+        Returns ``(values, tally)``.  ``values`` maps each job key to an
+        entry for a ``"full"`` job and to a result for a ``"stats"`` job.
+        ``tally`` counts this call's own ``simulations_run``,
+        ``cache_hits``, ``store_hits``, ``batch_groups`` and
+        ``batch_cells``, which stay honest while other threads share the
+        cache (a delta of the global counters does not).  ``configs`` maps
+        each job's ``config_name`` to its hierarchy.
+
+        Duplicate keys run once.  Every job is looked up first; the misses
+        then run serially, grouped by trace (two or more on one trace share
+        one :class:`~repro.sim.batch.BatchSimulator` pass, a singleton runs
+        through its engine), or with ``jobs > 1`` over one
+        :class:`ParallelSimulator` per (config, mode, detail).  Every value
+        installs through the memoiser (and its store), so later callers and
+        warm re-runs simulate nothing.  ``progress(done, total)`` is called
+        with ``done=0`` first, then once per finished job.
         """
-        key = self._key(engine, trace, policy_name)
-        with self._lock:
-            result = self._get(self._results, key)
-            if result is not None:
-                self._hits += 1
-                return result, "memory"
-        if self.store is not None:
-            result = self.store.load_result(key)
-            if result is not None:
-                with self._lock:
-                    self._put(self._results, key, result)
-                    self._hits += 1
-                    self._store_hits += 1
-                return result, "store"
-        return None, "miss"
+        unique = {job.key: job for job in planned}
+        values: Dict[tuple, object] = {}
+        tally = dict.fromkeys(("simulations_run", "cache_hits", "store_hits",
+                               "batch_groups", "batch_cells"), 0)
+        engines: Dict[tuple, SimulationEngine] = {}
+        misses: Dict[tuple, List[_Miss]] = {}
 
-    def peek_result(self, engine: SimulationEngine, trace: MemoryTrace,
-                    policy_name: str) -> Optional[SimulationResult]:
-        """A memoised result if present, else ``None`` (never simulates).
+        def finish(job: PlannedJob, value) -> None:
+            values[job.key] = value
+            if progress is not None:
+                progress(len(values), len(unique))
 
-        The bare-result counterpart of :meth:`peek_entry`, for callers that
-        do not need the :meth:`lookup_result` provenance.
-        """
-        return self.lookup_result(engine, trace, policy_name)[0]
+        # Announce the total before any work: observers (the serving
+        # telemetry) learn the grid size without compiling a spec.
+        if progress is not None:
+            progress(0, len(unique))
+        for job in unique.values():
+            group = (job.config_name, job.mode, job.detail)
+            if group not in engines:
+                # reuse_for: oracle cells share one reuse precompute per
+                # trace.
+                engines[group] = SimulationEngine(
+                    config=configs[job.config_name], mode=job.mode,
+                    max_records=max_records, detail=job.detail,
+                    reuse_cache=self.reuse_for)
+            trace, description = self.get_trace(job.workload,
+                                                job.num_accesses, job.seed)
+            miss = _Miss(job, engines[group], trace,
+                         description if job.detail == "full" else None,
+                         self._key(engines[group], trace, job.policy))
+            value, origin = self._lookup(miss.key, miss.description)
+            if value is None:
+                trace_id = (job.workload, job.num_accesses, job.seed)
+                misses.setdefault(group if jobs > 1 else trace_id,
+                                  []).append(miss)
+                continue
+            tally["cache_hits"] += 1
+            tally["store_hits"] += origin == "store"
+            finish(job, value)
+        for group_misses in misses.values():
+            produced = (self._run_parallel(group_misses, jobs, executor)
+                        if jobs > 1 else self._run_serial(group_misses, tally))
+            for miss, value in zip(group_misses, produced):
+                tally["simulations_run"] += 1
+                finish(miss.job, self._install(miss.key, value,
+                                               miss.description))
+        return values, tally
 
-    def put_result(self, engine: SimulationEngine, trace: MemoryTrace,
-                   policy_name: str, result: SimulationResult) -> None:
-        """Install an externally computed result (e.g. from a worker).
+    @staticmethod
+    def _run_serial(misses: List[_Miss], tally: Dict[str, int]) -> list:
+        """Simulate misses sharing one trace: one batch pass for two or
+        more, the engine for a singleton.  Entries for full jobs."""
+        if len(misses) >= 2:
+            tally["batch_groups"] += 1
+            tally["batch_cells"] += len(misses)
+            results = BatchSimulator(misses[0].trace).run([
+                RolloutSpec(policy=miss.job.policy, config=miss.engine.config,
+                            mode=miss.engine.mode, detail=miss.engine.detail,
+                            max_records=miss.engine.max_records)
+                for miss in misses])
+        else:
+            results = [misses[0].engine.run(misses[0].trace,
+                                            misses[0].job.policy)]
+        return [result if miss.description is None
+                else make_entry(result, workload_description=miss.description)
+                for miss, result in zip(misses, results)]
 
-        Counts as one miss — the simulation genuinely ran, just not through
-        :meth:`get_or_run` — mirroring :meth:`put_entry`.  With a store
-        attached the result is persisted for future processes.
-        """
-        key = self._key(engine, trace, policy_name)
-        with self._lock:
-            self._put(self._results, key, result)
-            self._misses += 1
-        if self.store is not None:
-            self._store_save(self.store.save_result, key, result)
-
-    def get_entry(self, engine: SimulationEngine, trace: MemoryTrace,
-                  policy_name: str, description: str = "") -> "TraceEntry":
-        """A memoised database entry (simulation + derived table/statistics).
-
-        The table conversion and whole-trace statistics dominate repeat
-        session builds once the simulation itself is cached, so the derived
-        :class:`TraceEntry` is memoised under the same key — in memory and,
-        when a store is attached, on disk.  A fresh computation persists
-        both records (the entry *and* the bare result), so a later
-        :meth:`get_or_run` in a brand-new process is warm too.
-        """
-        sim_key = self._key(engine, trace, policy_name)
-        key = sim_key + (description,)
-        with self._lock:
-            entry = self._get(self._entries, key)
-            if entry is not None:
-                # An entry hit is an avoided simulation: count it so the
-                # hit/miss counters keep describing simulation reuse.
-                self._hits += 1
-                return entry
-        if self.store is not None:
-            entry = self.store.load_entry(key)
-            if entry is not None:
-                self._install_entry(sim_key, key, entry)
-                with self._lock:
-                    self._hits += 1
-                    self._store_hits += 1
-                return entry
-        result = self.get_or_run(engine, trace, policy_name)
-        entry = make_entry(result, workload_description=description)
-        with self._lock:
-            self._put(self._entries, key, entry)
-        if self.store is not None:
-            self._store_save(self.store.save_entry, key, entry)
-        return entry
-
-    def lookup_entry(self, engine: SimulationEngine, trace: MemoryTrace,
-                     policy_name: str, description: str = ""
-                     ) -> Tuple[Optional["TraceEntry"], str]:
-        """``(entry, origin)`` without simulating — the entry counterpart of
-        :meth:`lookup_result` (origin: ``"memory"``/``"store"``/``"miss"``).
-        A found entry counts as a hit, mirroring :meth:`get_entry`."""
-        sim_key = self._key(engine, trace, policy_name)
-        key = sim_key + (description,)
-        with self._lock:
-            entry = self._get(self._entries, key)
-            if entry is not None:
-                self._hits += 1
-                return entry, "memory"
-        if self.store is not None:
-            entry = self.store.load_entry(key)
-            if entry is not None:
-                self._install_entry(sim_key, key, entry)
-                with self._lock:
-                    self._hits += 1
-                    self._store_hits += 1
-                return entry, "store"
-        return None, "miss"
-
-    def peek_entry(self, engine: SimulationEngine, trace: MemoryTrace,
-                   policy_name: str,
-                   description: str = "") -> Optional["TraceEntry"]:
-        """A memoised entry if present, else ``None`` (never simulates).
-
-        Used by parallel database builds to dispatch only the cache misses
-        to workers; consults the on-disk store after the in-memory maps.
-        """
-        return self.lookup_entry(engine, trace, policy_name,
-                                 description=description)[0]
-
-    def put_entry(self, engine: SimulationEngine, trace: MemoryTrace,
-                  policy_name: str, description: str,
-                  entry: "TraceEntry") -> None:
-        """Install an externally computed entry (e.g. from a worker process).
-
-        Counts as one miss: the simulation genuinely ran, just not through
-        :meth:`get_or_run`.  The embedded result is memoised too, so later
-        :meth:`get_or_run` calls for the same key are hits.  With a store
-        attached, both records are persisted for future processes.
-        """
-        key = self._key(engine, trace, policy_name)
-        with self._lock:
-            if entry.result is not None:
-                self._put(self._results, key, entry.result)
-            self._put(self._entries, key + (description,), entry)
-            self._misses += 1
-        if self.store is not None:
-            self._store_save(self.store.save_entry, key + (description,), entry)
-            if entry.result is not None:
-                self._store_save(self.store.save_result, key, entry.result)
+    @staticmethod
+    def _run_parallel(misses: List[_Miss], jobs: int, executor: str) -> list:
+        """Simulate misses sharing one engine over worker processes;
+        entries (derived in-worker) for full jobs."""
+        engine = misses[0].engine
+        simulator = ParallelSimulator(
+            jobs=jobs, executor=executor, config=engine.config,
+            mode=engine.mode, max_records=engine.max_records,
+            detail=engine.detail)
+        # trace=None: workers regenerate the identical trace from
+        # (workload, num_accesses, seed) — crc32-seeded generators are
+        # process-independent — which keeps the pickled payload to a few
+        # strings per job instead of one full trace copy per policy.
+        # Ingested traces are the exception: spawned workers cannot
+        # regenerate a trace that exists only in this process's registry
+        # (or a store manifest), so those jobs ship the trace itself.
+        simulation_jobs = [
+            SimulationJob(workload=miss.job.workload, policy=miss.job.policy,
+                          num_accesses=miss.job.num_accesses,
+                          seed=miss.job.seed,
+                          description=miss.description or "",
+                          trace=(miss.trace
+                                 if workload_kind(miss.job.workload)
+                                 == "ingested" else None))
+            for miss in misses]
+        if engine.detail == "full":
+            return simulator.run_entries(simulation_jobs)
+        return simulator.run_results(simulation_jobs)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -531,8 +591,8 @@ class CacheMind:
         self.seed = seed
         self.prompting = prompting
         self.max_records = max_records
-        # jobs > 1 fans database-build simulations out over worker processes
-        # (see _build_database); only cache misses are dispatched.
+        # jobs > 1 fans the cache misses of asks and experiment grids out
+        # over worker processes (see SimulationCache.run_jobs).
         self.jobs = max(1, int(jobs))
         self.executor = executor
         # store_dir attaches a persistent on-disk store so repeated sessions
@@ -610,88 +670,42 @@ class CacheMind:
     def database(self) -> TraceDatabase:
         """The trace database, built on first use and then reused."""
         if self._database is None:
-            self._database = self._build_database()
+            self._database = self._database_from_jobs(
+                self.planner.matrix_jobs())[0]
         return self._database
 
-    def _build_database(self) -> TraceDatabase:
-        return self._database_from_jobs(self.planner.matrix_jobs())
-
-    def _database_from_jobs(self,
-                            planned: Sequence[PlannedJob]) -> TraceDatabase:
-        """Execute ``planned`` and assemble the entries into a database."""
+    def _database_from_jobs(self, planned: Sequence[PlannedJob]
+                            ) -> Tuple[TraceDatabase, int]:
+        """Execute ``planned`` and assemble the entries into a database;
+        also returns how many simulations ran."""
+        entries, simulations = self._execute_planned_jobs(planned)
         database = TraceDatabase(config=self.config)
-        for entry in self._execute_planned_jobs(planned):
+        for entry in entries:
             database.install_entry(entry)
         self.database_builds += 1
-        return database
+        return database, simulations
 
-    def _execute_planned_jobs(
-            self, planned: Sequence[PlannedJob]) -> List[TraceEntry]:
-        """Run every planned job through the memoiser, in plan order.
+    def _execute_planned_jobs(self, planned: Sequence[PlannedJob]
+                              ) -> Tuple[List[TraceEntry], int]:
+        """Run the planned jobs through :meth:`SimulationCache.run_jobs`;
+        returns their entries in plan order and how many simulations ran.
 
-        This is the single execution path under both the legacy database
-        build and the plan/execute serving API: serial runs flow through
-        :meth:`SimulationCache.get_entry`, and with ``jobs > 1`` only the
-        cache misses fan out to :class:`ParallelSimulator` workers before
-        the returned entries land back in the shared memoiser — parallelism
-        and memoisation compose (a second session re-simulates nothing).
+        Only this session's config and mode at full detail qualify: a
+        foreign-config job would silently produce results for the wrong
+        hierarchy, and the database needs entries, not bare results.
         """
-        engine = SimulationEngine(config=self.config, mode=self.mode,
-                                  max_records=self.max_records)
-        entries: Dict[tuple, TraceEntry] = {}
-        pending: List[Tuple[PlannedJob, MemoryTrace, str]] = []
-        dispatched = set()
         for job in planned:
-            # Duplicate keys execute once even when the caller skipped
-            # merge_jobs (covers completed entries and still-pending ones).
-            if job.key in entries or job.key in dispatched:
-                continue
-            dispatched.add(job.key)
-            if (job.config_name != self.config.name
-                    or job.mode != self.mode):
-                # Executing a foreign-config job under this session's engine
-                # would silently produce results for the wrong hierarchy.
+            if ((job.config_name, job.mode, job.detail)
+                    != (self.config.name, self.mode, "full")):
                 raise ValueError(
-                    f"planned job {job!r} targets config/mode "
-                    f"({job.config_name!r}, {job.mode!r}); this session runs "
-                    f"({self.config.name!r}, {self.mode!r})")
-            trace, description = self.simulation_cache.get_trace(
-                job.workload, job.num_accesses, job.seed)
-            if self.jobs > 1:
-                entry = self.simulation_cache.peek_entry(
-                    engine, trace, job.policy, description=description)
-                if entry is None:
-                    pending.append((job, trace, description))
-                    continue
-            else:
-                entry = self.simulation_cache.get_entry(
-                    engine, trace, job.policy, description=description)
-            entries[job.key] = entry
-        if pending:
-            simulator = ParallelSimulator(
-                jobs=self.jobs, executor=self.executor, config=self.config,
-                mode=self.mode, max_records=self.max_records)
-            # trace=None: workers regenerate the identical trace from
-            # (workload, num_accesses, seed) — crc32-seeded generators are
-            # process-independent — which keeps the pickled payload to a few
-            # strings per job instead of one full trace copy per policy.
-            # Ingested traces are the exception: spawned workers cannot
-            # regenerate a trace that exists only in this process's registry
-            # (or a store manifest), so those jobs ship the trace itself.
-            simulation_jobs = [
-                SimulationJob(workload=trace.workload, policy=job.policy,
-                              num_accesses=job.num_accesses, seed=job.seed,
-                              description=description,
-                              trace=(trace if workload_kind(trace.workload)
-                                     == "ingested" else None))
-                for job, trace, description in pending
-            ]
-            for (job, trace, description), entry in zip(
-                    pending, simulator.run_entries(simulation_jobs)):
-                self.simulation_cache.put_entry(engine, trace, job.policy,
-                                                description, entry)
-                entries[job.key] = entry
-        return [entries[job.key] for job in planned]
+                    f"planned job {job!r} targets config/mode/detail "
+                    f"({job.config_name!r}, {job.mode!r}, {job.detail!r}); "
+                    f"this session runs ({self.config.name!r}, "
+                    f"{self.mode!r}, 'full')")
+        values, tally = self.simulation_cache.run_jobs(
+            planned, {self.config.name: self.config}, jobs=self.jobs,
+            executor=self.executor, max_records=self.max_records)
+        return [values[job.key] for job in planned], tally["simulations_run"]
 
     def simulate(self, workload: str, policy: str) -> SimulationResult:
         """One memoised simulation run (shares the session's cache)."""
@@ -783,37 +797,37 @@ class CacheMind:
         The batch's job sets are merged first
         (:meth:`QueryPlanner.merge_jobs`), so duplicate ``(workload,
         policy, config, detail)`` jobs simulate exactly once regardless of
-        how many plans name them; the merged set is dispatched through the
-        existing :class:`ParallelSimulator`/store machinery before any
-        answer is generated.  Answers are then produced sequentially in
-        plan order (conversation memory is order-sensitive).
+        how many plans name them; the merged set runs through
+        :meth:`SimulationCache.run_jobs` (memoiser, store, batch and
+        parallel dispatch) before any answer is generated.  Each response's
+        ``simulations_run`` counts the simulations this batch ran, not other
+        threads' traffic on the shared cache.  Answers are then produced
+        sequentially in plan order (conversation memory is
+        order-sensitive).
         """
         merged = self.planner.merge_jobs(plans)
         simulate_started = time.perf_counter()
-        misses_before = self.simulation_cache.stats()["misses"]
+        simulations = 0
         if plans:
-            if self._database is None:
-                matrix_keys = {job.key for job in self.planner.matrix_jobs()}
-                if {job.key for job in merged} >= matrix_keys:
-                    # The common case: the merged batch covers the session
-                    # matrix, so executing it IS the database build.
-                    self._database = self._database_from_jobs(merged)
-                else:
-                    # Hand-built plans with a narrower job set: honour
-                    # their jobs first, then complete the database
-                    # (already-executed jobs are cache hits, never
-                    # re-simulated).
-                    self._execute_planned_jobs(merged)
-                    _ = self.database
+            if (self._database is None
+                    and {job.key for job in merged}
+                    >= {job.key for job in self.planner.matrix_jobs()}):
+                # The common case: the merged batch covers the session
+                # matrix, so executing it IS the database build.
+                self._database, simulations = self._database_from_jobs(merged)
             else:
-                # Warm session: the batch's jobs must still be honoured —
-                # planner-emitted jobs are all memoiser hits (cheap
-                # lookups), but a hand-built plan naming an unexecuted or
-                # foreign-config job runs (or raises) here exactly like it
-                # would on a cold session.
-                self._execute_planned_jobs(merged)
+                # A warm session, or hand-built plans with a narrower job
+                # set: the batch's jobs are still honoured (planner-emitted
+                # jobs on a warm session are memoiser hits, while an
+                # unexecuted job runs and a foreign-config job raises), then
+                # a cold database is completed from the matrix (jobs just
+                # executed are hits, never re-simulated).
+                simulations = self._execute_planned_jobs(merged)[1]
+                if self._database is None:
+                    self._database, built = self._database_from_jobs(
+                        self.planner.matrix_jobs())
+                    simulations += built
         simulate_seconds = time.perf_counter() - simulate_started
-        simulations = self.simulation_cache.stats()["misses"] - misses_before
         duplicates = sum(len(plan.jobs) for plan in plans) - len(merged)
         # The simulation pass is shared by the whole batch: each response
         # carries its amortised share as "simulate" (so per-request totals

@@ -179,7 +179,7 @@ def run_perf_suite(quick: bool = False,
 
     def cold_build():
         cache = SimulationCache()
-        CacheMind(simulation_cache=cache, **session_kwargs)._build_database()
+        _ = CacheMind(simulation_cache=cache, **session_kwargs).database
 
     cold = _measure("database_build/cold_serial", cold_build, repeats,
                     pairs=len(workloads) * len(policies))
@@ -191,7 +191,7 @@ def run_perf_suite(quick: bool = False,
             cache = SimulationCache()
             session = CacheMind(simulation_cache=cache, jobs=jobs,
                                 **session_kwargs)
-            session._build_database()
+            _ = session.database
             return session
 
         # One untimed warm-up first: process pools pay a one-off interpreter
@@ -204,11 +204,11 @@ def run_perf_suite(quick: bool = False,
         timings.append(parallel)
 
     warm_cache = SimulationCache()
-    CacheMind(simulation_cache=warm_cache, **session_kwargs)._build_database()
+    _ = CacheMind(simulation_cache=warm_cache, **session_kwargs).database
     warm = _measure(
         "database_build/warm_memoised",
         lambda: CacheMind(simulation_cache=warm_cache,
-                          **session_kwargs)._build_database(),
+                          **session_kwargs).database,
         repeats, cache_stats=dict(warm_cache.stats()))
     timings.append(warm)
 
@@ -219,8 +219,8 @@ def run_perf_suite(quick: bool = False,
 
     def store_populate():
         TraceStore(store_path).clear()
-        CacheMind(simulation_cache=SimulationCache(store=store_path),
-                  **session_kwargs)._build_database()
+        _ = CacheMind(simulation_cache=SimulationCache(store=store_path),
+                      **session_kwargs).database
 
     populate = _measure("store/cold_build_and_save", store_populate, repeats,
                         store_dir=store_path)
@@ -232,7 +232,7 @@ def run_perf_suite(quick: bool = False,
         # A fresh SimulationCache per run models a brand-new process: the
         # only warmth is the on-disk store.
         cache = SimulationCache(store=store_path)
-        CacheMind(simulation_cache=cache, **session_kwargs)._build_database()
+        _ = CacheMind(simulation_cache=cache, **session_kwargs).database
         warm_store_stats.update(cache.stats())
 
     store_warm = _measure("database_build/store_warm", store_warm_build,

@@ -118,7 +118,8 @@ def _execute_job(payload: tuple):
                               max_records=max_records, detail=detail)
     result = engine.run(trace, job.policy)
     if want_entry:
-        # Imported lazily: repro.tracedb.database imports this module.
+        # Imported lazily: repro.tracedb.database imports repro.sim, whose
+        # package imports this module.
         from repro.tracedb.database import make_entry
         return make_entry(result, workload_description=description)
     return result

@@ -8,9 +8,9 @@ This package provides the external store that CacheMind retrievers query:
 * :mod:`~repro.tracedb.schema` -- the per-access record schema documented in
   section 4.3 of the paper (program counter, memory address, reuse distances,
   eviction metadata, source/assembly context, ...).
-* :mod:`~repro.tracedb.database` -- the builder that simulates every
-  workload under every policy and assembles the ``loaded_data`` dictionary
-  keyed by ``<workload>_evictions_<policy>``.
+* :mod:`~repro.tracedb.database` -- the per-(workload, policy) entries
+  and the ``loaded_data`` dictionary keyed by
+  ``<workload>_evictions_<policy>`` that a session's database build fills.
 * :mod:`~repro.tracedb.metadata` -- the whole-trace metadata summary string.
 * :mod:`~repro.tracedb.stats` -- the "cache statistical expert": per-PC and
   per-set statistics (miss rates, reuse distances, wrong-eviction ratios).
@@ -46,7 +46,6 @@ from repro.tracedb.stats import (
 from repro.tracedb.database import (
     TraceDatabase,
     TraceEntry,
-    build_database,
     make_entry,
     trace_key,
     parse_trace_key,
@@ -72,7 +71,6 @@ __all__ = [
     "WorkloadStatistics",
     "TraceDatabase",
     "TraceEntry",
-    "build_database",
     "make_entry",
     "trace_key",
     "parse_trace_key",

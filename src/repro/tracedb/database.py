@@ -1,4 +1,4 @@
-"""Trace database builder: the external store CacheMind retrieves from.
+"""Trace database: the external store CacheMind retrieves from.
 
 The store is organised exactly as in the paper (section 4.3): a dictionary
 ``loaded_data`` keyed by trace identifiers ``<workload>_evictions_<policy>``
@@ -8,31 +8,27 @@ The store is organised exactly as in the paper (section 4.3): a dictionary
 * ``metadata``     -- a single whole-trace summary string,
 * ``description``  -- a short human-readable workload + policy description.
 
-:func:`build_database` simulates every (workload, policy) pair with the
-simulation engine and assembles that dictionary, along with richer
-per-entry objects (:class:`TraceEntry`) that keep the simulation statistics
-and the synthetic binary image around for insight analyses.
+:func:`make_entry` derives one :class:`TraceEntry` (which also keeps the
+simulation statistics and the synthetic binary image around for insight
+analyses) from a simulation result, and :class:`TraceDatabase` holds the
+entries.  Building a database is a session's job: a
+:class:`~repro.core.pipeline.CacheMind` session's ``database`` runs its
+``workloads x policies`` matrix through
+:meth:`~repro.core.pipeline.SimulationCache.run_jobs` (memoised, persisted,
+batched per trace and optionally parallel) and installs the entries here.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import UnknownNameError
-from repro.policies.base import get_policy
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
-from repro.sim.batch import BatchSimulator, RolloutSpec
-from repro.sim.engine import SimulationEngine, SimulationResult
-from repro.sim.parallel import ParallelSimulator, SimulationJob
+from repro.sim.engine import SimulationResult
 from repro.tracedb.metadata import build_metadata_string
 from repro.tracedb.schema import records_to_table
 from repro.tracedb.stats import CacheStatisticalExpert, WorkloadStatistics
-from repro.tracedb.store import TraceStore, entry_key, simulation_key
 from repro.tracedb.table import Table
-from repro.workloads.generator import get_workload
-from repro.workloads.trace import MemoryTrace
 
 #: default workloads and policies used in the paper's evaluation.
 DEFAULT_WORKLOADS = ("astar", "lbm", "mcf")
@@ -153,13 +149,6 @@ class TraceDatabase:
     def add_entry(self, entry: TraceEntry) -> None:
         self.entries[entry.key] = entry
 
-    def add_result(self, result: SimulationResult,
-                   workload_description: str = "") -> TraceEntry:
-        """Convert a simulation result into a database entry and store it."""
-        entry = make_entry(result, workload_description=workload_description)
-        self.install_entry(entry)
-        return entry
-
     def install_entry(self, entry: TraceEntry) -> None:
         """Store a (possibly shared/memoised) entry plus its binary image."""
         self.add_entry(entry)
@@ -215,34 +204,6 @@ class TraceDatabase:
         return self.binaries.get(workload)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, workloads: Sequence[str] = DEFAULT_WORKLOADS,
-              policies: Sequence[str] = DEFAULT_POLICIES,
-              num_accesses: int = 20000,
-              config: HierarchyConfig = SMALL_CONFIG,
-              mode: str = "llc_only",
-              seed: int = 0,
-              traces: Optional[Dict[str, MemoryTrace]] = None,
-              max_records: Optional[int] = None,
-              jobs: int = 1,
-              executor: str = "auto",
-              store: Optional[object] = None) -> "TraceDatabase":
-        """Build a database, optionally in parallel (``jobs > 1``).
-
-        Parallel builds fan the (workload, policy) pairs out over a
-        :class:`~repro.sim.parallel.ParallelSimulator` and produce entries
-        identical to a serial build.  ``store`` (a
-        :class:`~repro.tracedb.store.TraceStore` or directory path) makes
-        the build persistent: cached entries are loaded instead of
-        simulated, and fresh entries are saved for future processes.
-        """
-        return build_database(workloads=workloads, policies=policies,
-                              num_accesses=num_accesses, config=config,
-                              mode=mode, seed=seed, traces=traces,
-                              max_records=max_records, jobs=jobs,
-                              executor=executor, store=store)
-
-    # ------------------------------------------------------------------
     def describe(self) -> str:
         lines = [f"trace database: {len(self.entries)} entries "
                  f"({len(self.workloads)} workloads x {len(self.policies)} policies)"]
@@ -253,120 +214,3 @@ class TraceDatabase:
                 f"{entry.statistics.miss_rate * 100:.2f}% miss rate")
         return "\n".join(lines)
 
-
-def build_database(workloads: Sequence[str] = DEFAULT_WORKLOADS,
-                   policies: Sequence[str] = DEFAULT_POLICIES,
-                   num_accesses: int = 20000,
-                   config: HierarchyConfig = SMALL_CONFIG,
-                   mode: str = "llc_only",
-                   seed: int = 0,
-                   traces: Optional[Dict[str, MemoryTrace]] = None,
-                   max_records: Optional[int] = None,
-                   jobs: int = 1,
-                   executor: str = "auto",
-                   store: Optional[object] = None) -> TraceDatabase:
-    """Simulate every (workload, policy) pair and build the database.
-
-    ``traces`` may supply pre-generated traces keyed by workload name (useful
-    for the microbenchmark use cases); missing workloads are generated with
-    their default generator.  ``jobs > 1`` fans the pairs out over a process
-    pool (falling back to threads/serial); because traces and policies are
-    deterministic, the parallel build is identical to the serial one.
-
-    ``store`` (a :class:`~repro.tracedb.store.TraceStore` or a directory
-    path) adds cross-process persistence: pairs already in the store are
-    loaded instead of simulated, and freshly simulated pairs are written
-    back, so repeated builds in fresh processes start warm.  Store keys
-    include the trace content fingerprint, so a changed generator or a
-    hand-supplied trace never matches a stale record.
-    """
-    if store is not None and not isinstance(store, TraceStore):
-        store = TraceStore(os.fspath(store))
-    database = TraceDatabase(config=config)
-    engine = SimulationEngine(config=config, mode=mode, max_records=max_records)
-
-    # Trace resolution: supplied traces are used as-is; otherwise traces are
-    # generated up front when needed in-process (serial run, or store keys
-    # that hash trace content).  A store-less parallel build skips parent
-    # generation entirely — workers regenerate deterministically.
-    need_traces = store is not None or jobs <= 1
-    trace_map: Dict[str, MemoryTrace] = {}
-    description_map: Dict[str, str] = {}
-    for workload_name in workloads:
-        if traces is not None and workload_name in traces:
-            trace_map[workload_name] = traces[workload_name]
-            description_map[workload_name] = traces[workload_name].description
-        elif need_traces:
-            generator = get_workload(workload_name, seed=seed)
-            trace_map[workload_name] = generator.generate(num_accesses)
-            description_map[workload_name] = generator.description
-        else:
-            description_map[workload_name] = ""
-
-    pending: List[Tuple[str, str]] = []
-    for workload_name in workloads:
-        for policy_name in policies:
-            if store is not None:
-                key = entry_key(engine, trace_map[workload_name], policy_name,
-                                description_map[workload_name])
-                entry = store.load_entry(key)
-                if entry is not None:
-                    database.install_entry(entry)
-                    continue
-            pending.append((workload_name, policy_name))
-
-    def persist(workload_name: str, policy_name: str, entry) -> None:
-        """Write both store records so any later lookup path starts warm."""
-        trace = trace_map[workload_name]
-        store.save_entry(
-            entry_key(engine, trace, policy_name,
-                      description_map[workload_name]),
-            entry)
-        if entry.result is not None:
-            store.save_result(simulation_key(engine, trace, policy_name),
-                              entry.result)
-
-    if jobs > 1 and pending:
-        simulation_jobs = [
-            # Traces already generated in the parent (supplied, or needed
-            # for store keys) ship with the job — MemoryTrace pickles at
-            # buffer speed — so workers never regenerate them.
-            SimulationJob(workload=workload_name, policy=policy_name,
-                          num_accesses=num_accesses, seed=seed,
-                          description=description_map[workload_name],
-                          trace=trace_map.get(workload_name))
-            for workload_name, policy_name in pending
-        ]
-        simulator = ParallelSimulator(jobs=jobs, executor=executor,
-                                      config=config, mode=mode,
-                                      max_records=max_records)
-        for (workload_name, policy_name), entry in zip(
-                pending, simulator.run_entries(simulation_jobs)):
-            if store is not None:
-                persist(workload_name, policy_name, entry)
-            database.install_entry(entry)
-        return database
-
-    # Serial build: policies pending for the same workload replay its trace
-    # as one batch over a shared replay core (order preserved: pending is
-    # workload-major with policies inner, and so is this flush).
-    by_workload: Dict[str, List[str]] = {}
-    for workload_name, policy_name in pending:
-        by_workload.setdefault(workload_name, []).append(policy_name)
-    for workload_name, policy_names in by_workload.items():
-        trace = trace_map[workload_name]
-        if len(policy_names) >= 2:
-            rollouts = [RolloutSpec(policy=policy_name, config=config,
-                                    mode=mode, detail=engine.detail,
-                                    max_records=max_records)
-                        for policy_name in policy_names]
-            results = BatchSimulator(trace).run(rollouts)
-        else:
-            results = [engine.run(trace, get_policy(policy_name))
-                       for policy_name in policy_names]
-        for policy_name, result in zip(policy_names, results):
-            entry = database.add_result(
-                result, workload_description=description_map[workload_name])
-            if store is not None:
-                persist(workload_name, policy_name, entry)
-    return database

@@ -6,9 +6,9 @@ standalone ``SimulationEngine.run`` with a policy *instance* (always the
 generic :meth:`Cache.access` loop) would, down to float accumulation order
 in the timing model and every column of the full-detail access log.  These
 tests pin that contract across the policy x workload x mode x detail
-matrix, plus the wiring that batches (ExperimentRunner, build_database,
-ParallelSimulator fallback) and the perf-report comparison tooling that
-rides along.
+matrix, plus the wiring that batches (``SimulationCache.run_jobs`` under
+experiment grids and session database builds, ParallelSimulator fallback)
+and the perf-report comparison tooling that rides along.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import pickle
 import pytest
 
 from repro.core.experiment import ExperimentRunner, ExperimentSpec
-from repro.core.pipeline import SimulationCache
+from repro.core.pipeline import CacheMind, SimulationCache
 from repro.policies import available_policies, get_policy
 from repro.sim.batch import (
     BatchSimulator,
@@ -30,7 +30,6 @@ from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import ParallelSimulator, SimulationJob, planned_strategy
 from repro.perf.harness import compare_reports, differing_params
-from repro.tracedb.database import build_database
 from repro.workloads.generator import generate_trace, get_workload
 
 NUM_ACCESSES = 600
@@ -210,7 +209,8 @@ def test_warm_store_rerun_simulates_zero_cells_after_batch(tmp_path):
             EXPERIMENT_SPEC)
     assert cold.counters["batch_cells"] > 0
     # A fresh memoiser models a brand-new process: the batch results were
-    # installed through put_result, so the store alone warms the re-run.
+    # installed (and persisted) by run_jobs, so the store alone warms the
+    # re-run.
     warm = ExperimentRunner(
         simulation_cache=SimulationCache(store=store_dir)).run(
             EXPERIMENT_SPEC)
@@ -224,9 +224,10 @@ def test_warm_store_rerun_simulates_zero_cells_after_batch(tmp_path):
 # database build wiring
 # ----------------------------------------------------------------------
 def test_build_database_serial_batches_policies_identically():
-    database = build_database(workloads=("astar",),
-                              policies=("lru", "belady", "srrip"),
-                              num_accesses=NUM_ACCESSES, config=TINY_CONFIG)
+    database = CacheMind(workloads=("astar",),
+                         policies=("lru", "belady", "srrip"),
+                         num_accesses=NUM_ACCESSES, config=TINY_CONFIG,
+                         simulation_cache=SimulationCache()).database
     trace = generate_trace("astar", NUM_ACCESSES, seed=0)
     engine = SimulationEngine(config=TINY_CONFIG, mode="llc_only")
     for policy in ("lru", "belady", "srrip"):

@@ -374,6 +374,28 @@ def test_session_run_experiment_crosses_configs(session):
     assert session.database_builds == 0  # no database build happened
 
 
+def test_database_build_warms_the_session_grid(session, fresh_cache):
+    """Asks and grids share one executor: a grid over the session matrix
+    after the database build reads the same memoised entries."""
+    _ = session.database
+    misses = fresh_cache.stats()["misses"]
+    result = session.run_experiment(session.experiment_spec())
+    assert result.counters["simulations_run"] == 0
+    assert result.counters["cache_hits"] == result.counters["unique_jobs"]
+    assert fresh_cache.stats()["misses"] == misses
+
+
+def test_grid_warms_the_session_ask(session, fresh_cache):
+    """...and vice versa: an ask after the grid simulates nothing."""
+    result = session.run_experiment(session.experiment_spec())
+    assert result.counters["simulations_run"] == result.counters[
+        "unique_jobs"]
+    misses = fresh_cache.stats()["misses"]
+    response = session.ask_request("What is the miss rate of lru on astar?")
+    assert response.simulations_run == 0
+    assert fresh_cache.stats()["misses"] == misses
+
+
 def test_compare_policies_subset_skips_database_build(fresh_cache):
     session = CacheMind(simulation_cache=fresh_cache, **SESSION_KWARGS)
     table = session.compare_policies(workload="astar", policies=["lru"])
@@ -447,16 +469,6 @@ def test_describe_reports_store_and_experiment_configs(tmp_path):
     assert "tiny-llc2x" in description
     assert "trace store:" in description
     assert "0 records" not in description
-
-
-def test_simulation_cache_peek_and_put_result(fresh_cache):
-    engine = SimulationEngine(config=TINY_CONFIG, detail="stats")
-    trace = generate_trace("astar", 400, 0)
-    assert fresh_cache.peek_result(engine, trace, "lru") is None
-    result = engine.run(trace, "lru")
-    fresh_cache.put_result(engine, trace, "lru", result)
-    assert fresh_cache.peek_result(engine, trace, "lru") is result
-    assert fresh_cache.stats()["misses"] == 1
 
 
 # ----------------------------------------------------------------------

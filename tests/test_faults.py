@@ -49,10 +49,11 @@ SESSION_KWARGS = dict(workloads=["astar"], policies=["lru"],
                       num_accesses=NUM_ACCESSES, config=TINY_CONFIG, seed=0)
 
 
-def _session(store_dir=None):
+def _session(store_dir=None, **overrides):
     store = TraceStore(str(store_dir)) if store_dir is not None else None
     cache = SimulationCache(store=store)
-    return CacheMind(simulation_cache=cache, **SESSION_KWARGS), cache
+    return CacheMind(simulation_cache=cache,
+                     **{**SESSION_KWARGS, **overrides}), cache
 
 
 def _table_bytes(entry):
@@ -256,17 +257,23 @@ def test_worker_scoped_rule_never_fires_in_the_parent_process():
 # ----------------------------------------------------------------------
 # store: torn writes, transient reads, full corruption matrix
 # ----------------------------------------------------------------------
-def test_torn_entry_write_heals_with_zero_resimulation(tmp_path):
+@pytest.mark.parametrize("cold_route", ["serial", "threads", "grid"])
+def test_torn_entry_write_heals_with_zero_resimulation(tmp_path, cold_route):
     reference_session, _ = _session()
     reference = _table_bytes(reference_session.database.entry(
         "astar_evictions_lru"))
-    # Write #1 is the simulation result, #2 the derived entry: tearing the
-    # entry leaves the result intact, so a warm start rebuilds the entry
-    # from it without re-simulating anything.
+    # Every route writes the simulation result first and the derived entry
+    # second: tearing write #2 leaves the result intact, so a warm start
+    # rebuilds the entry from it without re-simulating anything.
     plan = FaultPlan([FaultRule("store.write", action="truncate", nth=2)])
     with thread_scope(plan):
-        cold_session, _ = _session(tmp_path)
-        _ = cold_session.database
+        overrides = (dict(jobs=2, executor="thread")
+                     if cold_route == "threads" else {})
+        cold_session, _ = _session(tmp_path, **overrides)
+        if cold_route == "grid":
+            cold_session.run_experiment(cold_session.experiment_spec())
+        else:
+            _ = cold_session.database
     assert plan.triggered == 1
 
     with pytest.warns(StoreCorruptionWarning):

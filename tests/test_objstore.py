@@ -303,12 +303,12 @@ def test_read_only_mount_never_creates_or_mutates_anything(tmp_path):
 def test_cachemind_read_only_store_skips_persistence(tmp_path):
     # Writer session populates; a read-only replica answers warm and
     # persists nothing new.
-    CacheMind(store_dir=str(tmp_path), **SESSION_KWARGS)._build_database()
+    _ = CacheMind(store_dir=str(tmp_path), **SESSION_KWARGS).database
     before = TraceStore(str(tmp_path)).index_bytes()
     cache = SimulationCache()
     replica = CacheMind(store_dir=str(tmp_path), store_read_only=True,
                         simulation_cache=cache, **SESSION_KWARGS)
-    replica._build_database()
+    _ = replica.database
     assert cache.misses == 0 and cache.store_hits > 0
     assert cache.store.read_only
     assert cache.store.saves == 0

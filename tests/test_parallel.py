@@ -13,8 +13,8 @@ from repro.core.pipeline import CacheMind, SimulationCache
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import ParallelSimulator, SimulationJob, default_jobs
-from repro.tracedb.database import TraceDatabase, build_database
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import generate_trace, unregister_workload
+from repro.workloads.ingest import register_trace
 
 WORKLOADS = ("astar", "lbm")
 POLICIES = ("lru", "belady")
@@ -27,10 +27,12 @@ def _table_bytes(entry):
                       default=str).encode("utf-8")
 
 
-def _build(jobs, executor="auto"):
-    return build_database(workloads=WORKLOADS, policies=POLICIES,
-                          num_accesses=NUM_ACCESSES, config=TINY_CONFIG,
-                          jobs=jobs, executor=executor)
+def _build(jobs, executor="auto", workloads=WORKLOADS):
+    """A fresh session's database (the one way to build one)."""
+    return CacheMind(workloads=workloads, policies=POLICIES,
+                     num_accesses=NUM_ACCESSES, config=TINY_CONFIG,
+                     simulation_cache=SimulationCache(), jobs=jobs,
+                     executor=executor).database
 
 
 @pytest.mark.parametrize("executor", ["process", "thread"])
@@ -46,22 +48,30 @@ def test_parallel_build_identical_to_serial(executor):
         assert serial_entry.statistics == parallel_entry.statistics
 
 
-def test_tracedatabase_build_classmethod():
-    database = TraceDatabase.build(workloads=("astar",), policies=("lru",),
-                                   num_accesses=NUM_ACCESSES,
-                                   config=TINY_CONFIG, jobs=2)
-    assert "astar_evictions_lru" in database
-    assert len(database) == 1
+def test_parallel_build_ships_ingested_traces(monkeypatch):
+    """Workers cannot regenerate an ingested trace (it exists only in this
+    process's registry or a store manifest), so every job a parallel build
+    dispatches for one must carry the trace itself."""
+    name = register_trace(generate_trace("astar", NUM_ACCESSES, seed=3),
+                          name="ingested_parallel")
+    dispatched = []
+    run_entries = ParallelSimulator.run_entries
 
+    def recording(simulator, jobs):
+        dispatched.extend(jobs)
+        return run_entries(simulator, jobs)
 
-def test_parallel_build_with_supplied_traces():
-    trace = generate_trace("astar", NUM_ACCESSES, seed=3)
-    serial = build_database(workloads=("astar",), policies=POLICIES,
-                            num_accesses=NUM_ACCESSES, config=TINY_CONFIG,
-                            traces={"astar": trace}, jobs=1)
-    parallel = build_database(workloads=("astar",), policies=POLICIES,
-                              num_accesses=NUM_ACCESSES, config=TINY_CONFIG,
-                              traces={"astar": trace}, jobs=2)
+    monkeypatch.setattr(ParallelSimulator, "run_entries", recording)
+    try:
+        serial = _build(jobs=1, workloads=(name,))
+        assert dispatched == []
+        parallel = _build(jobs=2, workloads=(name,))
+    finally:
+        unregister_workload(name)
+    assert [job.policy for job in dispatched] == list(POLICIES)
+    assert all(job.trace is not None and job.trace.workload == name
+               for job in dispatched)
+    assert serial.keys() == parallel.keys()
     for key in serial.keys():
         assert _table_bytes(serial.entry(key)) == _table_bytes(parallel.entry(key))
 

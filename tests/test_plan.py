@@ -15,6 +15,8 @@ from repro.core.plan import (
     merge_jobs,
 )
 from repro.errors import UnknownNameError
+from repro.sim.engine import SimulationEngine
+from repro.workloads.generator import generate_trace
 
 from conftest import SESSION_KWARGS
 
@@ -127,6 +129,31 @@ def test_ask_response_carries_batch_dedup_counts(session):
     assert all(response.simulations_run == 0 for response in warm)
 
 
+def test_simulations_run_ignores_concurrent_cache_traffic(fresh_cache):
+    """``simulations_run`` counts this batch's simulations only: a foreign
+    simulation on the shared cache mid-ask (the serving layer runs grids
+    outside its lock) must not leak into the reply."""
+    session = CacheMind(workloads=["astar"], policies=["lru", "belady"],
+                        num_accesses=SESSION_KWARGS["num_accesses"],
+                        config=SESSION_KWARGS["config"],
+                        simulation_cache=fresh_cache)
+    get_trace = fresh_cache.get_trace
+    foreign = []
+
+    def get_trace_with_foreign_traffic(*args):
+        if not foreign:
+            engine = SimulationEngine(config=SESSION_KWARGS["config"])
+            foreign.append(fresh_cache.get_or_run(
+                engine, generate_trace("mcf", 300, 0), "lru"))
+        return get_trace(*args)
+
+    fresh_cache.get_trace = get_trace_with_foreign_traffic
+    response = session.ask_request("What is the miss rate of lru on astar?")
+    assert len(foreign) == 1
+    assert fresh_cache.stats()["misses"] == 3
+    assert response.simulations_run == 2
+
+
 def test_ask_request_response_envelope(session):
     response = session.ask_request("What is the miss rate of lru on astar?")
     assert isinstance(response, AskResponse)
@@ -153,6 +180,14 @@ def test_execute_rejects_foreign_config_jobs(session):
                          seed=0, config_name="paper", mode="llc_only")
     with pytest.raises(ValueError):
         session._execute_planned_jobs([foreign])
+    # The database needs entries: a stats-detail job is refused too rather
+    # than silently running at full detail.
+    stats_job = PlannedJob(workload="astar", policy="lru",
+                           num_accesses=SESSION_KWARGS["num_accesses"],
+                           seed=0, config_name=SESSION_KWARGS["config"].name,
+                           mode="llc_only", detail="stats")
+    with pytest.raises(ValueError):
+        session._execute_planned_jobs([stats_job])
     # The same validation fires through execute() even once the database
     # is warm — a hand-built plan's jobs are never silently skipped.
     session.ask("What is the miss rate of lru on astar?")

@@ -16,7 +16,6 @@ from repro.core.pipeline import CacheMind, SimulationCache
 from repro.errors import StoreVersionError
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import SimulationEngine
-from repro.tracedb.database import build_database
 from repro.tracedb.store import (
     STORE_SCHEMA_VERSION,
     StoreCorruptionWarning,
@@ -115,14 +114,11 @@ def test_builds_persist_results_so_simulate_is_warm_too(tmp_path):
 
 
 def test_build_database_with_store_loads_instead_of_simulating(tmp_path):
-    first = build_database(workloads=WORKLOADS, policies=POLICIES,
-                           num_accesses=NUM_ACCESSES, config=TINY_CONFIG,
-                           store=str(tmp_path))
+    first = CacheMind(store_dir=str(tmp_path), **SESSION_KWARGS).database
     store = TraceStore(str(tmp_path))
     assert store.info()["entries"] == len(WORKLOADS) * len(POLICIES)
-    second = build_database(workloads=WORKLOADS, policies=POLICIES,
-                            num_accesses=NUM_ACCESSES, config=TINY_CONFIG,
-                            store=store)
+    second = CacheMind(simulation_cache=SimulationCache(store=store),
+                       **SESSION_KWARGS).database
     loads_before = store.loads
     assert loads_before >= len(WORKLOADS) * len(POLICIES)
     for key in first.keys():
@@ -218,7 +214,9 @@ def _truncate(path):
         handle.write(data[: len(data) // 2])
 
 
-def test_truncated_entry_warns_and_recovers_from_result_record(tmp_path):
+@pytest.mark.parametrize("warm_route", ["database", "grid"])
+def test_truncated_entry_warns_and_recovers_from_result_record(tmp_path,
+                                                               warm_route):
     cold_session, _ = _session(tmp_path)
     _ = cold_session.database
     # Builds persist entry- and result- records; damage one entry record.
@@ -226,11 +224,16 @@ def test_truncated_entry_warns_and_recovers_from_result_record(tmp_path):
 
     warm_session, warm_cache = _session(tmp_path)
     with pytest.warns(StoreCorruptionWarning):
-        warm_db = warm_session.database
+        if warm_route == "database":
+            cells = len(warm_session.database)
+        else:
+            grid = warm_session.run_experiment(warm_session.experiment_spec())
+            assert grid.counters["simulations_run"] == 0
+            cells = len(grid)
     # The surviving result record covers the damaged entry: the table is
-    # re-derived but nothing re-simulates.
+    # re-derived but nothing re-simulates, on either warm route.
     assert warm_cache.misses == 0
-    assert len(warm_db) == len(WORKLOADS) * len(POLICIES)
+    assert cells == len(WORKLOADS) * len(POLICIES)
 
 
 def test_fully_corrupt_store_warns_and_resimulates(tmp_path):
