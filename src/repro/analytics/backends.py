@@ -1,9 +1,12 @@
 """The analytics executor: runs :class:`~repro.analytics.query.Query` objects.
 
 :class:`StdlibBackend` holds registered :class:`~repro.tracedb.table.Table`
-objects by reference and executes queries directly over their column lists
-— no row dicts are materialised, so filtering/grouping large tables stays
-O(columns touched), not O(rows × columns).
+objects by reference and executes queries directly over their column
+sequences — no row dicts are materialised and no column is copied, so
+filtering/grouping large tables stays O(columns touched), not
+O(rows × columns).  A lazy column (:class:`~repro.tracedb.table.LazyColumn`)
+builds only the cells a query reads, and a result keeps it lazy as a view
+of the selected rows.
 
 Results are in the engine's canonical value domain: booleans become
 ``0``/``1`` and ``NaN`` becomes ``None``, and every query result carries a
@@ -19,7 +22,7 @@ from functools import cmp_to_key
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import UnknownNameError
-from ..tracedb.table import Column, Table
+from ..tracedb.table import Column, ColumnValues, LazyColumn, Table, take_values
 from .query import Query, as_query
 
 
@@ -255,7 +258,7 @@ class StdlibBackend:
         if query.join is not None:
             data, count = self._joined_columns(query, sources, left)
         else:
-            data = {source.name: left[source.column].values for source in sources}
+            data = {source.name: left.sequence(source.column) for source in sources}
             count = len(left)
 
         indices = self._filter_indices(query, data, count)
@@ -280,36 +283,36 @@ class StdlibBackend:
             indices = indices[: query.limit]
         chosen = query.select or tuple(source.name for source in sources)
         return Table.from_columns(
-            {name: [canonical_value(data[name][i]) for i in indices] for name in chosen}
+            {name: _output_values(data[name], indices) for name in chosen}
         )
 
     def _joined_columns(
         self, query: Query, sources: List[_Source], left: Table
-    ) -> Tuple[Dict[str, List[Any]], int]:
+    ) -> Tuple[Dict[str, ColumnValues], int]:
         """Materialise the inner-joined namespace columns (hash join on the
         right side, output in left-major order; NULL keys never match)."""
         join = query.join
         right = self._tables[join.table]
         right_keys: Dict[Tuple[Any, ...], List[int]] = {}
-        right_key_cols = [right[col].values for _, col in join.on]
+        right_key_cols = [right.sequence(col) for _, col in join.on]
         for j in range(len(right)):
             key = tuple(canonical_value(values[j]) for values in right_key_cols)
             if any(part is None for part in key):
                 continue
             right_keys.setdefault(key, []).append(j)
         pairs: List[Tuple[int, int]] = []
-        left_key_cols = [left[col].values for col, _ in join.on]
+        left_key_cols = [left.sequence(col) for col, _ in join.on]
         for i in range(len(left)):
             key = tuple(canonical_value(values[i]) for values in left_key_cols)
             if any(part is None for part in key):
                 continue
             for j in right_keys.get(key, ()):
                 pairs.append((i, j))
-        data: Dict[str, List[Any]] = {}
+        data: Dict[str, ColumnValues] = {}
         for source in sources:
-            values = (left if source.side == "l" else right)[source.column].values
+            values = (left if source.side == "l" else right).sequence(source.column)
             picker = 0 if source.side == "l" else 1
-            data[source.name] = [values[pair[picker]] for pair in pairs]
+            data[source.name] = take_values(values, [pair[picker] for pair in pairs])
         return data, len(pairs)
 
     def _filter_indices(
@@ -364,6 +367,14 @@ class StdlibBackend:
         keys = [(by_name[spec.column], spec.descending) for spec in query.order_by]
         positions.sort(key=_order_comparator(keys))
         return positions
+
+
+def _output_values(values: ColumnValues, indices: List[int]) -> ColumnValues:
+    """A result column: a lazy column stays a view (its cells are canonical
+    already), any other is copied in canonical form."""
+    if isinstance(values, LazyColumn):
+        return values.take(indices)
+    return [canonical_value(values[i]) for i in indices]
 
 
 def run_query(query: Union[Query, Mapping[str, Any]], tables: Mapping[str, Table]) -> Table:

@@ -122,17 +122,6 @@ class HierarchyConfig:
         lines.append("  DRAM       " + self.dram.describe())
         return "\n".join(lines)
 
-    def as_table_rows(self) -> Dict[str, str]:
-        """Component -> configuration string, mirroring Table 2."""
-        rows = {"Processor": self.core.describe()}
-        if self.l1i is not None:
-            rows["L1 I-Cache"] = self.l1i.describe()
-        rows["L1 D-Cache"] = self.l1d.describe()
-        rows["L2 Cache"] = self.l2.describe()
-        rows["LLC"] = self.llc.describe()
-        rows["DRAM"] = self.dram.describe()
-        return rows
-
     def scaled_llc(self, size_bytes: int, num_ways: Optional[int] = None,
                    name: Optional[str] = None) -> "HierarchyConfig":
         """Return a copy with a different LLC capacity (for sweeps).

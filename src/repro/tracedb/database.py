@@ -26,7 +26,6 @@ from repro.errors import UnknownNameError
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
 from repro.sim.engine import SimulationResult
 from repro.tracedb.metadata import build_metadata_string
-from repro.tracedb.schema import records_to_table
 from repro.tracedb.stats import CacheStatisticalExpert, WorkloadStatistics
 from repro.tracedb.table import Table
 
@@ -115,13 +114,18 @@ class TraceEntry:
 def make_entry(result: SimulationResult,
                workload_description: str = "") -> TraceEntry:
     """Derive a database entry (table, statistics, metadata) from one
-    simulation result.
+    full-detail simulation result.
 
     The data frame is assembled column-by-column from the result's columnar
-    access log (byte-identical to the legacy row-materialised path, without
-    building a dict per row)."""
-    table = (result.log.to_table() if result.log is not None
-             else records_to_table(result.records))
+    access log (equal to the legacy row-materialised path, without building
+    a dict per row).  A stats-detail result has no log to build it from and
+    is refused."""
+    if result.log is None:
+        raise ValueError(
+            f"make_entry needs a full-detail result with an access log; "
+            f"{result.workload}/{result.policy_name} was replayed at "
+            f"{result.detail!r} detail")
+    table = result.log.to_table()
     stats = CacheStatisticalExpert(table).workload_statistics()
     workload_part = workload_description or f"workload {result.workload}"
     description = (f"Replacement Policy: {result.policy_description} "

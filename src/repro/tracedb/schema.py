@@ -5,10 +5,13 @@ listed in :data:`ACCESS_COLUMNS`.  :class:`AccessLog` is the columnar
 in-memory representation the simulation engine appends into (typed arrays
 plus ragged object columns); :meth:`AccessLog.to_table` builds the canonical
 :class:`~repro.tracedb.table.Table` column-by-column, which is what Sieve
-filters and Ranger-generated code query.  :class:`AccessRecord` remains the
+filters and Ranger-generated code query.  Its 17 scalar columns are built
+eagerly; the four policy-snapshot columns are
+:class:`~repro.tracedb.table.LazyColumn` views over the log's flat arrays,
+each cell formatted on first read.  :class:`AccessRecord` remains the
 per-access *row view* — ``AccessLog.to_records`` materialises it on demand,
 and ``records_to_table`` still converts row lists for hand-built inputs; both
-paths produce byte-identical tables.
+paths produce identical table values.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from array import array
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.tracedb.table import Table
+from repro.tracedb.table import LazyColumn, Table
 
 #: Column order of the per-access data frame (paper section 4.3).
 ACCESS_COLUMNS: Tuple[str, ...] = (
@@ -73,6 +76,11 @@ def format_pc(pc: int) -> str:
 def format_address(address: int) -> str:
     """Render a memory (block) address the way the paper does."""
     return f"0x{address:x}"
+
+
+def _formatted(pairs: List[Tuple[int, int]]) -> List[Tuple[str, str]]:
+    """``(block, pc)`` pairs as the ``(address, pc)`` strings of a row."""
+    return [(format_address(addr), format_pc(pc)) for addr, pc in pairs]
 
 
 def describe_recency(recency: Optional[int]) -> str:
@@ -201,8 +209,9 @@ class AccessLog:
     is what makes the persistent store's warm starts fast.  Per-PC source
     context stays as string lists (pickle deduplicates the shared per-PC
     string objects).  ``to_table`` builds the canonical data frame directly
-    from these columns — no intermediate row dictionaries — and is
-    byte-identical to ``records_to_table(log.to_records())``.
+    from these columns — no intermediate row dictionaries, snapshot cells
+    only when read — and its values equal
+    ``records_to_table(log.to_records())``.
     """
 
     __slots__ = ("access_indices", "pcs", "block_addresses", "set_ids",
@@ -313,16 +322,16 @@ class AccessLog:
     def to_table(self) -> Table:
         """Build the canonical data frame column-by-column (no row dicts).
 
-        Every formatted value matches :meth:`AccessRecord.to_row` exactly,
-        so tables from this path are byte-identical to the row-materialised
+        The scalar columns are built now.  The four snapshot columns are
+        :class:`LazyColumn` views over the flat arrays: a cell is formatted
+        when first read, so a table whose snapshots nobody reads costs no
+        snapshot formatting.  Every value matches :meth:`AccessRecord.to_row`
+        exactly, so tables from this path equal the row-materialised
         ``records_to_table`` output.
         """
         size = len(self)
-        formatted_lines = [
-            [(format_address(addr), format_pc(pc)) for addr, pc in self.row_lines(i)]
-            for i in range(size)
-        ]
-        columns: Dict[str, List[Any]] = {
+        lines = LazyColumn(lambda i: _formatted(self.row_lines(i)), size)
+        columns: Dict[str, Any] = {
             "access_index": list(self.access_indices),
             "program_counter": [format_pc(pc) for pc in self.pcs],
             "memory_address": [format_address(addr)
@@ -346,15 +355,13 @@ class AccessLog:
             "function_name": list(self.function_names),
             "function_code": list(self.function_codes),
             "assembly_code": list(self.assembly_codes),
-            "current_cache_lines": formatted_lines,
-            "recent_access_history": [
-                [(format_address(addr), format_pc(pc))
-                 for addr, pc in self.row_history(i)]
-                for i in range(size)],
-            "cache_line_eviction_scores": [self.row_scores(i)
-                                           for i in range(size)],
-            "current_cache_line_addresses": [
-                [addr for addr, _pc in lines] for lines in formatted_lines],
+            "current_cache_lines": lines,
+            "recent_access_history": LazyColumn(
+                lambda i: _formatted(self.row_history(i)), size),
+            "cache_line_eviction_scores": LazyColumn(self.row_scores, size),
+            # Shares the address strings of the row's current_cache_lines.
+            "current_cache_line_addresses": LazyColumn(
+                lambda i: [addr for addr, _pc in lines[i]], size),
             "evicted_address_reuse_distance_numeric": list(self.evicted_reuse),
             "accessed_address_reuse_distance_numeric": list(self.accessed_reuse),
             "accessed_address_recency_numeric": list(self.recencies),

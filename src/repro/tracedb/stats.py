@@ -4,17 +4,19 @@ The paper's Sieve pipeline includes a "Cache Statistical Expert" stage that,
 for the PCs present in a retrieved slice, computes "miss rate, access and
 eviction reuse distances, and percentage of bad evictions" (section 3.2.3).
 :class:`CacheStatisticalExpert` implements exactly those helpers on top of a
-trace :class:`~repro.tracedb.table.Table`, plus the per-set hotness and
-whole-trace summaries the metadata string and the insight analyses need.
+trace :class:`~repro.tracedb.table.Table`, plus the per-set and whole-trace
+summaries the metadata string and the insight analyses need.  Every helper
+reads only the scalar columns it needs, zipped column by column, so the
+table's lazily built snapshot columns are never formatted here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-from repro.tracedb.schema import HIT_LABEL, MISS_LABEL, NEVER_REUSED
+from repro.tracedb.schema import HIT_LABEL, NEVER_REUSED
 from repro.tracedb.table import Table
 
 
@@ -113,6 +115,26 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
     return cov / math.sqrt(var_x * var_y)
 
 
+def _evictions(table: Table) -> Tuple[int, int]:
+    """``(evictions, bad evictions)`` of a trace table.  A bad ("wrong" in
+    the paper) eviction's victim was needed again sooner than the inserted
+    line."""
+    total = 0
+    bad = 0
+    for evicted, evicted_rd, accessed_rd in zip(
+            table.sequence("evicted_address"),
+            table.sequence("evicted_address_reuse_distance_numeric"),
+            table.sequence("accessed_address_reuse_distance_numeric")):
+        if not evicted:
+            continue
+        total += 1
+        if evicted_rd is None or evicted_rd == NEVER_REUSED:
+            continue
+        if accessed_rd is None or accessed_rd == NEVER_REUSED or evicted_rd < accessed_rd:
+            bad += 1
+    return total, bad
+
+
 class CacheStatisticalExpert:
     """Computes per-PC / per-set / whole-trace statistics over a trace table.
 
@@ -166,7 +188,7 @@ class CacheStatisticalExpert:
         accesses = len(rows)
         hits = sum(1 for value in rows["evict"].values if value == HIT_LABEL)
         misses = accesses - hits
-        evicted = [value for value in rows["evicted_address"].values if value]
+        evictions, bad = _evictions(rows)
         accessed_rd = [value for value in
                        rows["accessed_address_reuse_distance_numeric"].values
                        if value is not None and value != NEVER_REUSED]
@@ -176,7 +198,6 @@ class CacheStatisticalExpert:
         recency = [value for value in
                    rows["accessed_address_recency_numeric"].values
                    if value is not None and value != NEVER_REUSED]
-        bad_fraction = self._bad_eviction_fraction(rows)
         function_names = [value for value in rows["function_name"].values if value]
         reuse_std = None
         if accessed_rd:
@@ -188,39 +209,19 @@ class CacheStatisticalExpert:
             accesses=accesses,
             hits=hits,
             misses=misses,
-            evictions_caused=len(evicted),
+            evictions_caused=evictions,
             mean_accessed_reuse_distance=(
                 sum(accessed_rd) / len(accessed_rd) if accessed_rd else None),
             mean_evicted_reuse_distance=(
                 sum(evicted_rd) / len(evicted_rd) if evicted_rd else None),
             reuse_distance_std=reuse_std,
             mean_recency=sum(recency) / len(recency) if recency else None,
-            bad_eviction_fraction=bad_fraction,
+            bad_eviction_fraction=bad / evictions if evictions else None,
             function_name=function_names[0] if function_names else "",
         )
 
     def all_pc_statistics(self) -> List[PCStatistics]:
         return [self.pc_statistics(pc) for pc in self.pcs()]
-
-    @staticmethod
-    def _bad_eviction_fraction(rows: Table) -> Optional[float]:
-        """Fraction of evictions where the victim was needed sooner than the
-        inserted line ("wrong"/"bad" evictions in the paper)."""
-        bad = 0
-        total = 0
-        for row in rows.iter_rows():
-            if not row["evicted_address"]:
-                continue
-            total += 1
-            evicted_rd = row["evicted_address_reuse_distance_numeric"]
-            accessed_rd = row["accessed_address_reuse_distance_numeric"]
-            if evicted_rd is None or evicted_rd == NEVER_REUSED:
-                continue
-            if accessed_rd is None or accessed_rd == NEVER_REUSED or evicted_rd < accessed_rd:
-                bad += 1
-        if total == 0:
-            return None
-        return bad / total
 
     # ------------------------------------------------------------------
     # per-set statistics
@@ -236,46 +237,22 @@ class CacheStatisticalExpert:
     def all_set_statistics(self) -> List[SetStatistics]:
         return [self.set_statistics(set_id) for set_id in self.sets()]
 
-    def hot_and_cold_sets(self, count: int = 5,
-                          by: str = "accesses") -> Tuple[List[int], List[int]]:
-        """Return the ``count`` hottest and coldest sets.
-
-        ``by`` selects the hotness metric: ``"accesses"`` (activity) or
-        ``"hit_rate"`` (the metric used in the Figure 13 chat session).
-        """
-        stats = self.all_set_statistics()
-        if by == "hit_rate":
-            ordered = sorted(stats, key=lambda s: (s.hit_rate, s.accesses), reverse=True)
-        else:
-            ordered = sorted(stats, key=lambda s: (s.accesses, s.hit_rate), reverse=True)
-        hot = [s.set_id for s in ordered[:count]]
-        cold = [s.set_id for s in ordered[-count:]] if len(ordered) >= count else []
-        return hot, cold
-
     # ------------------------------------------------------------------
     # whole-trace statistics
     # ------------------------------------------------------------------
     def workload_statistics(self) -> WorkloadStatistics:
         table = self.table
         total = len(table)
-        misses = sum(value for value in table["is_miss"].values)
-        evictions = sum(1 for value in table["evicted_address"].values if value)
+        misses = sum(table.sequence("is_miss"))
+        evictions, wrong = _evictions(table)
         miss_types = table["miss_type"].value_counts()
-        wrong = 0
         recency_values: List[float] = []
         miss_values: List[float] = []
-        for row in table.iter_rows():
-            if row["evicted_address"]:
-                evicted_rd = row["evicted_address_reuse_distance_numeric"]
-                accessed_rd = row["accessed_address_reuse_distance_numeric"]
-                if evicted_rd is not None and evicted_rd != NEVER_REUSED:
-                    if (accessed_rd is None or accessed_rd == NEVER_REUSED
-                            or evicted_rd < accessed_rd):
-                        wrong += 1
-            recency = row["accessed_address_recency_numeric"]
+        for recency, miss in zip(table.sequence("accessed_address_recency_numeric"),
+                                 table.sequence("is_miss")):
             if recency is not None and recency != NEVER_REUSED:
                 recency_values.append(float(recency))
-                miss_values.append(float(row["is_miss"]))
+                miss_values.append(float(miss))
         return WorkloadStatistics(
             total_accesses=total,
             total_misses=misses,
@@ -303,29 +280,3 @@ class CacheStatisticalExpert:
             aggregates=(Aggregate("count", alias="n"),),
         ))
         return result["n"].values[0]
-
-    def hit_or_miss(self, pc: str, address: str) -> Optional[str]:
-        """Outcome label of the first access matching (pc, address)."""
-        rows = self._slice_query(program_counter=pc, memory_address=address)
-        if len(rows) == 0:
-            return None
-        outcomes = rows["evict"].values
-        # The paper's benchmark treats the (pc, address) pair as a single
-        # verifiable fact; report the majority outcome for robustness.
-        hits = sum(1 for value in outcomes if value == HIT_LABEL)
-        return HIT_LABEL if hits * 2 > len(outcomes) else MISS_LABEL
-
-    def miss_rate_for_pc(self, pc: str) -> Optional[float]:
-        rows = self.pc_slice(pc)
-        if len(rows) == 0:
-            return None
-        return sum(rows["is_miss"].values) / len(rows)
-
-    def mean_evicted_reuse_distance_for_pc(self, pc: str) -> Optional[float]:
-        rows = self.pc_slice(pc)
-        values = [value for value in
-                  rows["evicted_address_reuse_distance_numeric"].values
-                  if value is not None and value != NEVER_REUSED]
-        if not values:
-            return None
-        return sum(values) / len(values)

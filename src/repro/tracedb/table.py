@@ -11,15 +11,83 @@ behaviour the retrievers and the Ranger-generated code rely on:
 * numeric aggregations (mean, sum, min, max, count),
 * value counting and unique extraction.
 
-The implementation deliberately keeps data as plain Python lists per column:
-trace values are a mix of ints, floats and strings, and the table sizes used
-in this reproduction (tens of thousands of rows) do not need vectorisation.
+The implementation keeps data as plain Python lists per column: trace values
+are a mix of ints, floats and strings, and the table sizes used in this
+reproduction (tens of thousands of rows) do not need vectorisation.  A
+column may instead be a :class:`LazyColumn`, whose cells are built on first
+read: the trace table's four policy-snapshot columns stay packed in the
+access log until a row is read.  Row access (``row``), row selection
+(``take``, ``where``, ``head``, ``tail``) and the analytics executor build
+only the cells they return; a whole-column or whole-table read
+(``table[name]``, ``rows``, ``iter_rows``, ``to_dict``, pickling) first
+swaps each lazy column for the list of its cells.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+
+#: Marks a :class:`LazyColumn` cell that has not been built yet.
+_UNBUILT = object()
+
+
+class LazyColumn:
+    """A read-only column whose cell ``i`` is ``build(i)``, built on first
+    read and memoised.
+
+    :meth:`take` returns a view of some rows that shares the memo, so a cell
+    is built at most once however many views read it.  ``build`` must be a
+    pure function of the row: two threads that race on one cell then only
+    build it twice, never disagree on its value.  The analytics executor
+    passes lazy cells through as they are, so they must already be
+    canonical values (never ``bool`` or ``NaN``).
+    """
+
+    __slots__ = ("_build", "_memo", "_positions")
+
+    def __init__(self, build: Callable[[int], Any], size: int):
+        self._build = build
+        self._memo: List[Any] = [_UNBUILT] * size
+        # Row ``i`` of this column is cell ``_positions[i]`` of the memo.
+        self._positions: Sequence[int] = range(size)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, index: int) -> Any:
+        position = self._positions[index]
+        cell = self._memo[position]
+        if cell is _UNBUILT:
+            cell = self._memo[position] = self._build(position)
+        return cell
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.tolist())
+
+    def take(self, indices: Sequence[int]) -> "LazyColumn":
+        """A view of the rows at ``indices``, sharing this column's memo."""
+        view = LazyColumn.__new__(LazyColumn)
+        view._build = self._build
+        view._memo = self._memo
+        view._positions = [self._positions[i] for i in indices]
+        return view
+
+    def tolist(self) -> List[Any]:
+        """Every cell, building the ones not read yet."""
+        return [self[i] for i in range(len(self._positions))]
+
+
+#: What a :class:`Table` holds per column.
+ColumnValues = Union[List[Any], LazyColumn]
+
+
+def take_values(values: ColumnValues, indices: Sequence[int]) -> ColumnValues:
+    """The cells of ``values`` at ``indices``: a view of a lazy column, a new
+    list otherwise."""
+    if isinstance(values, LazyColumn):
+        return values.take(indices)
+    return [values[i] for i in indices]
 
 
 class Column:
@@ -147,7 +215,7 @@ class Table:
     """A columnar table with pandas-flavoured filtering and aggregation."""
 
     def __init__(self, columns: Optional[Mapping[str, Sequence[Any]]] = None):
-        self._columns: Dict[str, List[Any]] = {}
+        self._columns: Dict[str, ColumnValues] = {}
         self._length = 0
         if columns:
             lengths = {len(values) for values in columns.values()}
@@ -157,7 +225,9 @@ class Table:
                 )
             self._length = lengths.pop() if lengths else 0
             for name, values in columns.items():
-                self._columns[name] = list(values)
+                # A lazy column is read-only, so tables may share it.
+                self._columns[name] = (values if isinstance(values, LazyColumn)
+                                       else list(values))
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -188,20 +258,21 @@ class Table:
         return cls({name: [] for name in columns})
 
     @classmethod
-    def from_columns(cls, columns: Mapping[str, List[Any]]) -> "Table":
+    def from_columns(cls, columns: Mapping[str, ColumnValues]) -> "Table":
         """Adopt ready-made column lists without copying them.
 
         The normal constructor defensively copies every column; this is the
         zero-copy path for producers (the simulation engine's columnar
         access log) that build fresh lists purpose-made for the table and
-        hand over ownership.  Each value must be a ``list``; lengths must
-        agree.  Column semantics are unchanged — ``table[name]`` wraps the
-        same list in a :class:`Column`.
+        hand over ownership.  Each value must be a ``list`` or a
+        :class:`LazyColumn`; lengths must agree.  Column semantics are
+        unchanged — ``table[name]`` wraps the same list in a
+        :class:`Column`.
         """
         table = cls()
         lengths = set()
         for name, values in columns.items():
-            if not isinstance(values, list):
+            if not isinstance(values, (list, LazyColumn)):
                 raise TypeError(
                     f"from_columns adopts lists; column {name!r} is "
                     f"{type(values).__name__} (use Table(...) to copy)")
@@ -225,9 +296,31 @@ class Table:
         return name in self._columns
 
     def __getitem__(self, name: str) -> Column:
+        return Column(name, self._listed(name))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickles and deep copies carry plain lists.
+        self._materialise()
+        return self.__dict__
+
+    def sequence(self, name: str) -> ColumnValues:
+        """Column ``name``'s own sequence, uncopied and read-only: a list,
+        or a :class:`LazyColumn` that builds only the cells read."""
         if name not in self._columns:
             raise KeyError(f"unknown column {name!r}; available: {sorted(self._columns)}")
-        return Column(name, self._columns[name])
+        return self._columns[name]
+
+    def _listed(self, name: str) -> List[Any]:
+        """Column ``name`` as a list, swapping a lazy column for its cells."""
+        values = self.sequence(name)
+        if isinstance(values, LazyColumn):
+            values = self._columns[name] = values.tolist()
+        return values
+
+    def _materialise(self) -> None:
+        """Swap every lazy column for its cells (before whole-table reads)."""
+        for name in self._columns:
+            self._listed(name)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._columns)
@@ -257,24 +350,17 @@ class Table:
 
     def rows(self) -> List[Dict[str, Any]]:
         """Return all rows as dictionaries."""
+        self._materialise()
         return [self.row(i) for i in range(self._length)]
 
     def iter_rows(self) -> Iterator[Dict[str, Any]]:
+        self._materialise()
         for i in range(self._length):
             yield self.row(i)
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def append_row(self, row: Mapping[str, Any]) -> None:
-        """Append a row; new columns are back-filled with ``None``."""
-        for name in row:
-            if name not in self._columns:
-                self._columns[name] = [None] * self._length
-        for name, values in self._columns.items():
-            values.append(row.get(name))
-        self._length += 1
-
     def add_column(self, name: str, values: Sequence[Any]) -> None:
         values = list(values)
         if self._columns and len(values) != self._length:
@@ -287,13 +373,11 @@ class Table:
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """Return a copy with columns renamed according to ``mapping``."""
-        data = {}
-        for name, values in self._columns.items():
-            data[mapping.get(name, name)] = list(values)
-        return Table(data)
+        return Table({mapping.get(name, name): values
+                      for name, values in self._columns.items()})
 
     def copy(self) -> "Table":
-        return Table({name: list(values) for name, values in self._columns.items()})
+        return Table(self._columns)
 
     # ------------------------------------------------------------------
     # selection / filtering
@@ -303,15 +387,15 @@ class Table:
         missing = [name for name in names if name not in self._columns]
         if missing:
             raise KeyError(f"unknown columns {missing}; available: {sorted(self._columns)}")
-        return Table({name: list(self._columns[name]) for name in names})
+        return Table({name: self._columns[name] for name in names})
 
     def take(self, indices: Sequence[int]) -> "Table":
-        """Return a table with the rows at the given positions."""
-        data = {
-            name: [values[i] for i in indices]
+        """Return a table with the rows at the given positions (lazy
+        columns stay lazy)."""
+        return Table.from_columns({
+            name: take_values(values, indices)
             for name, values in self._columns.items()
-        }
-        return Table(data)
+        })
 
     def head(self, count: int = 5) -> "Table":
         return self.take(range(min(count, self._length)))
@@ -339,7 +423,7 @@ class Table:
 
     def filter_rows(self, predicate: Callable[[Dict[str, Any]], bool]) -> "Table":
         """Filter rows by an arbitrary predicate over row dictionaries."""
-        indices = [i for i in range(self._length) if predicate(self.row(i))]
+        indices = [i for i, row in enumerate(self.iter_rows()) if predicate(row)]
         return self.take(indices)
 
     def filter_column(self, name: str, predicate: Callable[[Any], bool]) -> "Table":
@@ -414,6 +498,7 @@ class Table:
     # conversions / display
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, List[Any]]:
+        self._materialise()
         return {name: list(values) for name, values in self._columns.items()}
 
     def to_csv(self, separator: str = ",") -> str:

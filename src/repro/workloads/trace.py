@@ -341,24 +341,6 @@ class MemoryTrace:
                           for column in self.columns()),
         )
 
-    def with_prefetches(self, prefetches: Sequence[TraceAccess]) -> "MemoryTrace":
-        """Return a new trace with prefetch accesses appended in order.
-
-        Prefetches are tagged with the position (``instructions_since_last``
-        is reused to carry ordering) by the caller; here we simply interleave
-        them before the access with the same index when provided as
-        ``(index, access)`` pairs via :func:`insert_prefetches` instead.
-        """
-        merged = MemoryTrace(
-            workload=self.workload,
-            binary=self.binary,
-            description=self.description,
-            seed=self.seed,
-            columns=tuple(self._copied_column(index) for index in range(4)),
-        )
-        merged.extend(prefetches)
-        return merged
-
 
 def insert_prefetches(trace: MemoryTrace,
                       prefetch_plan: Sequence[tuple],

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro import CacheMind
+from repro import CacheMind, ExperimentSpec, TINY_CONFIG
+from repro.core.experiment import ExperimentRunner
 from repro.core.pipeline import SimulationCache
+from repro.tracedb.schema import AccessLog
+from repro.tracedb.store import TraceStore
 
 from conftest import SESSION_KWARGS
 
@@ -335,3 +338,49 @@ def test_memory_threads_across_turns(session):
     session.ask("And what about belady?")
     assert len(session.memory) >= 2
     assert len(session.history) == 2
+
+
+# ----------------------------------------------------------------------
+# snapshot columns are formatted only when read
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def snapshot_decodes(monkeypatch):
+    """Names of the ``AccessLog`` snapshot decoders called, one entry per
+    snapshot cell built."""
+    calls = []
+    for name in ("row_lines", "row_history", "row_scores"):
+        def counted(self, i, _decode=getattr(AccessLog, name), _name=name):
+            calls.append(_name)
+            return _decode(self, i)
+
+        monkeypatch.setattr(AccessLog, name, counted)
+    return calls
+
+
+def test_asks_grids_and_warm_builds_format_no_snapshot_cell(tmp_path,
+                                                            snapshot_decodes):
+    cold = CacheMind(simulation_cache=SimulationCache(
+        store=TraceStore(str(tmp_path))), **SESSION_KWARGS)
+    assert cold.ask("What is the miss rate of lru on astar?").retriever == "sieve"
+    assert snapshot_decodes == []
+
+    ExperimentRunner(simulation_cache=SimulationCache()).run(ExperimentSpec(
+        workloads=["astar", "lbm"], policies=["lru", "belady"],
+        configs=[TINY_CONFIG], num_accesses=400, details=["full"]))
+    assert snapshot_decodes == []
+
+    warm_cache = SimulationCache(store=TraceStore(str(tmp_path)))
+    warm = CacheMind(simulation_cache=warm_cache, **SESSION_KWARGS)
+    table = warm.database.get("astar", "lru").data_frame
+    assert warm_cache.misses == 0
+    assert snapshot_decodes == []
+
+    pc = table.sequence("program_counter")[0]
+    count = warm.ask(f"How many times does PC {pc} access memory in astar "
+                     f"under lru?")
+    assert count.retriever == "ranger" and count.category == "count"
+    assert snapshot_decodes == []
+
+    # Positive control: reading one row builds that row's cells only.
+    table.row(0)
+    assert sorted(snapshot_decodes) == ["row_history", "row_lines", "row_scores"]
