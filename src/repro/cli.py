@@ -13,8 +13,8 @@ facade (and therefore share the process-wide simulation memoiser):
   instance instead of answering in-process,
 * ``bench``    -- build the database once (``--jobs N`` parallelises it) and
   print the per-workload, per-policy metric table with the winner per row,
-  plus build timings and simulation-cache hit/miss counts.  ``bench --perf``
-  runs the tracked benchmark harness instead and writes ``BENCH_<rev>.json``,
+  plus build timings and simulation-cache hit/miss counts (the end-to-end
+  benchmark is ``perfbench/``, outside the package),
 * ``experiment`` -- declarative sweep grids (``run``/``report``): compile a
   workloads x policies x configs x details x lengths x seeds grid into one
   merged job plan, execute it (in-process, or server-side with
@@ -62,16 +62,15 @@ def _csv_int(value: str) -> List[int]:
 
 
 def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
-    # Defaults are applied in _make_session (None = "not given"), so
-    # subcommands like `bench --perf` can distinguish an explicit value
-    # from an omitted flag instead of comparing against sentinel defaults.
-    parser.add_argument("--workloads", type=_csv, default=None,
+    parser.add_argument("--workloads", type=_csv,
+                        default=list(DEFAULT_WORKLOADS),
                         help="comma-separated workload names "
                              f"(default: {','.join(DEFAULT_WORKLOADS)})")
-    parser.add_argument("--policies", type=_csv, default=None,
+    parser.add_argument("--policies", type=_csv,
+                        default=list(DEFAULT_POLICIES),
                         help="comma-separated policy names "
                              f"(default: {','.join(DEFAULT_POLICIES)})")
-    parser.add_argument("--accesses", type=int, default=None,
+    parser.add_argument("--accesses", type=int, default=20000,
                         help="trace length per workload (default: 20000)")
     parser.add_argument("--config", choices=sorted(CONFIGS), default="small",
                         help="hierarchy configuration (default: small)")
@@ -81,17 +80,15 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_session(args: argparse.Namespace, **overrides) -> CacheMind:
-    if args.accesses is not None and args.accesses <= 0:
+    if args.accesses <= 0:
         # Caught here (not deep inside a generator mid-build) so the CLI
         # prints one clean line instead of a traceback.
         raise ValueError(f"--accesses must be a positive access count, "
                          f"got {args.accesses}")
     options = dict(
-        workloads=(args.workloads if args.workloads is not None
-                   else list(DEFAULT_WORKLOADS)),
-        policies=(args.policies if args.policies is not None
-                  else list(DEFAULT_POLICIES)),
-        num_accesses=args.accesses if args.accesses is not None else 20000,
+        workloads=args.workloads,
+        policies=args.policies,
+        num_accesses=args.accesses,
         config=CONFIGS[args.config],
         mode=args.mode,
         seed=args.seed,
@@ -165,31 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_arguments(bench)
     bench.add_argument("--metric", choices=["miss_rate", "hit_rate", "ipc"],
                        default="miss_rate")
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="parallel simulation workers (default: 1 = "
-                            "serial for the metric table; one per CPU for "
-                            "--perf)")
-    bench.add_argument("--perf", action="store_true",
-                       help="run the tracked perf harness (trace generation, "
-                            "full vs stats-only replay, cold/parallel/warm "
-                            "database builds) and write BENCH_<rev>.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="with --perf: shorter traces and single repeats "
-                            "(CI smoke mode)")
-    bench.add_argument("--perf-output", default=None, metavar="PATH",
-                       help="with --perf: where to write the JSON report "
-                            "(default: BENCH_<rev>.json in the cwd)")
-    bench.add_argument("--compare", default=None, metavar="OLD_JSON",
-                       help="with --perf: print per-timing deltas vs a "
-                            "previous BENCH_<rev>.json report "
-                            "(name, old/new ms, ratio); exits 1 without "
-                            "ratios when the reports' params differ")
-    bench.add_argument("--store-dir", default=None, metavar="DIR",
-                       help="with --perf: directory for the warm-start "
-                            "section's store, kept afterwards e.g. for CI "
-                            "artifact upload. WIPED and repopulated by the "
-                            "benchmark — do not point it at a store you "
-                            "want to keep (default: a temporary directory)")
+    bench.add_argument("--jobs", type=int, default=1,
+                       help="parallel simulation workers (default: 1)")
 
     experiment = subparsers.add_parser(
         "experiment",
@@ -475,11 +449,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("retrievers:", ", ".join(available_retrievers()))
         print("backends:  ", ", ".join(available_backend_names()))
         return 0
-    workload = args.workload or (args.workloads
-                                 or list(DEFAULT_WORKLOADS))[0]
-    policy = args.policy or (args.policies or list(DEFAULT_POLICIES))[0]
-    session = _make_session(args, workloads=[workload], policies=[policy])
-    result = session.simulate(workload, policy)
+    # An empty --workloads/--policies list reaches CacheMind's own check.
+    workloads = [args.workload] if args.workload else args.workloads[:1]
+    policies = [args.policy] if args.policy else args.policies[:1]
+    session = _make_session(args, workloads=workloads, policies=policies)
+    result = session.simulate(workloads[0], policies[0])
     print(result.summary())
     stats = result.llc_stats
     print(f"  hits {stats.hits} / misses {stats.misses} "
@@ -606,10 +580,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.perf:
-        return _cmd_bench_perf(args)
-    jobs = args.jobs if args.jobs is not None else 1
-    session = _make_session(args, jobs=jobs)
+    session = _make_session(args, jobs=args.jobs)
     cache_before = dict(session.simulation_cache.stats())
     build_start = time.perf_counter()
     table = session.compare_policies(metric=args.metric)
@@ -634,7 +605,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     per_simulation = build_seconds / simulations if simulations else 0.0
     print(f"  built in {build_seconds:.3f}s "
           f"({per_simulation * 1000:.1f} ms/simulation, "
-          f"{simulations} simulations, jobs={jobs})")
+          f"{simulations} simulations, jobs={args.jobs})")
     print(f"  simulation cache: {new_hits} hits, {new_misses} misses this "
           f"build ({cache_after['hits']} hits / {cache_after['misses']} "
           f"misses process-wide)")
@@ -1098,47 +1069,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"  source:      {row['source'] or '<unknown>'}")
     print(f"  kind:        ingested (replayed verbatim; seed and "
           f"--accesses are ignored)")
-    return 0
-
-
-def _cmd_bench_perf(args: argparse.Namespace) -> int:
-    from repro.perf import format_report, run_perf_suite, write_report
-    from repro.perf.harness import BENCH_POLICIES, BENCH_WORKLOADS
-
-    # The session defaults target the paper's evaluation; the perf defaults
-    # target the hot paths (LRU, a stateful policy, the oracle).
-    # Explicit flags always win (None = flag omitted, see
-    # _add_session_arguments).
-    workloads = (tuple(args.workloads) if args.workloads is not None
-                 else BENCH_WORKLOADS)
-    policies = (tuple(args.policies) if args.policies is not None
-                else BENCH_POLICIES)
-    report = run_perf_suite(quick=args.quick,
-                            workloads=workloads,
-                            policies=policies,
-                            config=CONFIGS[args.config],
-                            mode=args.mode,
-                            seed=args.seed,
-                            num_accesses=args.accesses,
-                            jobs=args.jobs,
-                            store_dir=args.store_dir)
-    print(format_report(report))
-    path = write_report(report, path=args.perf_output)
-    print(f"  report written to {path}")
-    if args.compare:
-        from repro.perf.harness import (
-            compare_reports,
-            differing_params,
-            load_report,
-        )
-        try:
-            previous = load_report(args.compare)
-        except (OSError, ValueError) as error:
-            print(f"  cannot load comparison report {args.compare}: {error}")
-            return 1
-        print(compare_reports(previous, report))
-        if differing_params(previous, report):
-            return 1
     return 0
 
 

@@ -6,9 +6,9 @@ workers, client sockets, the answer backend).  When no plan is active the
 hook is a single integer check, so the instrumentation is free in normal
 operation.
 
-Tests (and the perf harness) build a seeded :class:`FaultPlan` out of
-:class:`FaultRule`s and activate it for a thread, for the whole process, or
-— via an environment variable — for child processes spawned by a pool.
+Tests build a seeded :class:`FaultPlan` out of :class:`FaultRule`s and
+activate it for a thread, for the whole process, or — via an environment
+variable — for child processes spawned by a pool.
 The same seed always produces the same injected failures, so chaos tests
 are reproducible and their byte-identity assertions are meaningful.
 """

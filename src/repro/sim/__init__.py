@@ -47,7 +47,6 @@ from repro.sim.parallel import (
     ParallelSimulator,
     SimulationJob,
     default_jobs,
-    planned_strategy,
 )
 
 __all__ = [
@@ -78,5 +77,4 @@ __all__ = [
     "ParallelSimulator",
     "SimulationJob",
     "default_jobs",
-    "planned_strategy",
 ]

@@ -45,26 +45,6 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def planned_strategy(jobs: Optional[int] = None,
-                     executor: str = "auto") -> str:
-    """The executor a :class:`ParallelSimulator` would start with.
-
-    ``"auto"`` resolves to ``"serial"`` on a single-core host (pool
-    dispatch/pickling overhead cannot be repaid when the workers share one
-    core) and to ``"process"`` otherwise; explicit executors are honoured
-    as given.  Exposed so callers (the perf harness, telemetry) can explain
-    the strategy without running anything.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(f"executor must be one of {EXECUTORS}")
-    jobs = jobs if jobs is not None and jobs > 0 else default_jobs()
-    if executor == "serial" or jobs <= 1:
-        return "serial"
-    if executor == "auto":
-        return "serial" if (os.cpu_count() or 1) <= 1 else "process"
-    return executor
-
-
 @dataclass
 class SimulationJob:
     """One (workload, policy) simulation request.
@@ -150,7 +130,7 @@ class ParallelSimulator:
         #: Strategy telemetry for the last ``run_*`` call: the executor
         #: that finished the work and why it was chosen (``"requested"``,
         #: ``"jobs=1"``, ``"single job"``, ``"single-core host"`` or
-        #: ``"parallel"``), so benches and logs can explain themselves.
+        #: ``"parallel"``), so logs can explain themselves.
         self.last_strategy: Dict[str, Optional[str]] = {"executor": None,
                                                         "reason": None}
         #: Recovery telemetry for the last ``run_*`` call: how many jobs

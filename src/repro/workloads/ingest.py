@@ -270,7 +270,7 @@ def parse_trace_file(path: str, fmt: Optional[str] = None,
 
 
 # ----------------------------------------------------------------------
-# writers (round-trip tests, CI smoke, perf harness)
+# writers (round-trip tests, CI smoke)
 # ----------------------------------------------------------------------
 def write_text_trace(trace: MemoryTrace, path: str) -> str:
     """Write a trace in the text format (gzipped when ``path`` ends ``.gz``).

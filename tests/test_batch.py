@@ -7,8 +7,7 @@ generic :meth:`Cache.access` loop) would, down to float accumulation order
 in the timing model and every column of the full-detail access log.  These
 tests pin that contract across the policy x workload x mode x detail
 matrix, plus the wiring that batches (``SimulationCache.run_jobs`` under
-experiment grids and session database builds, ParallelSimulator fallback)
-and the perf-report comparison tooling that rides along.
+experiment grids and session database builds, ParallelSimulator fallback).
 """
 
 import dataclasses
@@ -28,8 +27,7 @@ from repro.sim.batch import (
 )
 from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
-from repro.sim.parallel import ParallelSimulator, SimulationJob, planned_strategy
-from repro.perf.harness import compare_reports, differing_params
+from repro.sim.parallel import ParallelSimulator, SimulationJob
 from repro.workloads.generator import generate_trace, get_workload
 
 NUM_ACCESSES = 600
@@ -116,6 +114,24 @@ def test_rollout_strategy_native_coverage():
     assert rollout_strategy(RolloutSpec("hawkeye", TINY_CONFIG)) == "engine"
     assert (rollout_strategy(RolloutSpec("lru", TINY_CONFIG, detail="full"))
             == "engine")
+
+
+def test_native_kernels_match_engine_on_tiny_and_small_geometry():
+    """Every native kernel in both modes on two LLC geometries, in one
+    batch.  At 2,000 accesses the small LLC evicts, so each kernel's victim
+    choice is checked, not only its fill path."""
+    trace = generate_trace("astar", 2000, seed=0)
+    specs = [RolloutSpec(policy, config, mode=mode)
+             for policy in NATIVE_POLICIES
+             for mode in ("llc_only", "hierarchy")
+             for config in (TINY_CONFIG, SMALL_CONFIG)]
+    simulator = BatchSimulator(trace)
+    results = simulator.run(specs)
+    assert simulator.strategies == [f"native:{spec.policy}" for spec in specs]
+    for spec, batched in zip(specs, results):
+        _assert_identical(batched, _single(trace, spec))
+        if spec.config is SMALL_CONFIG:
+            assert batched.llc_stats.evictions > 0, spec
 
 
 def test_non_pow2_geometry_runs_native_kernel():
@@ -322,49 +338,13 @@ def test_serial_strategy_reasons():
     assert requested.last_strategy["reason"] == "requested"
 
 
-def test_planned_strategy(monkeypatch):
+def test_auto_executor_starts_with_process_pool_on_multi_core(monkeypatch):
     import repro.sim.parallel as parallel_module
-    assert planned_strategy(jobs=1) == "serial"
-    assert planned_strategy(executor="serial") == "serial"
-    assert planned_strategy(jobs=4, executor="thread") == "thread"
-    monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
-    assert planned_strategy(jobs=4, executor="auto") == "serial"
     monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-    assert planned_strategy(jobs=4, executor="auto") == "process"
-    with pytest.raises(ValueError):
-        planned_strategy(executor="bogus")
-
-
-# ----------------------------------------------------------------------
-# perf report comparison
-# ----------------------------------------------------------------------
-def test_compare_reports_prints_deltas():
-    old = {"revision": "aaaa111", "params": {"num_accesses": 4000},
-           "timings": [{"name": "replay_full/astar/lru", "seconds": 0.2},
-                       {"name": "store/verify", "seconds": 0.1}]}
-    new = {"revision": "bbbb222", "params": {"num_accesses": 4000},
-           "timings": [{"name": "replay_full/astar/lru", "seconds": 0.1},
-                       {"name": "batch_rollout/batch_9cells",
-                        "seconds": 0.05}]}
-    rendered = compare_reports(old, new)
-    assert "aaaa111 -> bbbb222" in rendered
-    assert "replay_full/astar/lru" in rendered
-    assert "x0.50" in rendered
-    assert "only in old: store/verify" in rendered
-    assert "only in new: batch_rollout/batch_9cells" in rendered
-
-
-def test_compare_reports_refuses_mismatched_params():
-    old = {"revision": "aaaa111",
-           "params": {"num_accesses": 20000, "config": "small", "seed": 0},
-           "timings": [{"name": "replay_full/astar/lru", "seconds": 0.2}]}
-    new = {"revision": "bbbb222",
-           "params": {"num_accesses": 4000, "config": "small", "jobs": 2},
-           "timings": [{"name": "replay_full/astar/lru", "seconds": 0.1}]}
-    assert differing_params(old, new) == ["jobs", "num_accesses", "seed"]
-    rendered = compare_reports(old, new)
-    assert "aaaa111 -> bbbb222 refused: params differ" in rendered
-    assert "num_accesses: old 20000 vs new 4000" in rendered
-    assert "jobs: old None vs new 2" in rendered
-    assert "config" not in rendered  # equal keys are not listed
-    assert "replay_full/astar/lru" not in rendered and "x0.50" not in rendered
+    simulator = ParallelSimulator(jobs=4, executor="auto",
+                                  config=TINY_CONFIG, detail="stats")
+    simulator.run_results([SimulationJob(workload=workload, policy="lru",
+                                         num_accesses=NUM_ACCESSES)
+                           for workload in WORKLOADS])
+    assert simulator.last_strategy == {"executor": "process",
+                                       "reason": "parallel"}

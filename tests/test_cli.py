@@ -65,6 +65,26 @@ def test_bench_runs(capsys):
     assert "*" in out
 
 
+def test_bench_cli_prints_timings_and_cache_stats(capsys):
+    code = main(["bench", *COMMON])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "built in" in out and "ms/simulation" in out
+    assert "simulation cache:" in out
+
+
+def test_bench_default_matrix_and_length(capsys):
+    # Omitted --workloads/--policies build the default 3 x 4 matrix...
+    assert main(["bench", "--accesses", "400", "--config", "tiny"]) == 0
+    out = capsys.readouterr().out
+    assert "400 accesses" in out
+    assert "12 simulations" in out
+    # ...and an omitted --accesses is the default trace length.
+    assert main(["bench", "--workloads", "astar", "--policies", "lru",
+                 "--config", "tiny"]) == 0
+    assert "20000 accesses" in capsys.readouterr().out
+
+
 def test_unknown_workload_fails_cleanly(capsys):
     code = main(["simulate", *COMMON, "--workload", "not-a-workload"])
     assert code == 1

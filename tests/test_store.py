@@ -77,6 +77,12 @@ def test_save_load_round_trip_is_byte_identical(tmp_path):
 def test_warm_session_answers_with_zero_simulations(tmp_path):
     cold_session, _cache = _session(tmp_path)
     _ = cold_session.database
+    # What a real session wrote verifies clean before anything damages it.
+    report = TraceStore(str(tmp_path)).verify()
+    assert report["clean"], report
+    pairs = len(WORKLOADS) * len(POLICIES)
+    assert report["by_kind"]["entry"] == report["by_kind"]["result"] == pairs
+    assert report["ok"] == report["checked"]
 
     warm_session, warm_cache = _session(tmp_path)
     answer = warm_session.ask("What is the miss rate of lru on astar?")
