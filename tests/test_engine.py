@@ -1,8 +1,37 @@
 """Simulation engine determinism and trace reproducibility."""
 
+import hashlib
+
+import pytest
+
+from repro.policies import available_policies
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import SimulationEngine
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import available_workloads, generate_trace
+
+#: Pinned digests of every full-detail result a policy produces over the
+#: bundled workloads (see :func:`_full_detail_digest`).  Access logs become
+#: store records and tables, so if this test fails you changed what the
+#: store and every table hold — bump STORE_SCHEMA_VERSION and re-pin
+#: deliberately.
+PINNED_FULL_DETAIL_DIGESTS = {
+    "belady": "a91bf2f6e705bee4",
+    "brrip": "8ab1c6a9ce55bae9",
+    "bypass": "4457f9e7ce67f09f",
+    "dip": "2df51e3e2439b7ec",
+    "drrip": "20f74ff8d552acb1",
+    "fifo": "9ab4c1530aaec6e0",
+    "hawkeye": "b884036481db26c1",
+    "lru": "4457f9e7ce67f09f",
+    "mlp": "406fb67c25090b60",
+    "mockingjay": "bb01cd31340df89a",
+    "parrot": "d81878f1501693b3",
+    "plru": "52f2727152cb48d9",
+    "random": "d7e27b29fdc20cea",
+    "ship": "3d38cd938665b83d",
+    "srrip": "52b8a1d01adbd231",
+}
+DIGEST_ACCESSES = 200
 
 
 def _run(trace, policy_name):
@@ -48,3 +77,28 @@ def test_policies_actually_differ():
     belady = _run(trace, "belady")
     # Belady's OPT is an oracle: it cannot do worse than LRU on misses.
     assert belady.llc_stats.misses <= lru.llc_stats.misses
+
+
+def _full_detail_digest(policy_name):
+    """sha256 (16 hex) over the whole table, wrong evictions, LLC counters
+    and cycles of each workload in llc_only and hierarchy mode and with a
+    ``max_records`` cut, on TINY (whose 64-line LLC evicts early)."""
+    digest = hashlib.sha256()
+    engines = (SimulationEngine(config=TINY_CONFIG),
+               SimulationEngine(config=TINY_CONFIG, mode="hierarchy"),
+               SimulationEngine(config=TINY_CONFIG,
+                                max_records=DIGEST_ACCESSES // 3))
+    for workload in available_workloads():
+        trace = generate_trace(workload, DIGEST_ACCESSES)
+        for engine in engines:
+            result = engine.run(trace, policy_name)
+            digest.update(repr((
+                result.log.to_table().to_dict(), result.wrong_evictions,
+                result.llc_stats.as_tuple(), result.timing.cycles)).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_full_detail_logs_match_pinned_digests(policy_name):
+    assert (_full_detail_digest(policy_name)
+            == PINNED_FULL_DETAIL_DIGESTS[policy_name])
