@@ -61,6 +61,17 @@ def _csv_int(value: str) -> List[int]:
             f"expected comma-separated integers, got {value!r}") from None
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value!r}")
+    return number
+
+
 def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workloads", type=_csv,
                         default=list(DEFAULT_WORKLOADS),
@@ -162,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_arguments(bench)
     bench.add_argument("--metric", choices=["miss_rate", "hit_rate", "ipc"],
                        default="miss_rate")
-    bench.add_argument("--jobs", type=int, default=1,
+    bench.add_argument("--jobs", type=_positive_int, default=1,
                        help="parallel simulation workers (default: 1)")
 
     experiment = subparsers.add_parser(
@@ -181,11 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "store cells simulate zero times), and print the cell "
                     "table.")
     experiment_run.add_argument(
-        "--workloads", type=_csv, default=None,
+        "--workloads", type=_csv, default=list(DEFAULT_WORKLOADS),
         help="comma-separated workload names "
              f"(default: {','.join(DEFAULT_WORKLOADS)})")
     experiment_run.add_argument(
-        "--policies", type=_csv, default=None,
+        "--policies", type=_csv, default=list(DEFAULT_POLICIES),
         help="comma-separated policy names "
              f"(default: {','.join(DEFAULT_POLICIES)})")
     experiment_run.add_argument(
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline policy: its cells join the grid (deduplicated if "
              "already listed) and the report prints per-cell deltas")
     experiment_run.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="parallel simulation workers (default: 1)")
     experiment_run.add_argument(
         "--store-dir", default=None, metavar="DIR",
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="zero_shot")
     serve.add_argument("--retriever", default=None,
                        help="force one retriever instead of intent routing")
-    serve.add_argument("--jobs", type=int, default=None,
+    serve.add_argument("--jobs", type=_positive_int, default=1,
                        help="parallel simulation workers for the database "
                             "build (default: 1)")
     serve.add_argument("--store-dir", default=None, metavar="DIR",
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_arguments(store_save)
     store_save.add_argument("--dir", required=True, metavar="DIR",
                             help="store directory (created if missing)")
-    store_save.add_argument("--jobs", type=int, default=None,
+    store_save.add_argument("--jobs", type=_positive_int, default=1,
                             help="parallel simulation workers (default: 1)")
 
     store_load = store_sub.add_parser(
@@ -545,10 +556,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import CacheMindServer
     from repro.serve.service import CacheMindService
 
-    jobs = args.jobs if args.jobs is not None else 1
     session = _make_session(args, backend=args.backend,
                             prompting=args.prompting,
-                            retriever=args.retriever, jobs=jobs,
+                            retriever=args.retriever, jobs=args.jobs,
                             store_dir=args.store_dir)
     service = CacheMindService(session=session)
     if not args.no_warm_up:
@@ -622,10 +632,8 @@ def _build_experiment_spec(args: argparse.Namespace):
     from repro.core.experiment import ExperimentSpec
 
     return ExperimentSpec(
-        workloads=(args.workloads if args.workloads is not None
-                   else list(DEFAULT_WORKLOADS)),
-        policies=(args.policies if args.policies is not None
-                  else list(DEFAULT_POLICIES)),
+        workloads=args.workloads,
+        policies=args.policies,
         configs=tuple(args.configs),
         mode=args.mode,
         details=tuple(args.details),
@@ -978,9 +986,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     # hit/miss counters describe exactly this command's work.
     store = TraceStore(args.dir)
     cache = SimulationCache(store=store)
-    jobs = getattr(args, "jobs", None)
     session = _make_session(args, simulation_cache=cache,
-                            jobs=jobs if jobs is not None else 1)
+                            jobs=getattr(args, "jobs", 1))
     start = time.perf_counter()
     _ = session.database
     seconds = time.perf_counter() - start

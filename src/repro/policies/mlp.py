@@ -72,7 +72,9 @@ class MLPPolicy(ReplacementPolicy):
         )
 
     def _predict(self, features: Tuple[int, ...]) -> int:
-        return sum(table.get(index, 0) for table, index in zip(self._tables, features))
+        first, second, third, fourth = self._tables
+        return (first.get(features[0], 0) + second.get(features[1], 0)
+                + third.get(features[2], 0) + fourth.get(features[3], 0))
 
     def _train(self, features: Tuple[int, ...], reused: bool) -> None:
         prediction = self._predict(features)

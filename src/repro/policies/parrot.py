@@ -27,7 +27,6 @@ from typing import Dict, List, Sequence
 
 from repro.policies.base import (
     CacheLineView,
-    NEVER,
     PolicyAccess,
     ReplacementPolicy,
     register_policy,
@@ -93,8 +92,7 @@ class ParrotPolicy(ReplacementPolicy):
                       access: PolicyAccess) -> int:
         chosen = max(lines, key=lambda line: (self._evict_score(line, access.access_index),
                                               -line.last_access))
-        if any(line.next_use != NEVER or True for line in lines):
-            self._imitation_update(lines, chosen.way, access)
+        self._imitation_update(lines, chosen.way, access)
         return chosen.way
 
     def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],

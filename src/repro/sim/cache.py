@@ -4,10 +4,18 @@
 both detail levels.  Resident :class:`CacheLine` objects double as the
 policy's views (duck-typed :class:`~repro.policies.base.CacheLineView`: same
 attributes, ``way`` pinned at fill, treated as read-only by policies), so an
-access copies nothing.  At ``detail="full"`` the access also snapshots the
-set's resident lines and the policy's per-line eviction scores, as they
-stood before the access, for the trace database's ``current_cache_lines``
-/ ``cache_line_eviction_scores`` columns.
+access copies no line.  Occupied ways are always a prefix of the set, since
+a fill takes the first free way and a replacement happens in place, so the
+views are one list slice.
+
+At ``detail="full"`` the cache owns an
+:class:`~repro.tracedb.schema.AccessLog` and, while ``log`` is set, each
+access first writes the only snapshots that need policy state into the
+log's flat arrays: the set's resident ``(block, pc)`` lines and the
+policy's per-line eviction scores, as they stood before the access.  A flat
+``[block, pc, ...]`` list per set, kept at fill, makes the line capture one
+``fromlist``.  The engine builds every other log column afterwards, from
+columns.
 
 A tag dictionary per set (block address -> way) makes residency lookups
 O(1) instead of a linear way scan.  The cache counts only what a hit column
@@ -24,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.policies.base import BYPASS, NEVER, PolicyAccess, ReplacementPolicy
 from repro.policies.basic import LRUPolicy
 from repro.sim.config import CacheConfig
+from repro.tracedb.schema import AccessLog
 
 #: Detail levels accepted by :class:`Cache` and the simulation engine.
 DETAIL_FULL = "full"
@@ -105,9 +114,8 @@ class Cache:
     """A single set-associative cache level driven by a replacement policy.
 
     After each :meth:`access`, ``evicted`` holds the block it evicted (-1
-    for none).  At full detail, ``resident`` holds the set's ``(block,
-    pc)`` lines and ``scores`` its ``(block, eviction score)`` pairs, both
-    taken before the access.
+    for none).  At full detail, ``log`` receives each access's snapshots
+    until the engine sets it to ``None``.
     """
 
     def __init__(self, config: CacheConfig,
@@ -120,7 +128,6 @@ class Cache:
         self.num_sets = config.num_sets
         self.num_ways = config.num_ways
         self.block_bytes = config.block_bytes
-        self.detail = detail
         self.policy.initialize(self.num_sets, self.num_ways)
         # sets[set_index][way] -> CacheLine or None
         self.sets: List[List[Optional[CacheLine]]] = [
@@ -128,11 +135,13 @@ class Cache:
         ]
         # tags[set_index]: block_address -> way
         self._tags: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
+        # lines[set_index]: flat [block, pc, ...] of the occupied ways
+        self._lines: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.evictions = 0
         self.bypasses = 0
         self.evicted = -1
-        self.resident: List[Tuple[int, int]] = []
-        self.scores: List[Tuple[int, float]] = []
+        self.log: Optional[AccessLog] = (AccessLog() if detail == DETAIL_FULL
+                                         else None)
 
     # ------------------------------------------------------------------
     # address helpers
@@ -179,13 +188,17 @@ class Cache:
             is_prefetch=is_prefetch)
         self.evicted = -1
         views = None
-        if self.detail == DETAIL_FULL:
-            views = [line for line in cache_set if line is not None]
-            self.resident = [(line.block_address, line.pc) for line in views]
-            scores = (policy.eviction_scores(set_index, views, policy_access)
-                      if views else [])
-            self.scores = [(line.block_address, float(score))
-                           for line, score in zip(views, scores)]
+        log = self.log
+        if log is not None:
+            views = cache_set[:len(tags)]
+            # fromlist: twice as fast as extend on a list.
+            log.line_pairs.fromlist(self._lines[set_index])
+            log.line_offsets.append(len(log.line_pairs))
+            if views:
+                # At most one score per line, as zip would pair them.
+                log.score_values.fromlist(policy.eviction_scores(
+                    set_index, views, policy_access)[:len(views)])
+            log.score_offsets.append(len(log.score_values))
 
         way = tags.get(block_address)
         if way is not None:
@@ -198,12 +211,12 @@ class Cache:
             return True
 
         if views is None:
-            views = [line for line in cache_set if line is not None]
+            views = cache_set[:len(tags)]
         if policy.should_bypass(set_index, views, policy_access):
             self.bypasses += 1
             return False
         if len(tags) < self.num_ways:
-            way = cache_set.index(None)
+            way = len(tags)
         else:
             way = policy.choose_victim(set_index, views, policy_access)
             if way == BYPASS:
@@ -222,6 +235,8 @@ class Cache:
             way=way)
         cache_set[way] = line
         tags[block_address] = way
+        # Appends for a new way, overwrites for a replaced one.
+        self._lines[set_index][2 * way:2 * way + 2] = block_address, pc
         policy.on_fill(set_index, line, policy_access)
         return False
 
@@ -232,4 +247,5 @@ class Cache:
         """Invalidate every line and reset policy state (keeps counters)."""
         self.sets = [[None] * self.num_ways for _ in range(self.num_sets)]
         self._tags = [{} for _ in range(self.num_sets)]
+        self._lines = [[] for _ in range(self.num_sets)]
         self.policy.reset()

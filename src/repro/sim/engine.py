@@ -2,13 +2,23 @@
 
 The engine replays a :class:`~repro.workloads.trace.MemoryTrace` — reading
 its raw typed columns, not per-access objects — through the replay core
-(:mod:`repro.sim.replay`) and, at full detail, appends one row per LLC
-access into a columnar :class:`~repro.tracedb.schema.AccessLog`, annotated
+(:mod:`repro.sim.replay`) and, at full detail, produces one row per LLC
+access in a columnar :class:`~repro.tracedb.schema.AccessLog`, annotated
 with forward reuse distances, recency, eviction victims, resident lines,
 policy eviction scores and source/assembly context — exactly the columns the
 trace database stores (paper section 4.3).  Row views
 (:class:`~repro.tracedb.schema.AccessRecord`) are materialised lazily via
 ``SimulationResult.records``.
+
+A full-detail rollout writes each fact once.  The policy loop records only
+what needs policy state: the hit column, a victim column and, through the
+cache, each logged access's resident ``(block, pc)`` lines and eviction
+scores, straight into the log's flat arrays.  One columnar post-pass over
+the replay core's precomputes then builds every other column: positions,
+PCs, blocks, sets, hit flags and miss classes, victims, the accessed reuse
+distance and recency, per-PC source context, and — from a loop over the
+evicting positions only — the evicted block's reuse distance and the
+wrong-eviction count.
 
 Two modes are supported:
 
@@ -22,9 +32,10 @@ Two modes are supported:
 
 Two detail levels are supported:
 
-* ``"full"`` (default) — one :class:`AccessRecord` per LLC access, with
-  resident-line and eviction-score snapshots, source context and the
-  wrong-eviction count.  This is what the trace database consumes.
+* ``"full"`` (default) — one access-log row per LLC access (up to
+  ``max_records``), with resident-line and eviction-score snapshots,
+  source context and the wrong-eviction count.  This is what the trace
+  database consumes.
 * ``"stats"`` — aggregate statistics and timing only: no records, context
   or snapshots, and — unless the policy declares ``requires_future`` — no
   reuse-distance precomputation.  A policy given by name runs its native
@@ -36,9 +47,12 @@ Two detail levels are supported:
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.policies.base import NEVER, get_policy
 from repro.sim.cache import (
@@ -229,67 +243,81 @@ class SimulationEngine:
     def _annotate(self, trace: MemoryTrace, stream: LLCStream, cache: Cache,
                   steps: Iterator[bool], reuse: TraceReuse
                   ) -> Tuple[bytearray, AccessLog, int]:
-        """Consume the policy steps: the hit column, the access log (up to
-        ``max_records`` rows) and the count of wrong evictions, victims
-        reused before the accessed block.  Each row is built while its
-        snapshots are current, so no per-access snapshot is retained."""
+        """Consume the policy steps into the hit and victim columns while
+        the cache captures its snapshots for the first ``max_records``
+        rows, then build the log's other columns and the count of wrong
+        evictions (victims reused before the accessed block) from columns.
+        """
+        size = len(stream)
+        rows = size if self.max_records is None else max(
+            0, min(self.max_records, size))
+        log = cache.log
+        if not rows:
+            cache.log = None
+        hits = bytearray(size)
+        victims = array("q", [-1]) * size
+        for position, hit in enumerate(steps):
+            hits[position] = hit
+            victims[position] = cache.evicted
+            if position + 1 == rows:
+                cache.log = None
+
+        # The columnar post-pass.
         llc = self.config.llc
-        blocks = stream.blocks(llc.block_bytes)
-        sets = stream.sets(llc)
-        classes = stream.miss_classes(llc)
-        next_use, prev_use = reuse.next_use, reuse.prev_use
-        positions_by_block = reuse.positions_by_block or {}
-        binary = trace.binary
-        annotate = self.annotate_context and binary is not None
-        window = self.history_window
-        hits = bytearray()
-        log = AccessLog()
-        history: List[Tuple[int, int]] = []  # (block, pc) of recent accesses
+        now = np.arange(size, dtype=np.int64)
+        next_use = np.array(reuse.next_use, dtype=np.int64)
+        prev_use = np.array(reuse.prev_use, dtype=np.int64)
+        accessed_reuse = np.where(next_use >= NEVER, NEVER_REUSED,
+                                  next_use - now)
+        log.history_window = self.history_window
+        log.access_indices = _typed("Q", now[:rows])
+        log.pcs = array("Q", stream.pcs[:rows])
+        log.block_addresses = array("Q", stream.blocks(llc.block_bytes)[:rows])
+        log.set_ids = _typed("Q", stream.set_array(llc)[:rows])
+        log.hit_flags = array("B", hits[:rows])
+        log.miss_type_codes = _typed("B", np.where(
+            np.frombuffer(hits, dtype=np.bool_)[:rows], 0,
+            np.frombuffer(stream.miss_classes(llc), dtype=np.uint8)[:rows]))
+        log.evicted_blocks = victims[:rows]
+        log.accessed_reuse = _typed("q", accessed_reuse[:rows])
+        log.recencies = _typed("q", np.where(
+            prev_use < 0, NEVER_REUSED, now - prev_use)[:rows])
+
+        # Only evicting positions can have an evicted reuse distance or a
+        # wrong eviction.
+        log.evicted_reuse = array("q", [NEVER_REUSED]) * rows
+        accessed = accessed_reuse.tolist()
         wrong_evictions = 0
+        for position in np.flatnonzero(
+                np.frombuffer(victims, dtype=np.int64) >= 0).tolist():
+            evicted_next = _next_use_after(reuse.positions_by_block,
+                                           victims[position], position)
+            if evicted_next < NEVER:
+                evicted_rd = evicted_next - position
+                if position < rows:
+                    log.evicted_reuse[position] = evicted_rd
+                if (accessed[position] == NEVER_REUSED
+                        or evicted_rd < accessed[position]):
+                    wrong_evictions += 1
+
         # Source/assembly context is a pure function of the PC, so it is
         # resolved once per unique PC instead of once per access.
-        context_by_pc: Dict[int, Tuple[str, str, str]] = {}
-        empty_context = ("", "", "")
-
-        for position, (pc, block, hit) in enumerate(
-                zip(stream.pcs, blocks, steps)):
-            hits.append(hit)
-            evicted_block = cache.evicted
-            accessed_rd = (NEVER_REUSED if next_use[position] >= NEVER
-                           else next_use[position] - position)
-            evicted_rd = NEVER_REUSED
-            if evicted_block >= 0:
-                evicted_next = _next_use_after(positions_by_block,
-                                               evicted_block, position)
-                if evicted_next < NEVER:
-                    evicted_rd = evicted_next - position
-                    if accessed_rd == NEVER_REUSED or evicted_rd < accessed_rd:
-                        wrong_evictions += 1
-
-            if self.max_records is None or position < self.max_records:
-                if annotate:
-                    context = context_by_pc.get(pc)
-                    if context is None:
-                        context = (binary.function_name(pc),
-                                   binary.source_snippet(pc),
-                                   binary.assembly_context(pc))
-                        context_by_pc[pc] = context
-                else:
-                    context = empty_context
-                log.append(
-                    position, pc, block, sets[position], hit,
-                    0 if hit else classes[position], evicted_block,
-                    accessed_rd, evicted_rd,
-                    (NEVER_REUSED if prev_use[position] < 0
-                     else position - prev_use[position]),
-                    context[0], context[1], context[2],
-                    cache.resident, history[-window:], cache.scores,
-                )
-
-            history.append((block, pc))
-            if len(history) > 4 * window:
-                del history[: 2 * window]
+        binary = trace.binary
+        annotate = self.annotate_context and binary is not None
+        context = {pc: (binary.function_name(pc), binary.source_snippet(pc),
+                        binary.assembly_context(pc)) if annotate
+                   else ("", "", "") for pc in dict.fromkeys(log.pcs)}
+        by_row = [context[pc] for pc in log.pcs]
+        log.function_names = [row[0] for row in by_row]
+        log.function_codes = [row[1] for row in by_row]
+        log.assembly_codes = [row[2] for row in by_row]
         return hits, log, wrong_evictions
+
+
+def _typed(typecode: str, values: np.ndarray) -> array:
+    """``values`` as an ``array`` of ``typecode`` (numpy's code for the
+    same C type), in one buffer copy."""
+    return array(typecode, values.astype(typecode).tobytes())
 
 
 def _next_use_after(positions_by_block: Dict[int, List[int]], block: int,

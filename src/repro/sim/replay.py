@@ -23,8 +23,11 @@ A replay of one policy over one trace has three stages:
    and an eviction count: a native kernel (:data:`NATIVE_POLICIES`, stats
    detail, policy requested by name) or the generic loop over
    :meth:`~repro.sim.cache.Cache.access` (:func:`policy_steps`), which
-   also counts bypasses and, at full detail, leaves each access's victim
-   and snapshots on the cache for the access log.
+   also counts bypasses.  At full detail the generic loop also emits a
+   victim column (each access's evicted block, or -1), and the cache
+   writes each logged access's resident lines and eviction scores into
+   the access log; the engine builds the log's other columns from the
+   precomputes and these two columns.
 
 3. **The post-pass** (:meth:`ReplayCore.post_pass`) builds
    :class:`~repro.sim.cache.CacheStats` and
@@ -307,8 +310,8 @@ def policy_steps(cache: Cache, stream: LLCStream,
     """Drive ``cache`` over ``stream`` through :meth:`Cache.access`,
     yielding each access's hit flag.
 
-    Until the next step, the cache's ``evicted`` (and, at full detail,
-    ``resident``/``scores``) describe the access just yielded.
+    Until the next step, the cache's ``evicted`` is the block the access
+    just yielded evicted (-1 for none).
     """
     access = cache.access
     for position, (pc, address, flag, nxt) in enumerate(zip(

@@ -2,8 +2,12 @@
 
 Section 4.3 of the paper documents one row per LLC access with the columns
 listed in :data:`ACCESS_COLUMNS`.  :class:`AccessLog` is the columnar
-in-memory representation the simulation engine appends into (typed arrays
-plus ragged object columns); :meth:`AccessLog.to_table` builds the canonical
+in-memory representation the simulation engine writes (typed arrays plus
+ragged object columns).  It stores the scalar columns and the two snapshots
+that depend on policy state — each row's resident ``(block, pc)`` lines
+and their eviction scores — and derives the rest on read: a row's recent
+access history from the PC and block columns, and its score blocks from
+its resident lines.  :meth:`AccessLog.to_table` builds the canonical
 :class:`~repro.tracedb.table.Table` column-by-column, which is what Sieve
 filters and Ranger-generated code query.  Its 17 scalar columns are built
 eagerly; the four policy-snapshot columns are
@@ -198,19 +202,29 @@ class AccessRecord:
 
 
 class AccessLog:
-    """Columnar accumulator of per-access annotations (the engine's output).
+    """Columnar per-access annotations (the engine's output).
 
     Scalar columns live in typed arrays (``-1`` encodes "absent" for the
     optional reuse/recency/eviction values, matching :data:`NEVER_REUSED`).
-    The ragged snapshot columns — resident lines, recent history, eviction
-    scores — are packed into *flat* typed arrays plus prefix-offset arrays
-    (row ``i`` owns the flat span ``offsets[i]:offsets[i+1]``), so the whole
-    log pickles/unpickles at buffer speed: no per-tuple object cost, which
-    is what makes the persistent store's warm starts fast.  Per-PC source
-    context stays as string lists (pickle deduplicates the shared per-PC
-    string objects).  ``to_table`` builds the canonical data frame directly
-    from these columns — no intermediate row dictionaries, snapshot cells
-    only when read — and its values equal
+    Only the two snapshot columns that depend on policy state are stored,
+    packed into *flat* typed arrays plus prefix-offset arrays (row ``i``
+    owns the flat span ``offsets[i]:offsets[i+1]``): ``line_pairs`` holds
+    the set's resident ``(block, pc)`` lines, interleaved, and
+    ``score_values`` the policy's eviction score of each of those lines, in
+    the same order.  So the whole log pickles/unpickles at buffer speed: no
+    per-tuple object cost, which is what makes the persistent store's warm
+    starts fast.  The rest is derived on read from these columns:
+
+    * a row's score blocks are the leading blocks of its ``line_pairs``
+      span (:meth:`row_scores`);
+    * its recent access history is the ``(block, pc)`` of the previous
+      ``history_window`` rows (:meth:`row_history`), because row ``i`` is
+      stream position ``i``.
+
+    Per-PC source context stays as string lists (pickle deduplicates the
+    shared per-PC string objects).  ``to_table`` builds the canonical data
+    frame directly from these columns — no intermediate row dictionaries,
+    snapshot cells only when read — and its values equal
     ``records_to_table(log.to_records())``.
     """
 
@@ -218,9 +232,8 @@ class AccessLog:
                  "hit_flags", "miss_type_codes", "evicted_blocks",
                  "accessed_reuse", "evicted_reuse", "recencies",
                  "function_names", "function_codes", "assembly_codes",
-                 "line_pairs", "line_offsets", "history_pairs",
-                 "history_offsets", "score_blocks", "score_values",
-                 "score_offsets")
+                 "line_pairs", "line_offsets", "score_values",
+                 "score_offsets", "history_window")
 
     def __init__(self) -> None:
         self.access_indices = array("Q")
@@ -236,15 +249,13 @@ class AccessLog:
         self.function_names: List[str] = []
         self.function_codes: List[str] = []
         self.assembly_codes: List[str] = []
-        # Ragged columns: interleaved (block, pc) pairs / parallel
-        # (block, score) flats, with per-row prefix offsets into them.
+        # Ragged columns: interleaved (block, pc) pairs and the parallel
+        # scores, with per-row prefix offsets into them.
         self.line_pairs = array("Q")
         self.line_offsets = array("Q", [0])
-        self.history_pairs = array("Q")
-        self.history_offsets = array("Q", [0])
-        self.score_blocks = array("Q")
         self.score_values = array("d")
         self.score_offsets = array("Q", [0])
+        self.history_window = 0  # the engine's, set with the other columns
 
     def __len__(self) -> int:
         return len(self.access_indices)
@@ -258,44 +269,6 @@ class AccessLog:
         for name, value in zip(self.__slots__, state):
             setattr(self, name, value)
 
-    def append(self, access_index: int, pc: int, block_address: int,
-               set_id: int, is_hit: bool, miss_type_code: int,
-               evicted_block: int, accessed_reuse: int, evicted_reuse: int,
-               recency: int, function_name: str, function_code: str,
-               assembly_code: str, resident: List[Tuple[int, int]],
-               history: List[Tuple[int, int]],
-               scores: List[Tuple[int, float]]) -> None:
-        """Append one access (optional ints already encoded as ``-1``)."""
-        self.access_indices.append(access_index)
-        self.pcs.append(pc)
-        self.block_addresses.append(block_address)
-        self.set_ids.append(set_id)
-        self.hit_flags.append(1 if is_hit else 0)
-        self.miss_type_codes.append(miss_type_code)
-        self.evicted_blocks.append(evicted_block)
-        self.accessed_reuse.append(accessed_reuse)
-        self.evicted_reuse.append(evicted_reuse)
-        self.recencies.append(recency)
-        self.function_names.append(function_name)
-        self.function_codes.append(function_code)
-        self.assembly_codes.append(assembly_code)
-        line_pairs = self.line_pairs
-        for block, line_pc in resident:
-            line_pairs.append(block)
-            line_pairs.append(line_pc)
-        self.line_offsets.append(len(line_pairs))
-        history_pairs = self.history_pairs
-        for block, history_pc in history:
-            history_pairs.append(block)
-            history_pairs.append(history_pc)
-        self.history_offsets.append(len(history_pairs))
-        score_blocks = self.score_blocks
-        score_values = self.score_values
-        for block, score in scores:
-            score_blocks.append(block)
-            score_values.append(score)
-        self.score_offsets.append(len(score_blocks))
-
     # ------------------------------------------------------------------
     # ragged-row decoding
     # ------------------------------------------------------------------
@@ -306,17 +279,18 @@ class AccessLog:
         return [(flat[j], flat[j + 1]) for j in range(start, stop, 2)]
 
     def row_history(self, i: int) -> List[Tuple[int, int]]:
-        """Recent-access ``(block, pc)`` pairs of row ``i``."""
-        flat = self.history_pairs
-        start, stop = self.history_offsets[i], self.history_offsets[i + 1]
-        return [(flat[j], flat[j + 1]) for j in range(start, stop, 2)]
+        """``(block, pc)`` of the up to ``history_window`` rows before
+        row ``i``, oldest first."""
+        start = max(0, i - self.history_window)
+        return list(zip(self.block_addresses[start:i], self.pcs[start:i]))
 
     def row_scores(self, i: int) -> List[Tuple[int, float]]:
-        """Eviction-score ``(block, score)`` pairs of row ``i``."""
+        """Eviction-score ``(block, score)`` pairs of row ``i``: each score
+        with the block of the resident line it belongs to."""
         start, stop = self.score_offsets[i], self.score_offsets[i + 1]
-        blocks = self.score_blocks
-        values = self.score_values
-        return [(blocks[j], values[j]) for j in range(start, stop)]
+        lines = self.line_offsets[i]
+        return list(zip(self.line_pairs[lines:lines + 2 * (stop - start):2],
+                        self.score_values[start:stop]))
 
     # ------------------------------------------------------------------
     def to_table(self) -> Table:

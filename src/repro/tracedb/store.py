@@ -7,7 +7,7 @@ computed :class:`~repro.tracedb.database.TraceEntry` (and bare
 directory and re-loaded by later sessions or parallel workers, so a warm
 start runs **zero** simulations.
 
-Layout (sharded, schema v1) — one directory per store:
+Layout (sharded, schema v2) — one directory per store:
 
 * ``manifest.json`` — ``{"schema": N, "layout": "sharded", ...}``.  Opening
   a store whose manifest declares a different :data:`STORE_SCHEMA_VERSION`
@@ -96,8 +96,12 @@ from repro.tracedb.objstore import (
 )
 
 #: Bump when the on-disk record layout changes incompatibly.  The sharded
-#: re-layout kept record bytes identical, so it did not bump this.
-STORE_SCHEMA_VERSION = 1
+#: re-layout kept record bytes identical, so it did not bump this.  2: the
+#: pickled :class:`~repro.tracedb.schema.AccessLog` no longer stores the
+#: columns it derives on read (recent access history, score blocks) and
+#: records its history window, so a version-1 log would unpickle its arrays
+#: into the wrong slots.
+STORE_SCHEMA_VERSION = 2
 
 #: Subdirectory corrupt files are renamed into instead of deleted, so a
 #: damaged record can never crash a reader twice and forensics stay

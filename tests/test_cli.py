@@ -1,8 +1,11 @@
 """CLI subcommands exercised through repro.cli.main."""
 
+import json
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.tracedb.database import DEFAULT_POLICIES, DEFAULT_WORKLOADS
 
 COMMON = ["--workloads", "astar", "--policies", "lru,belady",
           "--accesses", "400", "--config", "tiny"]
@@ -34,8 +37,6 @@ def test_ask_runs(capsys):
 
 
 def test_ask_json_prints_full_response(capsys):
-    import json
-
     code = main(["ask", *COMMON, "--json",
                  "What is the miss rate of lru on astar?"])
     assert code == 0
@@ -83,6 +84,24 @@ def test_bench_default_matrix_and_length(capsys):
     assert main(["bench", "--workloads", "astar", "--policies", "lru",
                  "--config", "tiny"]) == 0
     assert "20000 accesses" in capsys.readouterr().out
+    # experiment run sweeps the same default matrix.
+    assert main(["experiment", "run", "--configs", "tiny", "--accesses",
+                 "400", "--details", "stats", "--json"]) == 0
+    spec = json.loads(capsys.readouterr().out)["spec"]
+    assert (spec["workloads"], spec["policies"]) == (
+        list(DEFAULT_WORKLOADS), list(DEFAULT_POLICIES))
+
+
+@pytest.mark.parametrize("command", [
+    ["bench"], ["serve"], ["store", "save", "--dir", "unused"],
+    ["experiment", "run"]])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_must_be_a_positive_count(command, jobs, capsys):
+    # Refused while parsing: nothing runs, nothing serves.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([*command, "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
 
 
 def test_unknown_workload_fails_cleanly(capsys):

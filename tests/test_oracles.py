@@ -4,9 +4,11 @@ Every other simulator test compares one of the simulator's own replay paths
 against another.  These tests instead check the simulator against things
 that do not share its code:
 
-* a small reference simulator (LRU/FIFO/Belady, miss classes, the analytic
-  timing model), written here from the definitions over the raw trace
-  columns — the executable spec;
+* a small reference simulator (LRU/FIFO/Belady with their eviction
+  scores, the resident lines, reuse distances, recency and recent history
+  the access log records, miss classes, the analytic timing model), written
+  here from the definitions over the raw trace columns — the executable
+  spec;
 * properties any correct cache simulator has: Belady's lower bound, the
   inclusion property of the stack algorithms, Belady's anomaly for FIFO (a
   positive control that the suite can see non-stack behaviour),
@@ -17,10 +19,13 @@ Inclusion and monotonicity are what make configuration sweeps trustworthy
 """
 
 import dataclasses
+from collections import deque
+from typing import NamedTuple
 
 import pytest
 
 from repro.policies import available_policies, get_policy
+from repro.policies.base import NEVER
 from repro.sim.batch import BatchSimulator, NATIVE_POLICIES, RolloutSpec
 from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
@@ -47,34 +52,79 @@ def _trace(workload, num_accesses=NUM_ACCESSES):
 # ----------------------------------------------------------------------
 # the reference simulator
 # ----------------------------------------------------------------------
-def reference_cache(blocks, cache, policy="lru"):
-    """``(hit, evicted block or -1)`` per access of one cache."""
+#: Recent accesses the reference records per access, as the engine's
+#: default ``history_window``.
+HISTORY = 8
+
+
+class Step(NamedTuple):
+    """One access of the reference cache: what it found and what it did.
+    Distances and recency are -1 for "never"."""
+
+    hit: bool
+    evicted: int  # block, or -1
+    lines: list  # resident (block, pc) in way order, before the access
+    scores: list  # each resident line's eviction score, before the access
+    accessed_reuse: int
+    evicted_reuse: int
+    recency: int
+    history: list  # (block, pc) of the previous <= HISTORY accesses
+
+
+def _score(policy, line, now):
+    """A line's eviction score by the policy's definition: age since use
+    (LRU), age since fill (FIFO), accesses until next use (Belady)."""
+    _block, _pc, fill, use, upcoming = line
+    if policy == "belady":
+        return float(NEVER if upcoming == float("inf") else upcoming - now)
+    return float(now - (fill if policy == "fifo" else use))
+
+
+def reference_cache(blocks, cache, policy="lru", pcs=None):
+    """One :class:`Step` per access of one cache."""
+    pcs = pcs or [0] * len(blocks)
     future, upcoming = [], {}
     for block in reversed(blocks):
         future.append(upcoming.get(block, float("inf")))
         upcoming[block] = len(blocks) - len(future)
     future.reverse()
-    sets = [[] for _ in range(cache.num_sets)]  # way -> [block, fill, use, next]
-    outcomes = []
-    for now, block in enumerate(blocks):
+
+    def distance(position, now):
+        return -1 if position == float("inf") else position - now
+
+    # way -> [block, pc, fill, use, next]
+    sets = [[] for _ in range(cache.num_sets)]
+    last_seen, history, steps = {}, deque(maxlen=HISTORY), []
+    for now, (block, pc) in enumerate(zip(blocks, pcs)):
         ways = sets[block % cache.num_sets]
+        before = dict(
+            lines=[(line[0], line[1]) for line in ways],
+            scores=[_score(policy, line, now) for line in ways],
+            accessed_reuse=distance(future[now], now),
+            recency=now - last_seen[block] if block in last_seen else -1,
+            history=list(history))
+        last_seen[block] = now
+        history.append((block, pc))
         line = next((line for line in ways if line[0] == block), None)
         if line is not None:
-            line[2:] = [now, future[now]]
-            outcomes.append((True, -1))
+            line[3:] = [now, future[now]]
+            steps.append(Step(True, -1, evicted_reuse=-1, **before))
             continue
-        evicted, new = -1, [block, now, now, future[now]]
+        new = [block, pc, now, now, future[now]]
+        evicted = evicted_reuse = -1
         if len(ways) < cache.num_ways:
             ways.append(new)
         else:
             if policy == "belady":  # farthest next use; first way on ties
-                way = max(range(len(ways)), key=lambda w: ways[w][3])
+                way = max(range(len(ways)), key=lambda w: ways[w][4])
             else:  # oldest fill (FIFO) or oldest use (LRU)
-                field = 1 if policy == "fifo" else 2
+                field = 2 if policy == "fifo" else 3
                 way = min(range(len(ways)), key=lambda w: ways[w][field])
-            evicted, ways[way] = ways[way][0], new
-        outcomes.append((False, evicted))
-    return outcomes
+            evicted, evicted_reuse = ways[way][0], distance(ways[way][4], now)
+            ways[way] = new
+        steps.append(Step(False, evicted, evicted_reuse=evicted_reuse,
+                          **before))
+    return steps
 
 
 def reference_classes(blocks, capacity):
@@ -95,22 +145,22 @@ def reference_classes(blocks, capacity):
 
 
 def reference_replay(trace, config, policy, mode):
-    _pcs, addresses, flags, gaps = trace.columns()
+    pcs, addresses, flags, gaps = trace.columns()
     levels = ["llc"] * len(addresses)
     stream = list(range(len(addresses)))
     if mode == "hierarchy":  # LRU L1D, then LRU L2 on its misses
         for level, cache in (("l1", config.l1d), ("l2", config.l2)):
-            outcomes = reference_cache(
+            steps = reference_cache(
                 [addresses[i] // cache.block_bytes for i in stream], cache)
-            for i, (hit, _evicted) in zip(stream, outcomes):
-                if hit:
+            for i, step in zip(stream, steps):
+                if step.hit:
                     levels[i] = level
             stream = [i for i in stream if levels[i] == "llc"]
     llc = config.llc
     blocks = [addresses[i] // llc.block_bytes for i in stream]
-    outcomes = reference_cache(blocks, llc, policy)
-    for i, (hit, _evicted) in zip(stream, outcomes):
-        levels[i] = "llc" if hit else "dram"
+    steps = reference_cache(blocks, llc, policy, [pcs[i] for i in stream])
+    for i, step in zip(stream, steps):
+        levels[i] = "llc" if step.hit else "dram"
     latency = {"l2": config.l1d.latency_cycles + config.l2.latency_cycles}
     latency["llc"] = latency["l2"] + llc.latency_cycles
     latency["dram"] = latency["llc"] + config.dram.access_latency_cycles
@@ -127,13 +177,13 @@ def reference_replay(trace, config, policy, mode):
             timing["stall_cycles"] += stall
             stalls = timing["stalls_by_level"]
             stalls[level] = stalls.get(level, 0.0) + stall
-    return blocks, outcomes, reference_classes(blocks, llc.num_blocks), timing
+    return blocks, steps, reference_classes(blocks, llc.num_blocks), timing
 
 
 def _assert_matches_reference(result, reference, llc):
-    blocks, outcomes, classes, timing = reference
-    hits = [hit for hit, _evicted in outcomes]
-    evicted = [block for _hit, block in outcomes]
+    blocks, steps, classes, timing = reference
+    hits = [step.hit for step in steps]
+    evicted = [step.evicted for step in steps]
     misses = [cls for cls, hit in zip(classes, hits) if not hit]
     per_set_accesses, per_set_hits = [0] * llc.num_sets, [0] * llc.num_sets
     for block, hit in zip(blocks, hits):
@@ -153,6 +203,24 @@ def _assert_matches_reference(result, reference, llc):
         assert list(log.evicted_blocks) == evicted
         assert [MISS_TYPE_LABELS[code] for code in log.miss_type_codes] == [
             "" if hit else cls for cls, hit in zip(classes, hits)]
+        rows = range(len(log))
+        assert [log.row_lines(i) for i in rows] == [
+            step.lines for step in steps]
+        assert [log.row_scores(i) for i in rows] == [
+            [(block, score) for (block, _pc), score in zip(step.lines,
+                                                           step.scores)]
+            for step in steps]
+        assert [log.row_history(i) for i in rows] == [
+            step.history for step in steps]
+        assert list(log.accessed_reuse) == [
+            step.accessed_reuse for step in steps]
+        assert list(log.evicted_reuse) == [
+            step.evicted_reuse for step in steps]
+        assert list(log.recencies) == [step.recency for step in steps]
+        assert result.wrong_evictions == sum(
+            1 for step in steps if step.evicted_reuse >= 0 and (
+                step.accessed_reuse < 0
+                or step.evicted_reuse < step.accessed_reuse))
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
@@ -219,7 +287,7 @@ def test_fifo_shows_beladys_anomaly():
                                     llc, "fifo")
         misses[ways] = {_misses(trace, config, "fifo"),
                         _misses(trace, config, get_policy("fifo")),
-                        sum(1 for hit, _evicted in reference if not hit)}
+                        sum(1 for step in reference if not step.hit)}
     assert misses == {3: {9}, 4: {10}}
 
 

@@ -339,7 +339,7 @@ def test_store_cli_save_load_info_gc(tmp_path, capsys):
 
     assert main(["store", "info", "--dir", store_dir]) == 0
     out = capsys.readouterr().out
-    assert "schema version: 1" in out
+    assert f"schema version: {STORE_SCHEMA_VERSION}" in out
     assert "2 entries" in out and "2 results" in out
 
     assert main(["store", "gc", "--dir", store_dir,
