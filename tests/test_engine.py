@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.policies import available_policies
+from repro.policies import LRUPolicy, available_policies
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.workloads.generator import available_workloads, generate_trace
@@ -102,3 +102,25 @@ def _full_detail_digest(policy_name):
 def test_full_detail_logs_match_pinned_digests(policy_name):
     assert (_full_detail_digest(policy_name)
             == PINNED_FULL_DETAIL_DIGESTS[policy_name])
+
+
+class _MiscountedScores(LRUPolicy):
+    """LRU whose eviction scores number ``extra`` more than the lines."""
+
+    def __init__(self, extra):
+        super().__init__()
+        self.extra = extra
+
+    def eviction_scores(self, set_index, lines, access):
+        return [float(k) for k in range(len(lines) + self.extra)]
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_eviction_scores_pair_with_resident_lines_as_zip_does(extra):
+    trace = generate_trace("astar", num_accesses=300, seed=0)
+    log = _run(trace, _MiscountedScores(extra)).log
+    for i in range(len(log)):
+        lines = log.row_lines(i)
+        assert log.row_scores(i) == list(zip(
+            [block for block, _pc in lines],
+            [float(k) for k in range(len(lines) + extra)]))
