@@ -251,9 +251,9 @@ class SimulationCache:
         """Memoised oracle reuse precompute, keyed by trace fingerprint.
 
         ``full=False`` returns just the next-use column (the stats replay's
-        need); ``full=True`` also carries prev-use and per-block position
-        lists (the full-detail replay's need) and upgrades an existing
-        stats-only entry in place.  The arrays are pure functions of
+        need); ``full=True`` also carries the prev-use column (the
+        full-detail replay's need) and upgrades an existing stats-only
+        entry in place.  The arrays are pure functions of
         ``(trace content, block_bytes)``, so every belady/oracle cell over
         the same trace — batch or single replay — shares one computation.
         Engines built by this cache get this method as their

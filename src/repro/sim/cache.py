@@ -114,8 +114,11 @@ class Cache:
     """A single set-associative cache level driven by a replacement policy.
 
     After each :meth:`access`, ``evicted`` holds the block it evicted (-1
-    for none).  At full detail, ``log`` receives each access's snapshots
-    until the engine sets it to ``None``.
+    for none) and, when it evicted one, ``evicted_next_use`` that block's
+    next use: a resident line is not accessed between its last access and
+    its eviction, so its ``next_use`` is still current.  At full detail,
+    ``log`` receives each access's snapshots until the engine sets it to
+    ``None``.
     """
 
     def __init__(self, config: CacheConfig,
@@ -140,6 +143,7 @@ class Cache:
         self.evictions = 0
         self.bypasses = 0
         self.evicted = -1
+        self.evicted_next_use = NEVER
         self.log: Optional[AccessLog] = (AccessLog() if detail == DETAIL_FULL
                                          else None)
 
@@ -227,6 +231,7 @@ class Cache:
                 policy.on_evict(set_index, victim, policy_access)
                 self.evictions += 1
                 self.evicted = victim.block_address
+                self.evicted_next_use = victim.next_use
                 del tags[victim.block_address]
 
         line = CacheLine(

@@ -11,14 +11,14 @@ trace database stores (paper section 4.3).  Row views
 ``SimulationResult.records``.
 
 A full-detail rollout writes each fact once.  The policy loop records only
-what needs policy state: the hit column, a victim column and, through the
-cache, each logged access's resident ``(block, pc)`` lines and eviction
-scores, straight into the log's flat arrays.  One columnar post-pass over
-the replay core's precomputes then builds every other column: positions,
-PCs, blocks, sets, hit flags and miss classes, victims, the accessed reuse
-distance and recency, per-PC source context, and — from a loop over the
-evicting positions only — the evicted block's reuse distance and the
-wrong-eviction count.
+what needs policy state: the hit column, a victim column with each
+victim's next use and, through the cache, each logged access's resident
+``(block, pc)`` lines and eviction scores, straight into the log's flat
+arrays.  One columnar post-pass over the replay core's precomputes then
+builds every other column: positions, PCs, blocks, sets, hit flags and
+miss classes, victims, the accessed reuse distance and recency, per-PC
+source context, and — from a loop over the evicting positions only — the
+evicted block's reuse distance and the wrong-eviction count.
 
 Two modes are supported:
 
@@ -46,7 +46,6 @@ Two detail levels are supported:
 
 from __future__ import annotations
 
-import bisect
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -167,7 +166,7 @@ class SimulationEngine:
         self.max_records = max_records
         self.detail = detail
         #: Optional shared reuse provider (``SimulationCache.reuse_for``):
-        #: llc_only runs fetch next-use/positions from it instead of
+        #: llc_only runs fetch next-use/prev-use from it instead of
         #: recomputing per cell.  The returned arrays are identical to the
         #: local computation, so results are byte-for-byte unchanged.
         self.reuse_cache = reuse_cache
@@ -243,10 +242,11 @@ class SimulationEngine:
     def _annotate(self, trace: MemoryTrace, stream: LLCStream, cache: Cache,
                   steps: Iterator[bool], reuse: TraceReuse
                   ) -> Tuple[bytearray, AccessLog, int]:
-        """Consume the policy steps into the hit and victim columns while
-        the cache captures its snapshots for the first ``max_records``
-        rows, then build the log's other columns and the count of wrong
-        evictions (victims reused before the accessed block) from columns.
+        """Consume the policy steps into the hit and victim columns (and
+        each victim's next use, from its line) while the cache captures its
+        snapshots for the first ``max_records`` rows, then build the log's
+        other columns and the count of wrong evictions (victims reused
+        before the accessed block) from columns.
         """
         size = len(stream)
         rows = size if self.max_records is None else max(
@@ -256,9 +256,13 @@ class SimulationEngine:
             cache.log = None
         hits = bytearray(size)
         victims = array("q", [-1]) * size
+        evicted_next_use: Dict[int, int] = {}
         for position, hit in enumerate(steps):
             hits[position] = hit
-            victims[position] = cache.evicted
+            victim = cache.evicted
+            if victim >= 0:
+                victims[position] = victim
+                evicted_next_use[position] = cache.evicted_next_use
             if position + 1 == rows:
                 cache.log = None
 
@@ -288,10 +292,7 @@ class SimulationEngine:
         log.evicted_reuse = array("q", [NEVER_REUSED]) * rows
         accessed = accessed_reuse.tolist()
         wrong_evictions = 0
-        for position in np.flatnonzero(
-                np.frombuffer(victims, dtype=np.int64) >= 0).tolist():
-            evicted_next = _next_use_after(reuse.positions_by_block,
-                                           victims[position], position)
+        for position, evicted_next in evicted_next_use.items():
             if evicted_next < NEVER:
                 evicted_rd = evicted_next - position
                 if position < rows:
@@ -318,17 +319,6 @@ def _typed(typecode: str, values: np.ndarray) -> array:
     """``values`` as an ``array`` of ``typecode`` (numpy's code for the
     same C type), in one buffer copy."""
     return array(typecode, values.astype(typecode).tobytes())
-
-
-def _next_use_after(positions_by_block: Dict[int, List[int]], block: int,
-                    position: int) -> int:
-    """Next stream position after ``position`` (exclusive) at which
-    ``block`` is accessed, or ``NEVER``."""
-    positions = positions_by_block.get(block)
-    if not positions:
-        return NEVER
-    index = bisect.bisect_right(positions, position)
-    return positions[index] if index < len(positions) else NEVER
 
 
 def simulate(trace: MemoryTrace, policy, config: HierarchyConfig = SMALL_CONFIG,

@@ -15,8 +15,7 @@ A replay of one policy over one trace has three stages:
      fully-associative LRU shadow cache are updated on *every* LLC access
      whatever the policy does, so an access's class is a function of the
      stream alone;
-   * reuse arrays (next use; for full detail also previous use and
-     per-block positions);
+   * reuse arrays (next use; for full detail also previous use);
    * the demand mask and the base timing of the trace.
 
 2. **One policy loop** per rollout emits a hit column (a ``bytearray``)
@@ -24,10 +23,10 @@ A replay of one policy over one trace has three stages:
    detail, policy requested by name) or the generic loop over
    :meth:`~repro.sim.cache.Cache.access` (:func:`policy_steps`), which
    also counts bypasses.  At full detail the generic loop also emits a
-   victim column (each access's evicted block, or -1), and the cache
-   writes each logged access's resident lines and eviction scores into
-   the access log; the engine builds the log's other columns from the
-   precomputes and these two columns.
+   victim column (each access's evicted block, or -1, with the evicted
+   line's next use), and the cache writes each logged access's resident
+   lines and eviction scores into the access log; the engine builds the
+   log's other columns from the precomputes and these columns.
 
 3. **The post-pass** (:meth:`ReplayCore.post_pass`) builds
    :class:`~repro.sim.cache.CacheStats` and
@@ -70,15 +69,14 @@ class TraceReuse:
     """Reuse-distance precomputation for one access stream.
 
     ``next_use`` is always present (the stats path only needs it for
-    ``requires_future`` policies); ``prev_use`` and ``positions_by_block``
-    are the richer full-detail form.  Instances are shared read-only across
-    rollouts and across cells via :meth:`SimulationCache.reuse_for`, so they
-    must never be mutated after construction.
+    ``requires_future`` policies); ``prev_use`` is added for full detail.
+    Instances are shared read-only across rollouts and across cells via
+    :meth:`SimulationCache.reuse_for`, so they must never be mutated after
+    construction.
     """
 
     next_use: List[int]
     prev_use: Optional[List[int]] = None
-    positions_by_block: Optional[Dict[int, List[int]]] = None
 
 
 #: Provider signature for shared reuse precomputation:
@@ -88,10 +86,8 @@ ReuseProvider = Callable[[MemoryTrace, int, bool], TraceReuse]
 
 
 def compute_next_use(addresses: Sequence[int], block_bytes: int) -> List[int]:
-    """Per-position next-use indices over one address sequence.
-
-    Single reverse pass — cheaper than the full per-block position lists the
-    record-building path needs.  ``NEVER`` marks "no next use".
+    """Per-position next-use indices over one address sequence, in one
+    reverse pass.  ``NEVER`` marks "no next use".
     """
     next_use = [NEVER] * len(addresses)
     next_seen: Dict[int, int] = {}
@@ -104,26 +100,20 @@ def compute_next_use(addresses: Sequence[int], block_bytes: int) -> List[int]:
 
 def compute_full_reuse(addresses: Sequence[int],
                        block_bytes: int) -> TraceReuse:
-    """Full reuse precomputation (next/prev use + per-block positions).
+    """Full reuse precomputation: next use (one reverse pass) and previous
+    use (one forward pass, ``-1`` for none).
 
     Positions are indices into the given access stream (the LLC stream of a
-    replay); the full-detail log needs all three pieces.
+    replay); the full-detail log needs both.
     """
-    positions_by_block: Dict[int, List[int]] = {}
+    prev_use = [-1] * len(addresses)
+    last_seen: Dict[int, int] = {}
     for position, address in enumerate(addresses):
         block = address // block_bytes
-        positions_by_block.setdefault(block, []).append(position)
-
-    next_use = [NEVER] * len(addresses)
-    prev_use = [-1] * len(addresses)
-    for positions in positions_by_block.values():
-        for i, position in enumerate(positions):
-            if i + 1 < len(positions):
-                next_use[position] = positions[i + 1]
-            if i > 0:
-                prev_use[position] = positions[i - 1]
-    return TraceReuse(next_use=next_use, prev_use=prev_use,
-                      positions_by_block=positions_by_block)
+        prev_use[position] = last_seen.get(block, -1)
+        last_seen[block] = position
+    return TraceReuse(next_use=compute_next_use(addresses, block_bytes),
+                      prev_use=prev_use)
 
 
 def miss_classes(blocks: Sequence[int], capacity: int) -> bytearray:
@@ -206,8 +196,8 @@ class LLCStream:
             self.blocks(cache.block_bytes), cache.num_blocks))
 
     def reuse(self, block_bytes: int, full: bool) -> TraceReuse:
-        """Reuse arrays over the stream; ``full`` adds prev-use and
-        positions (upgrading a next-use-only entry)."""
+        """Reuse arrays over the stream; ``full`` adds prev-use (upgrading
+        a next-use-only entry)."""
         if self._reuse_provider is not None:
             return self._reuse_provider(block_bytes, full)
         key = ("reuse", block_bytes)
