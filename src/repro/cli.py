@@ -46,6 +46,7 @@ from repro.policies.base import available_policies
 from repro.retrieval.base import available_retrievers
 from repro.sim.config import NAMED_CONFIGS as CONFIGS
 from repro.tracedb.database import DEFAULT_POLICIES, DEFAULT_WORKLOADS
+from repro.tracedb.objstore import TEMP_MAX_AGE_SECONDS
 from repro.workloads.generator import available_workload_info
 
 
@@ -69,6 +70,29 @@ def _positive_int(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {value!r}")
+    return number
+
+
+def _non_negative_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = -1
+    if number < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value!r}")
+    return number
+
+
+def _non_negative_float(value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        number = -1.0
+    # ``not >= 0`` also refuses nan.
+    if not number >= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative number, got {value!r}")
     return number
 
 
@@ -313,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-warm-up", action="store_true",
                        help="skip the eager database build (first request "
                             "pays for it instead)")
-    serve.add_argument("--max-in-flight", type=int, default=32,
+    serve.add_argument("--max-in-flight", type=_positive_int, default=32,
                        help="admission-control cap: requests beyond this "
                             "many in flight are shed with a structured "
                             "'overloaded' error (default: 32)")
@@ -356,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="restrict the deep check to this shard "
                                    "prefix (repeatable); the index audit "
                                    "runs only on full verifies")
-    store_verify.add_argument("--temp-max-age", type=float, default=None,
+    store_verify.add_argument("--temp-max-age", type=_non_negative_float,
+                              default=TEMP_MAX_AGE_SECONDS,
                               metavar="SECONDS",
                               help="treat .tmp files older than this as "
                                    "stale (default: 600)")
@@ -364,20 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     store_gc = store_sub.add_parser(
         "gc", help="drop corrupt/foreign records; optionally prune by age")
     store_gc.add_argument("--dir", required=True, metavar="DIR")
-    store_gc.add_argument("--max-records", type=int, default=None,
+    store_gc.add_argument("--max-records", type=_non_negative_int,
+                          default=None,
                           help="keep at most this many records "
                                "(oldest pruned first)")
-    store_gc.add_argument("--temp-max-age", type=float, default=None,
-                          metavar="SECONDS",
+    store_gc.add_argument("--temp-max-age", type=_non_negative_float,
+                          default=TEMP_MAX_AGE_SECONDS, metavar="SECONDS",
                           help="sweep .tmp files older than this (default: "
                                "600; fresher ones are presumed to be a "
                                "concurrent writer's in-progress write)")
-
-    store_migrate = store_sub.add_parser(
-        "migrate", help="re-shard a flat-layout store in place and build "
-                        "its index (record bytes untouched — warm reads "
-                        "stay byte-identical)")
-    store_migrate.add_argument("--dir", required=True, metavar="DIR")
 
     store_reindex = store_sub.add_parser(
         "reindex", help="rebuild the append-only index from the object "
@@ -850,12 +870,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
     from repro.tracedb.store import TraceStore
 
-    from repro.tracedb.objstore import TEMP_MAX_AGE_SECONDS
-
     # Read-only/maintenance commands must not conjure an empty store out of
     # a typo'd path; only save/load (which build) may create the directory.
-    if (args.store_command in ("info", "gc", "verify", "migrate", "reindex",
-                               "compact")
+    if (args.store_command in ("info", "gc", "verify", "reindex", "compact")
             and not os.path.isdir(args.dir)):
         print(f"error: no trace store at {args.dir!r}", file=sys.stderr)
         return 1
@@ -895,11 +912,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
         # strict=False: verify must *report* whatever is on disk (including
         # a corrupt manifest) rather than auto-heal it on open; --repair is
         # the explicit healing step.
-        temp_max_age = (args.temp_max_age if args.temp_max_age is not None
-                        else TEMP_MAX_AGE_SECONDS)
         report = TraceStore(args.dir, strict=False).verify(
             repair=args.repair, shards=args.shards,
-            temp_max_age=temp_max_age)
+            temp_max_age=args.temp_max_age)
         by_kind = report["by_kind"]
         scope = (f" (shards {', '.join(report['shards'])})"
                  if report["shards"] else "")
@@ -931,7 +946,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
         if report["clean"]:
             print("  store is clean")
             return 0
-        hint = ("foreign records need `store gc`" if args.repair
+        # --repair leaves foreign data alone; only gc drops it.
+        hint = ("foreign data needs `python -m repro store gc --dir "
+                f"{args.dir}`"
+                if report["foreign"] or report["manifest"] == "foreign"
                 else "run `python -m repro store verify --dir "
                      f"{args.dir} --repair`")
         print(f"error: store verification found problems ({hint})",
@@ -941,30 +959,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "gc":
         # strict=False: gc is the documented recovery path for a store
         # written by a different build, so it must be able to open one.
-        temp_max_age = (args.temp_max_age if args.temp_max_age is not None
-                        else TEMP_MAX_AGE_SECONDS)
         removed = TraceStore(args.dir, strict=False).gc(
-            max_records=args.max_records, temp_max_age=temp_max_age)
+            max_records=args.max_records, temp_max_age=args.temp_max_age)
         for reason, names in removed.items():
             for name in names:
                 print(f"  removed ({reason}): {name}")
         total = sum(len(names) for names in removed.values())
         print(f"gc: removed {total} record(s) from {args.dir}")
-        return 0
-
-    if args.store_command == "migrate":
-        layout = TraceStore.detect_layout(args.dir)
-        # Opening a flat store auto-migrates; the explicit command exists
-        # so operators can do it at a chosen moment (and see the stats)
-        # instead of paying it on the next session's first open.
-        store = TraceStore(args.dir, strict=False)
-        stats = (store.migration if store.migration is not None
-                 else store.migrate())
-        print(f"migrate: {args.dir} ({layout} layout)")
-        print(f"  moved {stats['moved']} record(s) into shards, "
-              f"skipped {stats['skipped']}, indexed {stats['indexed']}"
-              + (f", {stats['unreadable']} unreadable"
-                 if stats.get("unreadable") else ""))
         return 0
 
     if args.store_command == "reindex":

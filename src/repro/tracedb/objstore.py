@@ -183,6 +183,31 @@ def entry_line(entry: Dict[str, Any]) -> bytes:
                        separators=(",", ":")).encode("utf-8") + b"\n")
 
 
+def atomic_write(path: str, data: bytes, fsync: bool = False) -> None:
+    """Replace ``path`` with ``data`` atomically.
+
+    The temp file lives in the target's directory so ``os.replace`` stays
+    a same-filesystem atomic rename; an interrupted write strands an
+    (age-gated, gc-swept) ``.tmp`` there, never a half-written target.
+    ``fsync=True`` flushes the bytes to disk before the rename.
+    """
+    handle, temp_path = tempfile.mkstemp(dir=os.path.dirname(path),
+                                         suffix=".tmp")
+    try:
+        with os.fdopen(handle, "wb") as temp:
+            temp.write(data)
+            if fsync:
+                temp.flush()
+                os.fsync(temp.fileno())
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
+
+
 class AppendOnlyIndex:
     """The ``index/log.jsonl`` append-only object index.
 
@@ -198,7 +223,6 @@ class AppendOnlyIndex:
         self.root = root
         self.read_only = read_only
         self.path = os.path.join(root, INDEX_DIR, INDEX_NAME)
-        self.appends = 0
 
     def exists(self) -> bool:
         return os.path.exists(self.path)
@@ -222,7 +246,6 @@ class AppendOnlyIndex:
             os.fsync(descriptor)
         finally:
             os.close(descriptor)
-        self.appends += 1
 
     def read(self) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Any]]:
         """Replay the log: ``(entries_by_name, health)``.
@@ -279,21 +302,8 @@ class AppendOnlyIndex:
         if self.read_only:
             raise StoreReadOnlyError(
                 f"store at {self.root!r} is mounted read-only")
-        directory = os.path.dirname(self.path)
-        os.makedirs(directory, exist_ok=True)
-        handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as temp:
-                temp.write(self.canonical_bytes(entries))
-                temp.flush()
-                os.fsync(temp.fileno())
-            os.replace(temp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        os.makedirs(os.path.dirname(self.path), exist_ok=True)
+        atomic_write(self.path, self.canonical_bytes(entries), fsync=True)
 
 
 class ObjectStore:
@@ -369,30 +379,14 @@ class ObjectStore:
     # object IO
     # ------------------------------------------------------------------
     def write_object(self, name: str, data: bytes) -> str:
-        """Atomically write one immutable object; returns its path.
-
-        The temp file lives in the destination shard directory so
-        ``os.replace`` stays a same-filesystem atomic rename, and an
-        interrupted write strands an (age-gated, gc-swept) ``.tmp``
-        there, never a half-written object.
-        """
+        """Atomically write one immutable object into its shard directory
+        (see :func:`atomic_write`); returns its path."""
         if self.read_only:
             raise StoreReadOnlyError(
                 f"store at {self.root!r} is mounted read-only")
         path = self.object_path(name)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as temp:
-                temp.write(data)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        atomic_write(path, data)
         return path
 
     def open_object(self, name: str):
@@ -467,65 +461,3 @@ class ObjectStore:
         except OSError:
             return False
 
-
-# ----------------------------------------------------------------------
-# layout detection and migration
-# ----------------------------------------------------------------------
-def flat_object_names(root: str) -> List[str]:
-    """Well-formed record filenames sitting at the top level of ``root``
-    (the pre-sharding flat layout), sorted."""
-    try:
-        names = os.listdir(root)
-    except OSError:
-        return []
-    return sorted(name for name in names
-                  if parse_object_name(name) is not None)
-
-
-def detect_layout(root: str, manifest_layout: Optional[str] = None) -> str:
-    """Classify a store directory: ``"sharded"``, ``"flat"`` or ``"empty"``.
-
-    The manifest's ``layout`` field wins when present; otherwise the
-    directory shape decides (an ``objects/``/``index/`` tree is sharded,
-    top-level ``*.pkl`` records are flat, anything else is an empty/new
-    store, which is born sharded).
-    """
-    if manifest_layout in ("sharded", "flat"):
-        return manifest_layout
-    if (os.path.isdir(os.path.join(root, OBJECTS_DIR))
-            or os.path.isdir(os.path.join(root, INDEX_DIR))):
-        return "sharded"
-    if flat_object_names(root):
-        return "flat"
-    return "empty"
-
-
-def migrate_flat_objects(objects: ObjectStore) -> Dict[str, Any]:
-    """Move top-level flat-layout records into their shard directories.
-
-    Record bytes are untouched (`os.replace` of the same file), so a
-    migrated store hands back byte-identical payloads.  Unparseable
-    ``.pkl`` names are left in place and reported.  Races with a
-    concurrent migrator are tolerated — whoever replaces first wins, the
-    loser's rename fails quietly.  The caller rebuilds the index
-    afterwards (the flat layout never had one).
-    """
-    moved: List[str] = []
-    skipped: List[str] = []
-    for name in sorted(os.listdir(objects.root)):
-        if not name.endswith(".pkl"):
-            continue
-        source = os.path.join(objects.root, name)
-        if not os.path.isfile(source):
-            continue
-        if parse_object_name(name) is None:
-            skipped.append(name)
-            continue
-        target = objects.object_path(name)
-        try:
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            os.replace(source, target)
-            moved.append(name)
-        except OSError:
-            skipped.append(name)
-    return {"moved": moved, "skipped": skipped}

@@ -13,7 +13,9 @@ Layout (sharded, schema v2) — one directory per store:
   a store whose manifest declares a different :data:`STORE_SCHEMA_VERSION`
   raises :class:`~repro.errors.StoreVersionError` (never silently mixes
   layouts); ``python -m repro store gc`` opens non-strictly, drops the
-  foreign records and re-stamps the manifest.
+  foreign records and re-stamps the manifest.  A store from before the
+  sharded layout (schema-1 records at the top level) is one such store:
+  it is refused, and ``gc`` deletes its top-level records.
 * ``objects/<ab>/<kind>-<digest>.pkl`` — one immutable content-addressed
   record per cached object, sharded by the digest's hex prefix: a small
   uncompressed header block (``{"schema", "kind", "key_repr"}``) followed
@@ -30,11 +32,6 @@ Layout (sharded, schema v2) — one directory per store:
   record file, but a missing or torn index never blocks anything —
   readers fall back to the object headers, and :meth:`TraceStore.reindex`
   rebuilds the log **byte-identically** from the headers alone.
-
-The pre-sharding *flat* layout (records at the top level, no index) is
-migrated transparently: opening a flat store re-shards it in place
-(record bytes untouched, so warm reads stay byte-identical), and
-``python -m repro store migrate`` does the same explicitly.
 
 Read-only mounts: ``TraceStore(root, read_only=True)`` refuses every
 mutation with :class:`~repro.errors.StoreReadOnlyError` (and never
@@ -78,25 +75,18 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import StoreReadOnlyError, StoreVersionError
 from repro.faults import InjectedFault, fault_point
 from repro.tracedb.objstore import (
-    INDEX_DIR,
-    INDEX_NAME,
     OBJECTS_DIR,
-    RECORD_MAGIC,
     TEMP_MAX_AGE_SECONDS,
-    AppendOnlyIndex,
     ObjectStore,
+    atomic_write,
     decode_header,
-    detect_layout,
     encode_record,
-    flat_object_names,
     index_entry_for,
-    migrate_flat_objects,
     parse_object_name,
     shard_of,
 )
 
-#: Bump when the on-disk record layout changes incompatibly.  The sharded
-#: re-layout kept record bytes identical, so it did not bump this.  2: the
+#: Bump when the on-disk record layout changes incompatibly.  2: the
 #: pickled :class:`~repro.tracedb.schema.AccessLog` no longer stores the
 #: columns it derives on read (recent access history, score blocks) and
 #: records its history window, so a version-1 log would unpickle its arrays
@@ -169,25 +159,26 @@ def _experiment_key_from_repr(key_repr: str) -> tuple:
 class TraceStore:
     """Versioned on-disk cache of trace-database entries and results.
 
-    ``strict=False`` skips the manifest schema check instead of raising
-    :class:`StoreVersionError` — used by maintenance commands (``gc``) that
-    must be able to open a foreign-version store to clean it up.
+    ``schema_version`` is :data:`STORE_SCHEMA_VERSION`, the one schema
+    this build reads and writes.  ``strict=False`` skips the manifest
+    schema check instead of raising :class:`StoreVersionError` — used by
+    maintenance commands (``gc``, ``verify``) that must be able to open a
+    foreign-version store, including one from before the sharded layout,
+    to report on it or clean it up.
     ``read_only=True`` mounts the store without write access: every
     mutating method raises :class:`~repro.errors.StoreReadOnlyError`,
     nothing on disk is created, stamped or quarantined, and reads stay
     race-safe against a concurrent writer process.
     """
 
-    def __init__(self, root: str, schema_version: int = STORE_SCHEMA_VERSION,
-                 strict: bool = True, read_only: bool = False):
+    def __init__(self, root: str, strict: bool = True,
+                 read_only: bool = False):
         self.root = os.fspath(root)
-        self.schema_version = schema_version
+        self.schema_version = STORE_SCHEMA_VERSION
         self.read_only = read_only
         self.saves = 0
         self.loads = 0
         self.load_misses = 0
-        #: Migration stats when opening re-sharded a flat store, else None.
-        self.migration: Optional[Dict[str, Any]] = None
         if read_only:
             if not os.path.isdir(self.root):
                 raise FileNotFoundError(
@@ -196,7 +187,7 @@ class TraceStore:
         else:
             os.makedirs(self.root, exist_ok=True)
         self._objects = ObjectStore(self.root, read_only=read_only)
-        self._open_layout(strict)
+        self._open_manifest(strict)
 
     # ------------------------------------------------------------------
     # counters
@@ -210,12 +201,8 @@ class TraceStore:
         """
         return self._objects.record_opens
 
-    @property
-    def index_appends(self) -> int:
-        return self._objects.index.appends
-
     # ------------------------------------------------------------------
-    # manifest + layout
+    # manifest
     # ------------------------------------------------------------------
     def _manifest_path(self) -> str:
         return os.path.join(self.root, MANIFEST_NAME)
@@ -224,33 +211,31 @@ class TraceStore:
         if self.read_only:
             raise StoreReadOnlyError(
                 f"store at {self.root!r} is mounted read-only")
-        self._atomic_write_bytes(self._manifest_path(), json.dumps({
+        atomic_write(self._manifest_path(), json.dumps({
             "schema": self.schema_version,
             "layout": "sharded",
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }, indent=2).encode("utf-8"))
 
-    def _read_manifest(self) -> Tuple[str, Any, Optional[str]]:
-        """Classify the manifest: ``(state, schema_or_error, layout)`` with
-        state one of ``"ok"``/``"corrupt"``/``"missing"``."""
+    def _read_manifest(self) -> Tuple[str, Any]:
+        """Classify the manifest: ``(state, schema_or_error)`` with state
+        one of ``"ok"``/``"corrupt"``/``"missing"``."""
         path = self._manifest_path()
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
         except FileNotFoundError:
-            return ("missing", None, None)
+            return ("missing", None)
         except (OSError, ValueError) as error:
-            return ("corrupt", error, None)
+            return ("corrupt", error)
         if not isinstance(manifest, dict):
             return ("corrupt",
                     ValueError(f"manifest is {type(manifest).__name__}, "
-                               f"not an object"), None)
-        layout = manifest.get("layout")
-        return ("ok", manifest.get("schema"),
-                layout if isinstance(layout, str) else None)
+                               f"not an object"))
+        return ("ok", manifest.get("schema"))
 
-    def _open_layout(self, strict: bool) -> None:
-        state, detail, manifest_layout = self._read_manifest()
+    def _open_manifest(self, strict: bool) -> None:
+        state, detail = self._read_manifest()
         if state == "ok" and strict and detail != self.schema_version:
             raise StoreVersionError(
                 f"trace store at {self.root!r} was written with schema "
@@ -258,19 +243,6 @@ class TraceStore:
                 f"{self.schema_version}. Run `python -m repro store gc "
                 f"--dir {self.root}` (or delete the directory) to "
                 f"rebuild.")
-        layout = detect_layout(
-            self.root, manifest_layout if state == "ok" else None)
-        if layout == "flat":
-            # Transparent migration: re-shard in place.  Record bytes are
-            # untouched, so a migrated store hands back byte-identical
-            # payloads with zero re-simulations.
-            if self.read_only:
-                raise StoreVersionError(
-                    f"trace store at {self.root!r} uses the flat layout; "
-                    f"run `python -m repro store migrate --dir {self.root}` "
-                    f"(read-only mounts cannot migrate in place)")
-            self.migration = self.migrate()
-            return
         if state == "missing":
             if not self.read_only:
                 self._write_manifest()
@@ -288,15 +260,19 @@ class TraceStore:
     def _rebuild_manifest(self, error: Any) -> None:
         """Self-heal an unreadable/corrupt manifest from the record headers.
 
-        Safe only when every readable record declares the current schema (an
-        empty store trivially qualifies); a store full of foreign records is
-        a genuine version mismatch and still refuses to open.  Both the
-        sharded tree and any not-yet-migrated top-level records are
-        scanned, so a flat store's foreign records cannot be adopted.
+        Safe only when every readable record in the sharded tree declares
+        the current schema (an empty store trivially qualifies); a store
+        full of foreign records is a genuine version mismatch and still
+        refuses to open.  Records at the top level are never read: only a
+        build from before the sharded layout wrote there, and ``gc``
+        deletes them.
         """
         survivors = 0
         foreign = set()
-        for header in self._survivor_headers():
+        for name in self._objects.list_object_names():
+            header = self._read_header_quietly(name)
+            if header is None:
+                continue
             survivors += 1
             if header.get("schema") != self.schema_version:
                 foreign.add(header.get("schema"))
@@ -315,57 +291,11 @@ class TraceStore:
             f"header(s)",
             StoreCorruptionWarning, stacklevel=3)
 
-    def _survivor_headers(self) -> Iterator[Dict[str, Any]]:
-        for name in self._objects.list_object_names():
-            header = self._read_header_quietly(name)
-            if header is not None:
-                yield header
-        for name in flat_object_names(self.root):
-            try:
-                with open(os.path.join(self.root, name), "rb") as handle:
-                    yield decode_header(handle)
-            except Exception:
-                continue
-
-    def _atomic_write_bytes(self, path: str, data: bytes) -> None:
-        import tempfile
-
-        handle, temp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as temp:
-                temp.write(data)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-
-    @staticmethod
-    def detect_layout(root: str) -> str:
-        """Classify a store directory without opening it:
-        ``"sharded"``/``"flat"``/``"empty"``."""
-        manifest_layout = None
-        try:
-            with open(os.path.join(root, MANIFEST_NAME), "r",
-                      encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            if isinstance(manifest, dict):
-                value = manifest.get("layout")
-                manifest_layout = value if isinstance(value, str) else None
-        except (OSError, ValueError):
-            pass
-        return detect_layout(root, manifest_layout)
-
     # ------------------------------------------------------------------
     # record IO
     # ------------------------------------------------------------------
     def _record_name(self, kind: str, key: tuple) -> str:
         return f"{kind}-{key_digest(key)}.pkl"
-
-    def _record_path(self, kind: str, key: tuple) -> str:
-        return self._objects.object_path(self._record_name(kind, key))
 
     #: Failures decoding a record's *content*: the file on disk is damaged
     #: (torn write, bit rot), so the reader quarantines it.  Transient I/O
@@ -377,9 +307,6 @@ class TraceStore:
 
     #: Exceptions that mean "this record is unreadable" rather than a bug.
     _DECODE_ERRORS = (OSError,) + _CONTENT_ERRORS
-
-    _encode_record = staticmethod(encode_record)
-    _decode_header = staticmethod(decode_header)
 
     def save(self, kind: str, key: tuple, payload: Any,
              extra_header: Optional[Dict[str, Any]] = None) -> str:
@@ -491,14 +418,8 @@ class TraceStore:
     def save_entry(self, key: tuple, entry) -> str:
         return self.save(KIND_ENTRY, key, entry)
 
-    def load_entry(self, key: tuple):
-        return self.load(KIND_ENTRY, key)
-
     def save_result(self, key: tuple, result) -> str:
         return self.save(KIND_RESULT, key, result)
-
-    def load_result(self, key: tuple):
-        return self.load(KIND_RESULT, key)
 
     # Trace records are keyed by the content fingerprint alone (the
     # fingerprint hashes the workload name plus all four columns, so one
@@ -824,22 +745,6 @@ class TraceStore:
         except OSError:
             return b""
 
-    def migrate(self) -> Dict[str, Any]:
-        """Re-shard a flat-layout store in place and build its index.
-
-        Idempotent: on an already-sharded store this just reindexes and
-        re-stamps the manifest.  Returns
-        ``{"moved", "skipped", "indexed", "unreadable"}``.
-        """
-        if self.read_only:
-            raise StoreReadOnlyError(
-                f"store at {self.root!r} is mounted read-only")
-        stats = migrate_flat_objects(self._objects)
-        reindexed = self.reindex()
-        self._write_manifest()
-        return {"moved": len(stats["moved"]),
-                "skipped": len(stats["skipped"]), **reindexed}
-
     # ------------------------------------------------------------------
     # verify / gc / clear
     # ------------------------------------------------------------------
@@ -885,7 +790,7 @@ class TraceStore:
                 report["temp"].append(relpath)
             else:
                 report["fresh_temp"] += 1
-        manifest_state, manifest_detail, _layout = self._read_manifest()
+        manifest_state, manifest_detail = self._read_manifest()
         if manifest_state == "ok" and manifest_detail != self.schema_version:
             manifest_state = "foreign"
         report["manifest"] = manifest_state
@@ -998,7 +903,9 @@ class TraceStore:
         header reads, so gc scales with what changed, not with the corpus.
         Unreadable (corrupt/truncated) files and records written with a
         different schema version are always removed (silent *same-size*
-        bit rot is ``verify``'s deep-check job).
+        bit rot is ``verify``'s deep-check job); so are records at the
+        store root, which only a schema-1 build from before the sharded
+        layout wrote (reported under ``schema``).
         Stranded ``.tmp`` files are swept **age-gated** (older than
         ``temp_max_age`` seconds): a concurrent writer's in-progress
         atomic write is never deleted out from under it.  With
@@ -1017,6 +924,14 @@ class TraceStore:
         for relpath, age in self._objects.temp_files():
             if age >= temp_max_age and self._objects.remove_temp(relpath):
                 removed["temp"].append(relpath)
+        for name in sorted(os.listdir(self.root)):
+            if parse_object_name(name) is None:
+                continue
+            try:
+                os.unlink(os.path.join(self.root, name))
+                removed["schema"].append(name)
+            except OSError:
+                pass  # removed by a concurrent gc
         survivors: List[str] = []
         for name in sorted(view):
             entry = view[name]

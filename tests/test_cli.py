@@ -104,6 +104,24 @@ def test_jobs_must_be_a_positive_count(command, jobs, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["store", "gc", "--dir", "unused", "--max-records", "-1"],
+    ["store", "gc", "--dir", "unused", "--temp-max-age", "-5"],
+    ["store", "gc", "--dir", "unused", "--temp-max-age", "nan"],
+    ["store", "verify", "--dir", "unused", "--repair",
+     "--temp-max-age", "-5"],
+    ["serve", "--max-in-flight", "0"],
+    ["serve", "--max-in-flight", "-1"]])
+def test_store_and_serve_flags_refuse_out_of_range_values(argv, capsys):
+    # A negative budget or age would delete records or a concurrent
+    # writer's in-flight temp file; a zero cap was silently raised to 1.
+    # Refused while parsing: nothing runs, nothing serves.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert "expected a" in capsys.readouterr().err
+
+
 def test_unknown_workload_fails_cleanly(capsys):
     code = main(["simulate", *COMMON, "--workload", "not-a-workload"])
     assert code == 1

@@ -5,8 +5,8 @@ the index is an *accelerator only* — maintenance answers from it with zero
 record opens on a warm store, a missing/torn index never blocks anything,
 and ``reindex`` reproduces a compacted index byte-identically from the
 object headers alone.  Read-only mounts refuse writes cleanly while staying
-race-safe beside concurrent writer processes, and the flat legacy layout
-migrates in place with byte-identical warm reads.
+race-safe beside concurrent writer processes, and a store from before the
+sharded layout is refused untouched until ``store gc`` clears it.
 """
 
 import json
@@ -24,6 +24,7 @@ from repro.faults import FaultPlan, FaultRule, thread_scope
 from repro.sim.config import TINY_CONFIG
 from repro.tracedb.objstore import (
     TEMP_MAX_AGE_SECONDS,
+    encode_record,
     parse_object_name,
     shard_of,
 )
@@ -31,6 +32,7 @@ from repro.tracedb.store import (
     STORE_SCHEMA_VERSION,
     StoreCorruptionWarning,
     TraceStore,
+    key_digest,
 )
 from repro.workloads.generator import generate_trace
 
@@ -277,7 +279,7 @@ def test_read_only_mount_serves_warm_and_refuses_writes(tmp_path):
     assert mount.experiment_fingerprints() == ["cafe0123"]
     for mutate in (lambda: mount.save("entry", ("z",), {}),
                    mount.gc, mount.clear, mount.reindex,
-                   mount.compact_index, mount.migrate,
+                   mount.compact_index,
                    lambda: mount.verify(repair=True)):
         with pytest.raises(StoreReadOnlyError):
             mutate()
@@ -319,71 +321,72 @@ def test_cachemind_read_only_store_skips_persistence(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# flat-layout migration
+# stores from before the sharded layout
 # ----------------------------------------------------------------------
-def _flatten(root):
-    """Rewrite a sharded store into the legacy flat layout in place."""
-    import shutil
-
-    for _shard, path in list(_object_paths(root)):
-        os.replace(path, os.path.join(str(root), os.path.basename(path)))
-    shutil.rmtree(os.path.join(str(root), "objects"))
-    shutil.rmtree(os.path.join(str(root), "index"))
-    manifest_path = os.path.join(str(root), "manifest.json")
-    manifest = json.loads(open(manifest_path).read())
-    del manifest["layout"]
-    with open(manifest_path, "w") as handle:
-        json.dump(manifest, handle)
-
-
-def test_flat_store_migrates_transparently_with_identical_bytes(tmp_path):
-    store = TraceStore(str(tmp_path))
-    _populate(store, count=2)
-    payload_before = store.load("entry", ("k", 0))
-    record_bytes = {}
-    _flatten(tmp_path)
-    for name in os.listdir(str(tmp_path)):
-        if name.endswith(".pkl"):
-            with open(os.path.join(str(tmp_path), name), "rb") as handle:
-                record_bytes[name] = handle.read()
-    assert TraceStore.detect_layout(str(tmp_path)) == "flat"
-
-    migrated = TraceStore(str(tmp_path))  # auto-detects and re-shards
-    assert migrated.migration is not None
-    assert migrated.migration["moved"] == len(record_bytes)
-    assert TraceStore.detect_layout(str(tmp_path)) == "sharded"
-    # Record bytes and payloads are untouched.
-    for _shard, path in _object_paths(tmp_path):
-        with open(path, "rb") as handle:
-            assert handle.read() == record_bytes[os.path.basename(path)]
-    assert migrated.load("entry", ("k", 0)) == payload_before
-    # The migration-built index equals a fresh reindex.
-    canonical = migrated.index_bytes()
-    migrated.reindex()
-    assert migrated.index_bytes() == canonical
+def _pre_sharding_store(root, count=3):
+    """A store as a build from before the sharded layout left it: a
+    schema-1 manifest and schema-1 records at the top level, no index.
+    Returns the record names."""
+    with open(os.path.join(root, "manifest.json"), "w") as handle:
+        json.dump({"schema": 1}, handle)
+    names = []
+    for i in range(count):
+        key = ("k", i)
+        names.append(f"entry-{key_digest(key)}.pkl")
+        header = {"schema": 1, "kind": "entry", "key_repr": repr(key)}
+        with open(os.path.join(root, names[-1]), "wb") as handle:
+            handle.write(encode_record(header, {"i": i}))
+    return names
 
 
-def test_read_only_mount_refuses_flat_layout_with_migrate_hint(tmp_path):
-    _populate(TraceStore(str(tmp_path)), count=1)
-    _flatten(tmp_path)
-    with pytest.raises(StoreVersionError, match="store migrate"):
-        TraceStore(str(tmp_path), read_only=True)
+def _tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    tree = {}
+    for directory, dirs, files in os.walk(root):
+        for name in dirs:
+            tree[os.path.relpath(os.path.join(directory, name), root)] = None
+        for name in files:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                tree[os.path.relpath(path, root)] = handle.read()
+    return tree
 
 
-def test_store_migrate_cli_round_trip(tmp_path, capsys):
-    store_dir = str(tmp_path / "flat")
-    base = ["--workloads", "astar", "--policies", "lru",
-            "--accesses", "300", "--config", "tiny"]
-    assert main(["store", "save", "--dir", store_dir] + base) == 0
-    _flatten(store_dir)
+def test_pre_sharding_store_is_refused_and_left_untouched(tmp_path, capsys):
+    root = str(tmp_path)
+    _pre_sharding_store(root)
+    before = _tree(root)
+    for read_only in (False, True):
+        with pytest.raises(StoreVersionError, match="store gc"):
+            TraceStore(root, read_only=read_only)
+    for command in (["store", "verify", "--dir", root],
+                    ["store", "info", "--dir", root],
+                    ["store", "load", "--dir", root, "--workloads", "astar",
+                     "--policies", "lru", "--accesses", "300",
+                     "--config", "tiny"]):
+        capsys.readouterr()
+        assert main(command) == 1, command
+        assert "store gc" in capsys.readouterr().err, command
+    assert _tree(root) == before
+
+
+def test_gc_clears_a_pre_sharding_store(tmp_path, capsys):
+    root = str(tmp_path)
+    names = _pre_sharding_store(root)
     capsys.readouterr()
-    assert main(["store", "migrate", "--dir", store_dir]) == 0
+    assert main(["store", "gc", "--dir", root]) == 0
     out = capsys.readouterr().out
-    assert "moved 2 record(s)" in out and "indexed 2" in out
-    # Warm load with zero simulations straight after migration.
-    assert main(["store", "load", "--dir", store_dir, "--expect-warm"]
-                + base) == 0
-    assert "0 simulated" in capsys.readouterr().out
+    for name in names:
+        assert f"removed (schema): {name}" in out
+    assert not [name for name in os.listdir(root) if name.endswith(".pkl")]
+    assert len(TraceStore(root)) == 0
+    # A session over it simulates and persists; the next one is warm.
+    for expect_misses in (True, False):
+        cache = SimulationCache()
+        _ = CacheMind(store_dir=root, simulation_cache=cache,
+                      **SESSION_KWARGS).database
+        assert (cache.misses > 0) is expect_misses
+    assert len(TraceStore(root)) > 0
 
 
 def test_store_reindex_and_compact_cli(tmp_path, capsys):

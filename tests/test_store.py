@@ -309,6 +309,17 @@ def test_gc_recovers_a_foreign_schema_store(tmp_path):
     assert reopened.load("entry", ("k",)) == {"x": 1}
 
 
+def test_store_verify_hints_gc_for_foreign_records(tmp_path, capsys):
+    # --repair leaves foreign records alone, so it is not the remedy.
+    future = TraceStore(str(tmp_path))
+    future.schema_version = STORE_SCHEMA_VERSION + 1
+    future.save("entry", ("k",), {"x": 1})
+    for repair in ([], ["--repair"]):
+        assert main(["store", "verify", "--dir", str(tmp_path)]
+                    + repair) == 1
+        assert "store gc --dir" in capsys.readouterr().err
+
+
 def test_info_is_header_only(tmp_path):
     """``info`` must not unpickle payloads (maintenance stays cheap)."""
     store = TraceStore(str(tmp_path))
