@@ -460,4 +460,3 @@ class ObjectStore:
             return True
         except OSError:
             return False
-

@@ -323,14 +323,14 @@ def test_cachemind_read_only_store_skips_persistence(tmp_path):
 # ----------------------------------------------------------------------
 # stores from before the sharded layout
 # ----------------------------------------------------------------------
-def _pre_sharding_store(root, count=3):
+def _pre_sharding_store(root):
     """A store as a build from before the sharded layout left it: a
     schema-1 manifest and schema-1 records at the top level, no index.
     Returns the record names."""
     with open(os.path.join(root, "manifest.json"), "w") as handle:
         json.dump({"schema": 1}, handle)
     names = []
-    for i in range(count):
+    for i in range(3):
         key = ("k", i)
         names.append(f"entry-{key_digest(key)}.pkl")
         header = {"schema": 1, "kind": "entry", "key_repr": repr(key)}
@@ -364,7 +364,6 @@ def test_pre_sharding_store_is_refused_and_left_untouched(tmp_path, capsys):
                     ["store", "load", "--dir", root, "--workloads", "astar",
                      "--policies", "lru", "--accesses", "300",
                      "--config", "tiny"]):
-        capsys.readouterr()
         assert main(command) == 1, command
         assert "store gc" in capsys.readouterr().err, command
     assert _tree(root) == before
@@ -373,7 +372,6 @@ def test_pre_sharding_store_is_refused_and_left_untouched(tmp_path, capsys):
 def test_gc_clears_a_pre_sharding_store(tmp_path, capsys):
     root = str(tmp_path)
     names = _pre_sharding_store(root)
-    capsys.readouterr()
     assert main(["store", "gc", "--dir", root]) == 0
     out = capsys.readouterr().out
     for name in names:
@@ -381,11 +379,11 @@ def test_gc_clears_a_pre_sharding_store(tmp_path, capsys):
     assert not [name for name in os.listdir(root) if name.endswith(".pkl")]
     assert len(TraceStore(root)) == 0
     # A session over it simulates and persists; the next one is warm.
-    for expect_misses in (True, False):
-        cache = SimulationCache()
+    cold, warm = SimulationCache(), SimulationCache()
+    for cache in (cold, warm):
         _ = CacheMind(store_dir=root, simulation_cache=cache,
                       **SESSION_KWARGS).database
-        assert (cache.misses > 0) is expect_misses
+    assert cold.misses > 0 and warm.misses == 0
     assert len(TraceStore(root)) > 0
 
 
