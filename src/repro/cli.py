@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="store_command", required=True)
 
     store_save = store_sub.add_parser(
-        "save", help="build the database and persist every entry")
+        "save", help="build the database and persist one result record "
+                     "per simulation")
     _add_session_arguments(store_save)
     store_save.add_argument("--dir", required=True, metavar="DIR",
                             help="store directory (created if missing)")
@@ -391,8 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     store_gc.add_argument("--dir", required=True, metavar="DIR")
     store_gc.add_argument("--max-records", type=_non_negative_int,
                           default=None,
-                          help="keep at most this many records "
-                               "(oldest pruned first)")
+                          help="keep at most this many result and "
+                               "experiment records (oldest pruned first); "
+                               "ingested traces are never counted or "
+                               "pruned")
     store_gc.add_argument("--temp-max-age", type=_non_negative_float,
                           default=TEMP_MAX_AGE_SECONDS, metavar="SECONDS",
                           help="sweep .tmp files older than this (default: "
@@ -884,7 +887,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"  schema version: {info['schema']} "
               f"(layout: {info['layout']})")
         print(f"  records: {info['records']} "
-              f"({info['entries']} entries, {info['results']} results, "
+              f"({info['results']} results, "
               f"{info['experiments']} experiments, "
               f"{info['traces']} traces, "
               f"{info['unreadable']} unreadable, "
@@ -920,7 +923,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
                  if report["shards"] else "")
         print(f"store verify: {report['root']}{scope}")
         print(f"  checked {report['checked']} record(s): {report['ok']} ok "
-              f"({by_kind['entry']} entries, {by_kind['result']} results, "
+              f"({by_kind['result']} results, "
               f"{by_kind['experiment']} experiments, "
               f"{by_kind['trace']} traces)")
         print(f"  manifest: {report['manifest']}")
@@ -943,6 +946,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print(f"  repaired: quarantined {len(report['quarantined'])} "
                   f"file(s), removed {len(report['removed_temp'])} temp "
                   f"file(s)")
+        if report["repair_skipped"]:
+            print("  repair skipped: the manifest declares another schema, "
+                  "so no file was changed")
         if report["clean"]:
             print("  store is clean")
             return 0
@@ -995,7 +1001,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     stats = cache.stats()
     pairs = len(session.workloads) * len(session.policies)
     if args.store_command == "save":
-        print(f"saved {pairs} (workload, policy) entries to {args.dir} "
+        print(f"saved {pairs} (workload, policy) pairs to {args.dir} "
               f"in {seconds:.3f}s "
               f"({stats['misses']} simulated, {stats['hits']} cached, "
               f"{store.saves} record(s) written)")

@@ -38,6 +38,9 @@ config) — metrics come from the same memoised
 :class:`~repro.tracedb.database.TraceEntry` objects the session database
 holds (``entry.statistics`` for rates, ``entry.result.ipc`` for IPC), so
 ``compare_policies`` can route through here without changing a digit.
+Those statistics are the ones the replay computed from the result's access
+log, so a cell reads no table, and a cell loaded warm from the store reads
+the same numbers as the cold replay that wrote it.
 ``detail="stats"`` cells skip entry derivation entirely and read the raw
 LLC counters (the fast path for wide sweeps).
 
@@ -774,14 +777,13 @@ class ExperimentRunner:
         row.update({
             "miss_rate": stats.miss_rate,
             "hit_rate": stats.hit_rate,
-            "ipc": result.ipc if result is not None else 0.0,
+            "ipc": result.ipc,
             "accesses": stats.total_accesses,
             "hits": stats.total_accesses - stats.total_misses,
             "misses": stats.total_misses,
             "evictions": stats.total_evictions,
-            "instructions": (result.timing.instructions
-                             if result is not None else 0),
-            "cycles": result.timing.cycles if result is not None else 0.0,
+            "instructions": result.timing.instructions,
+            "cycles": result.timing.cycles,
         })
         return row
 

@@ -128,7 +128,8 @@ class _Miss(NamedTuple):
     """One planned job that :meth:`SimulationCache.run_jobs` must simulate.
 
     ``description`` is the workload description for a full-detail job
-    (whose value is an entry) and ``None`` for a stats job (a result).
+    (whose value is the entry derived from its result) and ``None`` for a
+    stats job (whose value is the result).
     """
 
     job: PlannedJob
@@ -150,10 +151,12 @@ class SimulationCache:
 
     With a ``store`` (a :class:`~repro.tracedb.store.TraceStore` or a
     directory path), memoisation extends across processes: in-memory misses
-    fall through to the on-disk store before simulating, and freshly
-    computed results/entries are persisted, so a warm session in a new
-    process runs zero simulations.  Store loads count as ``hits`` (an
-    avoided simulation) and additionally as ``store_hits``.
+    fall through to the on-disk store before simulating, and each freshly
+    simulated result is persisted as one record, so a warm session in a
+    new process runs zero simulations.  Store loads count as ``hits`` (an
+    avoided simulation) and additionally as ``store_hits``.  Database
+    entries are never stored: each is derived in memory from its result
+    and memoised beside it.
 
     Values enter through one lookup (:meth:`_lookup`) and one install
     (:meth:`_install`): :meth:`get_or_run` runs one simulation through
@@ -311,76 +314,59 @@ class SimulationCache:
                 f"persistence for this record",
                 StoreCorruptionWarning, stacklevel=3)
 
-    def _probe(self, memo: "OrderedDict", kind: str, key: tuple):
-        """``(value, origin)`` from ``memo``, then the store's ``kind``
-        records: origin is ``"memory"``, ``"store"`` or ``"miss"``.  A found
-        value counts as a hit (an avoided simulation), a store load also as
-        a store hit."""
-        with self._lock:
-            value = self._get(memo, key)
-            if value is not None:
-                self._hits += 1
-                return value, "memory"
-        value = self.store.load(kind, key) if self.store is not None else None
-        if value is None:
-            return None, "miss"
-        with self._lock:
-            self._put(memo, key, value)
-            self._hits += 1
-            self._store_hits += 1
-        return value, "store"
-
     def _lookup(self, key: tuple, description: Optional[str] = None):
-        """``(value, origin)`` without simulating (origin as in
-        :meth:`_probe`; value is ``None`` only for a miss).
+        """``(value, origin)`` without simulating: origin is ``"memory"``,
+        ``"store"`` or ``"miss"``, and value is ``None`` only for a miss.
+        A found value counts as a hit (an avoided simulation), a store load
+        also as a store hit.
 
         ``description=None`` looks up the result under the simulation
-        ``key``.  A string looks up the entry under ``key +
-        (description,)``; on an entry miss it falls back to a memoised or
-        stored result and derives the entry from it, so a damaged entry
-        record heals without re-simulating.
+        ``key``.  A string looks up the entry memoised under ``key +
+        (description,)``; failing that, it derives the entry from a
+        memoised or stored result and memoises it.
         """
-        if description is not None:
-            entry, origin = self._probe(self._entries, "entry",
-                                        key + (description,))
-            if origin == "store":
-                # A later get_or_run for the same key is then a memory hit.
-                with self._lock:
-                    self._put(self._results, key, entry.result)
-            if entry is not None:
-                return entry, origin
-        result, origin = self._probe(self._results, "result", key)
-        if result is not None and description is not None:
-            entry = make_entry(result, workload_description=description)
-            return self._install(key, entry, description,
-                                 simulated=False), origin
-        return result, origin
+        with self._lock:
+            if description is not None:
+                entry = self._get(self._entries, key + (description,))
+                if entry is not None:
+                    self._hits += 1
+                    return entry, "memory"
+            result = self._get(self._results, key)
+            if result is not None:
+                self._hits += 1
+        origin = "memory"
+        if result is None:
+            result = (self.store.load("result", key)
+                      if self.store is not None else None)
+            if result is None:
+                return None, "miss"
+            with self._lock:
+                self._put(self._results, key, result)
+                self._hits += 1
+                self._store_hits += 1
+            origin = "store"
+        if description is None:
+            return result, origin
+        return self._derive(key, result, description), origin
 
-    def _install(self, key: tuple, value, description: Optional[str] = None,
-                 simulated: bool = True):
-        """Memoise and persist a freshly computed value; returns it.
+    def _derive(self, key: tuple, result: SimulationResult,
+                description: str) -> TraceEntry:
+        """Derive ``result``'s entry under ``description`` and memoise it."""
+        entry = make_entry(result, workload_description=description)
+        with self._lock:
+            self._put(self._entries, key + (description,), entry)
+        return entry
 
-        ``value`` is an entry when ``description`` is given (its embedded
-        result is memoised too) and a result otherwise.  A simulated value
-        counts one miss and persists its result record before its entry
-        record, so a torn second write leaves a result the entry can be
-        re-derived from; an entry derived from an existing result persists
-        only the entry record.
-        """
-        result = value.result if description is not None else value
+    def _install(self, key: tuple, result: SimulationResult
+                 ) -> SimulationResult:
+        """Memoise and persist a freshly simulated result (one miss, one
+        store record); returns it."""
         with self._lock:
             self._put(self._results, key, result)
-            if description is not None:
-                self._put(self._entries, key + (description,), value)
-            if simulated:
-                self._misses += 1
+            self._misses += 1
         if self.store is not None:
-            if simulated:
-                self._store_save(self.store.save_result, key, result)
-            if description is not None:
-                self._store_save(self.store.save_entry,
-                                 key + (description,), value)
-        return value
+            self._store_save(self.store.save_result, key, result)
+        return result
 
     def get_or_run(self, engine: SimulationEngine, trace: MemoryTrace,
                    policy_name: str) -> SimulationResult:
@@ -407,7 +393,8 @@ class SimulationCache:
         """Turn planned jobs into memoised values: the one job executor.
 
         Returns ``(values, tally)``.  ``values`` maps each job key to an
-        entry for a ``"full"`` job and to a result for a ``"stats"`` job.
+        entry for a ``"full"`` job (derived in memory from its result) and
+        to a result for a ``"stats"`` job.
         ``tally`` counts this call's own ``simulations_run``,
         ``cache_hits``, ``store_hits``, ``batch_groups`` and
         ``batch_cells``, which stay honest while other threads share the
@@ -418,10 +405,11 @@ class SimulationCache:
         then run serially, grouped by trace (two or more on one trace share
         one :class:`~repro.sim.batch.BatchSimulator` pass, a singleton runs
         through its engine), or with ``jobs > 1`` over one
-        :class:`ParallelSimulator` per (config, mode, detail).  Every value
-        installs through the memoiser (and its store), so later callers and
-        warm re-runs simulate nothing.  ``progress(done, total)`` is called
-        with ``done=0`` first, then once per finished job.
+        :class:`ParallelSimulator` per (config, mode, detail).  Every
+        result installs through the memoiser (and its store, as one record
+        per simulation), so later callers and warm re-runs simulate
+        nothing.  ``progress(done, total)`` is called with ``done=0``
+        first, then once per finished job.
         """
         unique = {job.key: job for job in planned}
         values: Dict[tuple, object] = {}
@@ -465,35 +453,32 @@ class SimulationCache:
         for group_misses in misses.values():
             produced = (self._run_parallel(group_misses, jobs, executor)
                         if jobs > 1 else self._run_serial(group_misses, tally))
-            for miss, value in zip(group_misses, produced):
+            for miss, result in zip(group_misses, produced):
                 tally["simulations_run"] += 1
-                finish(miss.job, self._install(miss.key, value,
-                                               miss.description))
+                self._install(miss.key, result)
+                finish(miss.job, result if miss.description is None
+                       else self._derive(miss.key, result, miss.description))
         return values, tally
 
     @staticmethod
-    def _run_serial(misses: List[_Miss], tally: Dict[str, int]) -> list:
+    def _run_serial(misses: List[_Miss], tally: Dict[str, int]
+                    ) -> List[SimulationResult]:
         """Simulate misses sharing one trace: one batch pass for two or
-        more, the engine for a singleton.  Entries for full jobs."""
+        more, the engine for a singleton."""
         if len(misses) >= 2:
             tally["batch_groups"] += 1
             tally["batch_cells"] += len(misses)
-            results = BatchSimulator(misses[0].trace).run([
+            return BatchSimulator(misses[0].trace).run([
                 RolloutSpec(policy=miss.job.policy, config=miss.engine.config,
                             mode=miss.engine.mode, detail=miss.engine.detail,
                             max_records=miss.engine.max_records)
                 for miss in misses])
-        else:
-            results = [misses[0].engine.run(misses[0].trace,
-                                            misses[0].job.policy)]
-        return [result if miss.description is None
-                else make_entry(result, workload_description=miss.description)
-                for miss, result in zip(misses, results)]
+        return [misses[0].engine.run(misses[0].trace, misses[0].job.policy)]
 
     @staticmethod
-    def _run_parallel(misses: List[_Miss], jobs: int, executor: str) -> list:
-        """Simulate misses sharing one engine over worker processes;
-        entries (derived in-worker) for full jobs."""
+    def _run_parallel(misses: List[_Miss], jobs: int, executor: str
+                      ) -> List[SimulationResult]:
+        """Simulate misses sharing one engine over worker processes."""
         engine = misses[0].engine
         simulator = ParallelSimulator(
             jobs=jobs, executor=executor, config=engine.config,
@@ -506,18 +491,14 @@ class SimulationCache:
         # Ingested traces are the exception: spawned workers cannot
         # regenerate a trace that exists only in this process's registry
         # (or a store manifest), so those jobs ship the trace itself.
-        simulation_jobs = [
+        return simulator.run_results([
             SimulationJob(workload=miss.job.workload, policy=miss.job.policy,
                           num_accesses=miss.job.num_accesses,
                           seed=miss.job.seed,
-                          description=miss.description or "",
                           trace=(miss.trace
                                  if workload_kind(miss.job.workload)
                                  == "ingested" else None))
-            for miss in misses]
-        if engine.detail == "full":
-            return simulator.run_entries(simulation_jobs)
-        return simulator.run_results(simulation_jobs)
+            for miss in misses])
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -993,8 +974,7 @@ class CacheMind:
             for policy_name in selected_policies:
                 entry = database.get(workload_name, policy_name)
                 if metric == "ipc":
-                    row[policy_name] = (entry.result.ipc
-                                        if entry.result is not None else 0.0)
+                    row[policy_name] = entry.result.ipc
                 elif metric == "hit_rate":
                     row[policy_name] = entry.statistics.hit_rate
                 else:

@@ -18,7 +18,10 @@ arrays.  One columnar post-pass over the replay core's precomputes then
 builds every other column: positions, PCs, blocks, sets, hit flags and
 miss classes, victims, the accessed reuse distance and recency, per-PC
 source context, and — from a loop over the evicting positions only — the
-evicted block's reuse distance and the wrong-eviction count.
+evicted block's reuse distance and the wrong-eviction count.  Last, the
+whole-trace :class:`~repro.tracedb.stats.WorkloadStatistics` of the log
+are read from its columns into ``SimulationResult.statistics``, so a
+database entry derived from the result needs no table for them.
 
 Two modes are supported:
 
@@ -71,6 +74,7 @@ from repro.sim.replay import (
     policy_steps,
 )
 from repro.tracedb.schema import AccessLog, AccessRecord, NEVER_REUSED
+from repro.tracedb.stats import WorkloadStatistics, log_statistics
 from repro.workloads.trace import MemoryTrace
 
 
@@ -80,6 +84,8 @@ class SimulationResult:
 
     Per-access data lives in the columnar ``log``; the ``records`` row view
     is materialised (and cached) only when someone asks for it.
+    ``statistics`` summarises the log's rows (``None`` at stats detail,
+    which keeps no log).
     """
 
     workload: str
@@ -94,6 +100,8 @@ class SimulationResult:
     timing: TimingResult = field(default_factory=TimingResult)
     wrong_evictions: int = 0
     binary: Optional[object] = field(default=None, repr=False)
+    statistics: Optional[WorkloadStatistics] = field(default=None,
+                                                     repr=False)
 
     @property
     def num_records(self) -> int:
@@ -188,7 +196,9 @@ class SimulationEngine:
         A policy given by name runs its native kernel where
         :func:`~repro.sim.replay.native_kernel` has one; an instance always
         runs the generic :meth:`Cache.access` loop.  Both end in the same
-        post-pass, so the result is identical either way.
+        post-pass, so the result is identical either way.  Every result is
+        built here (batch rollouts and parallel workers call this too);
+        at full detail it carries its log's ``statistics``.
         """
         kernel = None
         if isinstance(policy, str):
@@ -234,6 +244,7 @@ class SimulationEngine:
             timing=timing,
             wrong_evictions=wrong_evictions,
             binary=core.trace.binary,
+            statistics=log_statistics(log) if log is not None else None,
         )
 
     # ------------------------------------------------------------------

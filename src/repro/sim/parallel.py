@@ -13,8 +13,9 @@ Recovery telemetry for the last run is in :attr:`ParallelSimulator.recovery`.
 
 The simulator is deliberately cache-agnostic: callers that memoise (the
 :class:`~repro.core.pipeline.SimulationCache`) dispatch only their cache
-misses here and install the returned results/entries back into the cache, so
-memoisation and parallelism compose.
+misses here and install the returned results back into the cache, so
+memoisation and parallelism compose.  Workers return results only: a
+database entry is an in-memory view the caller derives from its result.
 """
 
 from __future__ import annotations
@@ -58,19 +59,17 @@ class SimulationJob:
     policy: str
     num_accesses: int = 20000
     seed: int = 0
-    description: str = ""
     trace: Optional[MemoryTrace] = None
 
     def key(self) -> tuple:
         """Identity for dedup: two jobs with equal keys produce identical
         outputs.  A supplied trace is identified by its content fingerprint
         (buffer-hashed, cheap) rather than object identity, so equal traces
-        merge; the description participates because entry derivation embeds
-        it in the result."""
+        merge."""
         trace_identity = (None if self.trace is None
                           else self.trace.fingerprint())
         return (self.workload, self.policy, self.num_accesses, self.seed,
-                self.description, trace_identity)
+                trace_identity)
 
 
 #: Failures that mean the executor *infrastructure* broke — a killed or
@@ -82,27 +81,18 @@ RETRYABLE_FAILURES = (BrokenExecutor, OSError, pickle.PicklingError,
                       InjectedFault)
 
 
-def _execute_job(payload: tuple):
+def _execute_job(payload: tuple) -> SimulationResult:
     """Top-level worker (must be importable for process pools)."""
     ensure_env_plan()
     fault_point("worker.simulate")
-    (job, config, mode, max_records, detail, want_entry) = payload
+    (job, config, mode, max_records, detail) = payload
     trace = job.trace
-    description = job.description
     if trace is None:
-        generator = get_workload(job.workload, seed=job.seed)
-        trace = generator.generate(job.num_accesses)
-        if not description:
-            description = generator.description
+        trace = get_workload(job.workload, seed=job.seed).generate(
+            job.num_accesses)
     engine = SimulationEngine(config=config, mode=mode,
                               max_records=max_records, detail=detail)
-    result = engine.run(trace, job.policy)
-    if want_entry:
-        # Imported lazily: repro.tracedb.database imports repro.sim, whose
-        # package imports this module.
-        from repro.tracedb.database import make_entry
-        return make_entry(result, workload_description=description)
-    return result
+    return engine.run(trace, job.policy)
 
 
 class ParallelSimulator:
@@ -142,30 +132,13 @@ class ParallelSimulator:
 
     # ------------------------------------------------------------------
     def run_results(self, jobs: Sequence[SimulationJob]) -> List[SimulationResult]:
-        """Simulate every job; results in submission order."""
-        return self._map(jobs, want_entry=False)
+        """Simulate every job; results in submission order.
 
-    def run_entries(self, jobs: Sequence[SimulationJob]) -> list:
-        """Simulate every job and derive trace-database entries in-worker.
-
-        Building the entry (table + statistics + metadata) in the worker
-        parallelises the expensive table materialisation too, not just the
-        replay.  Returns :class:`~repro.tracedb.database.TraceEntry` objects
-        in submission order.
+        Duplicate jobs (batched serving plans that missed a merge) run
+        once: the unique key set is simulated, then each result fans back
+        out to every submission slot.  The shared object is safe to alias
+        — results are treated as immutable across the codebase.
         """
-        return self._map(jobs, want_entry=True)
-
-    # ------------------------------------------------------------------
-    def _payloads(self, jobs: Sequence[SimulationJob],
-                  want_entry: bool) -> List[tuple]:
-        return [(job, self.config, self.mode, self.max_records, self.detail,
-                 want_entry) for job in jobs]
-
-    def _map(self, jobs: Sequence[SimulationJob], want_entry: bool) -> list:
-        # Duplicate jobs (batched serving plans that missed a merge) run
-        # once: simulate the unique key set, then fan results back out to
-        # every submission slot.  The shared object is safe to alias —
-        # results/entries are treated as immutable across the codebase.
         unique_index: dict = {}
         unique_jobs: List[SimulationJob] = []
         slots: List[int] = []
@@ -175,12 +148,14 @@ class ParallelSimulator:
                 unique_index[key] = len(unique_jobs)
                 unique_jobs.append(job)
             slots.append(unique_index[key])
-        unique_results = self._map_unique(unique_jobs, want_entry)
+        unique_results = self._map_unique(unique_jobs)
         return [unique_results[slot] for slot in slots]
 
-    def _map_unique(self, jobs: Sequence[SimulationJob],
-                    want_entry: bool) -> list:
-        payloads = self._payloads(jobs, want_entry)
+    # ------------------------------------------------------------------
+    def _map_unique(self, jobs: Sequence[SimulationJob]
+                    ) -> List[SimulationResult]:
+        payloads = [(job, self.config, self.mode, self.max_records,
+                     self.detail) for job in jobs]
         self.recovery = {"retried_jobs": 0, "pools_replaced": 0,
                          "serial_jobs": 0}
         workers = min(self.jobs, len(payloads)) or 1

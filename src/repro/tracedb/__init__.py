@@ -16,7 +16,7 @@ This package provides the external store that CacheMind retrievers query:
   per-set statistics (miss rates, reuse distances, wrong-eviction ratios).
 * :mod:`~repro.tracedb.store` -- the versioned persistent on-disk store
   (:class:`~repro.tracedb.store.TraceStore`) that lets fresh processes load
-  entries/results instead of re-simulating.
+  simulation results (one record each) instead of re-simulating.
 * :mod:`~repro.tracedb.objstore` -- the storage substrate under the store:
   content-addressed sharded immutable objects plus the append-only,
   byte-identically rebuildable index log.
@@ -33,7 +33,6 @@ from repro.tracedb.schema import (
 from repro.tracedb.store import (
     STORE_SCHEMA_VERSION,
     TraceStore,
-    entry_key,
     simulation_key,
 )
 from repro.tracedb.metadata import TraceMetadata, build_metadata_string
@@ -61,7 +60,6 @@ __all__ = [
     "table_to_records",
     "STORE_SCHEMA_VERSION",
     "TraceStore",
-    "entry_key",
     "simulation_key",
     "TraceMetadata",
     "build_metadata_string",

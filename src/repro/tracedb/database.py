@@ -10,8 +10,9 @@ The store is organised exactly as in the paper (section 4.3): a dictionary
 
 :func:`make_entry` derives one :class:`TraceEntry` (which also keeps the
 simulation statistics and the synthetic binary image around for insight
-analyses) from a simulation result, and :class:`TraceDatabase` holds the
-entries.  Building a database is a session's job: a
+analyses) from a full-detail simulation result, in memory: an entry is
+never stored, its result is.  :class:`TraceDatabase` holds the entries.
+Building a database is a session's job: a
 :class:`~repro.core.pipeline.CacheMind` session's ``database`` runs its
 ``workloads x policies`` matrix through
 :meth:`~repro.core.pipeline.SimulationCache.run_jobs` (memoised, persisted,
@@ -48,51 +49,37 @@ def parse_trace_key(key: str) -> Tuple[str, str]:
 
 
 class TraceEntry:
-    """One (workload, policy) entry of the external store.
+    """One (workload, policy) entry of the external store: an in-memory
+    view of one full-detail :class:`~repro.sim.engine.SimulationResult`.
 
-    ``data_frame`` is materialised lazily: when the entry crosses a process
-    boundary (persistent store record, parallel-worker result), only the
-    compact columnar access log inside ``result`` travels, and the table is
-    rebuilt — byte-identically — on first access.  That keeps store records
-    small and warm session starts buffer-speed instead of re-unpickling
-    millions of formatted cells.
+    The metadata string, description and statistics are derived from the
+    result by :func:`make_entry`.  ``data_frame`` is built from the
+    result's access log on first read, so an entry nobody queries row by
+    row never pays for its table.
     """
 
-    def __init__(self, workload: str, policy: str,
-                 data_frame: Optional[Table], metadata: str,
+    def __init__(self, workload: str, policy: str, metadata: str,
                  description: str, statistics: WorkloadStatistics,
-                 result: Optional[SimulationResult] = None):
+                 result: SimulationResult):
         self.workload = workload
         self.policy = policy
         self.metadata = metadata
         self.description = description
         self.statistics = statistics
         self.result = result
-        self._data_frame = data_frame
-        if data_frame is None and (result is None or result.log is None):
-            raise ValueError(
-                "TraceEntry needs a data_frame or a result with an access "
-                "log to rebuild one from")
+        self._data_frame: Optional[Table] = None
 
     @property
     def data_frame(self) -> Table:
-        """The per-access table, rebuilt from the access log if needed."""
+        """The per-access table, built from the access log on first read."""
         if self._data_frame is None:
             self._data_frame = self.result.log.to_table()
         return self._data_frame
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # The table is pure derived data whenever the log is present; ship
-        # the compact log only and rebuild lazily on the other side.
-        if self.result is not None and self.result.log is not None:
-            state["_data_frame"] = None
-        return state
-
     def __repr__(self) -> str:
         return (f"TraceEntry(workload={self.workload!r}, "
                 f"policy={self.policy!r}, "
-                f"rows={len(self.data_frame)})")
+                f"rows={self.result.num_records})")
 
     @property
     def key(self) -> str:
@@ -113,30 +100,27 @@ class TraceEntry:
 
 def make_entry(result: SimulationResult,
                workload_description: str = "") -> TraceEntry:
-    """Derive a database entry (table, statistics, metadata) from one
-    full-detail simulation result.
+    """Derive a database entry from one full-detail simulation result.
 
-    The data frame is assembled column-by-column from the result's columnar
-    access log (equal to the legacy row-materialised path, without building
-    a dict per row).  A stats-detail result has no log to build it from and
-    is refused."""
+    The statistics are the result's own (computed from its access log at
+    the end of the replay); this builds the metadata string and the
+    description around them, and leaves the table to the entry's first
+    read.  A stats-detail result has no log to build a table from and is
+    refused."""
     if result.log is None:
         raise ValueError(
             f"make_entry needs a full-detail result with an access log; "
             f"{result.workload}/{result.policy_name} was replayed at "
             f"{result.detail!r} detail")
-    table = result.log.to_table()
-    stats = CacheStatisticalExpert(table).workload_statistics()
     workload_part = workload_description or f"workload {result.workload}"
     description = (f"Replacement Policy: {result.policy_description} "
                    f"Workload: {workload_part}")
     return TraceEntry(
         workload=result.workload,
         policy=result.policy_name,
-        data_frame=table,
-        metadata=build_metadata_string(stats),
+        metadata=build_metadata_string(result.statistics),
         description=description,
-        statistics=stats,
+        statistics=result.statistics,
         result=result,
     )
 
@@ -156,7 +140,7 @@ class TraceDatabase:
     def install_entry(self, entry: TraceEntry) -> None:
         """Store a (possibly shared/memoised) entry plus its binary image."""
         self.add_entry(entry)
-        if entry.result is not None and entry.result.binary is not None:
+        if entry.result.binary is not None:
             self.binaries[entry.workload] = entry.result.binary
 
     # ------------------------------------------------------------------
@@ -214,7 +198,7 @@ class TraceDatabase:
         for key in self.keys():
             entry = self.entries[key]
             lines.append(
-                f"  {key}: {len(entry.data_frame)} rows, "
+                f"  {key}: {entry.result.num_records} rows, "
                 f"{entry.statistics.miss_rate * 100:.2f}% miss rate")
         return "\n".join(lines)
 

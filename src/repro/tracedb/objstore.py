@@ -6,7 +6,7 @@ keys or simulation payloads — only about three things:
 
 * **Immutable content-addressed objects.**  Every record is a file named
   ``<kind>-<digest>.pkl`` living in a shard directory derived from its
-  digest prefix (``objects/ab/entry-abcdef….pkl``), written atomically
+  digest prefix (``objects/ab/result-abcdef….pkl``), written atomically
   (temp file + ``os.replace``) and never modified afterwards.  Sharding
   keeps directory fan-out bounded however large the corpus grows, and
   lets maintenance (verify, backup, rsync) operate per-shard.

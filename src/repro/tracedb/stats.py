@@ -4,19 +4,30 @@ The paper's Sieve pipeline includes a "Cache Statistical Expert" stage that,
 for the PCs present in a retrieved slice, computes "miss rate, access and
 eviction reuse distances, and percentage of bad evictions" (section 3.2.3).
 :class:`CacheStatisticalExpert` implements exactly those helpers on top of a
-trace :class:`~repro.tracedb.table.Table`, plus the per-set and whole-trace
-summaries the metadata string and the insight analyses need.  Every helper
-reads only the scalar columns it needs, zipped column by column, so the
-table's lazily built snapshot columns are never formatted here.
+trace :class:`~repro.tracedb.table.Table`, plus the per-set summaries the
+insight analyses need.  Every helper reads only the scalar columns it needs,
+zipped column by column, so the table's lazily built snapshot columns are
+never formatted here.
+
+The whole-trace summary the metadata string needs comes from
+:func:`log_statistics`, straight from an
+:class:`~repro.tracedb.schema.AccessLog`'s columns: the engine computes it
+once at the end of every full-detail replay and stores it on the result,
+so no table is built for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.tracedb.schema import HIT_LABEL, NEVER_REUSED
+from repro.tracedb.schema import (
+    HIT_LABEL,
+    MISS_TYPE_CODES,
+    NEVER_REUSED,
+    AccessLog,
+)
 from repro.tracedb.table import Table
 
 
@@ -115,17 +126,16 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
     return cov / math.sqrt(var_x * var_y)
 
 
-def _evictions(table: Table) -> Tuple[int, int]:
-    """``(evictions, bad evictions)`` of a trace table.  A bad ("wrong" in
-    the paper) eviction's victim was needed again sooner than the inserted
-    line."""
+def _evictions(evicted: Iterable, evicted_rds: Iterable,
+               accessed_rds: Iterable) -> Tuple[int, int]:
+    """``(evictions, bad evictions)`` over parallel columns; ``evicted`` is
+    truthy on the rows that evicted a line.  A bad ("wrong" in the paper)
+    eviction's victim was needed again sooner than the inserted line."""
     total = 0
     bad = 0
-    for evicted, evicted_rd, accessed_rd in zip(
-            table.sequence("evicted_address"),
-            table.sequence("evicted_address_reuse_distance_numeric"),
-            table.sequence("accessed_address_reuse_distance_numeric")):
-        if not evicted:
+    for evicted_row, evicted_rd, accessed_rd in zip(evicted, evicted_rds,
+                                                    accessed_rds):
+        if not evicted_row:
             continue
         total += 1
         if evicted_rd is None or evicted_rd == NEVER_REUSED:
@@ -135,8 +145,41 @@ def _evictions(table: Table) -> Tuple[int, int]:
     return total, bad
 
 
+def log_statistics(log: AccessLog) -> WorkloadStatistics:
+    """Whole-trace statistics of an access log, read from its columns.
+
+    Equal to the same statistics read row by row from ``log.to_table()``:
+    label counts are code counts, formatted PCs and addresses are distinct
+    exactly when their integers are, and the recency/miss correlation gets
+    the same float lists in the same order.
+    """
+    miss_types = {label: log.miss_type_codes.count(code)
+                  for label, code in MISS_TYPE_CODES.items()}
+    evictions, wrong = _evictions(
+        (block >= 0 for block in log.evicted_blocks), log.evicted_reuse,
+        log.accessed_reuse)
+    recency_values: List[float] = []
+    miss_values: List[float] = []
+    for recency, hit in zip(log.recencies, log.hit_flags):
+        if recency != NEVER_REUSED:
+            recency_values.append(float(recency))
+            miss_values.append(0.0 if hit else 1.0)
+    return WorkloadStatistics(
+        total_accesses=len(log),
+        total_misses=log.hit_flags.count(0),
+        total_evictions=evictions,
+        compulsory_misses=miss_types["Compulsory"],
+        capacity_misses=miss_types["Capacity"],
+        conflict_misses=miss_types["Conflict"],
+        wrong_evictions=wrong,
+        recency_miss_correlation=_pearson(recency_values, miss_values),
+        unique_pcs=len(set(log.pcs)),
+        unique_addresses=len(set(log.block_addresses)),
+    )
+
+
 class CacheStatisticalExpert:
-    """Computes per-PC / per-set / whole-trace statistics over a trace table.
+    """Computes per-PC and per-set statistics over a trace table.
 
     Row lookups (PC slices, exact-equality counts, hit/miss outcomes) are
     expressed as declarative :class:`repro.analytics.Query` objects and
@@ -188,7 +231,10 @@ class CacheStatisticalExpert:
         accesses = len(rows)
         hits = sum(1 for value in rows["evict"].values if value == HIT_LABEL)
         misses = accesses - hits
-        evictions, bad = _evictions(rows)
+        evictions, bad = _evictions(
+            rows.sequence("evicted_address"),
+            rows.sequence("evicted_address_reuse_distance_numeric"),
+            rows.sequence("accessed_address_reuse_distance_numeric"))
         accessed_rd = [value for value in
                        rows["accessed_address_reuse_distance_numeric"].values
                        if value is not None and value != NEVER_REUSED]
@@ -236,35 +282,6 @@ class CacheStatisticalExpert:
 
     def all_set_statistics(self) -> List[SetStatistics]:
         return [self.set_statistics(set_id) for set_id in self.sets()]
-
-    # ------------------------------------------------------------------
-    # whole-trace statistics
-    # ------------------------------------------------------------------
-    def workload_statistics(self) -> WorkloadStatistics:
-        table = self.table
-        total = len(table)
-        misses = sum(table.sequence("is_miss"))
-        evictions, wrong = _evictions(table)
-        miss_types = table["miss_type"].value_counts()
-        recency_values: List[float] = []
-        miss_values: List[float] = []
-        for recency, miss in zip(table.sequence("accessed_address_recency_numeric"),
-                                 table.sequence("is_miss")):
-            if recency is not None and recency != NEVER_REUSED:
-                recency_values.append(float(recency))
-                miss_values.append(float(miss))
-        return WorkloadStatistics(
-            total_accesses=total,
-            total_misses=misses,
-            total_evictions=evictions,
-            compulsory_misses=miss_types.get("Compulsory", 0),
-            capacity_misses=miss_types.get("Capacity", 0),
-            conflict_misses=miss_types.get("Conflict", 0),
-            wrong_evictions=wrong,
-            recency_miss_correlation=_pearson(recency_values, miss_values),
-            unique_pcs=len(table["program_counter"].unique()),
-            unique_addresses=len(table["memory_address"].unique()),
-        )
 
     # ------------------------------------------------------------------
     # convenience lookups used by retrievers and the bench generator

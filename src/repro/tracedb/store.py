@@ -1,13 +1,16 @@
-"""Persistent on-disk store for simulation results and database entries.
+"""Persistent on-disk store for simulation results.
 
 The in-process :class:`~repro.core.pipeline.SimulationCache` memoises within
 one interpreter; :class:`TraceStore` extends that across processes: every
-computed :class:`~repro.tracedb.database.TraceEntry` (and bare
-:class:`~repro.sim.engine.SimulationResult`) can be written to a store
-directory and re-loaded by later sessions or parallel workers, so a warm
-start runs **zero** simulations.
+simulated :class:`~repro.sim.engine.SimulationResult` is written to a store
+directory as **one** ``result`` record and re-loaded by later sessions, so a
+warm start runs **zero** simulations.  A trace-database
+:class:`~repro.tracedb.database.TraceEntry` is never stored: it is derived in
+memory from its result (whose statistics the replay already computed), and
+its table is built on first read.  Besides results, the store keeps
+experiment results and ingested traces.
 
-Layout (sharded, schema v2) — one directory per store:
+Layout (sharded, schema v3) — one directory per store:
 
 * ``manifest.json`` — ``{"schema": N, "layout": "sharded", ...}``.  Opening
   a store whose manifest declares a different :data:`STORE_SCHEMA_VERSION`
@@ -90,8 +93,10 @@ from repro.tracedb.objstore import (
 #: pickled :class:`~repro.tracedb.schema.AccessLog` no longer stores the
 #: columns it derives on read (recent access history, score blocks) and
 #: records its history window, so a version-1 log would unpickle its arrays
-#: into the wrong slots.
-STORE_SCHEMA_VERSION = 2
+#: into the wrong slots.  3: a simulation is one ``result`` record whose
+#: result carries its ``statistics`` (entry records are gone), so a
+#: version-2 result would unpickle without them.
+STORE_SCHEMA_VERSION = 3
 
 #: Subdirectory corrupt files are renamed into instead of deleted, so a
 #: damaged record can never crash a reader twice and forensics stay
@@ -102,11 +107,15 @@ QUARANTINE_DIR = "quarantine"
 MANIFEST_NAME = "manifest.json"
 
 #: Record kinds persisted by the store.
-KIND_ENTRY = "entry"
 KIND_RESULT = "result"
 KIND_EXPERIMENT = "experiment"
 KIND_TRACE = "trace"
-KINDS = (KIND_ENTRY, KIND_RESULT, KIND_EXPERIMENT, KIND_TRACE)
+KINDS = (KIND_RESULT, KIND_EXPERIMENT, KIND_TRACE)
+
+#: Kinds a rebuild recreates (a re-simulation, an experiment re-run), so
+#: ``gc --max-records`` may prune them.  An ingested trace is an input that
+#: nothing can recreate, so the record budget never counts or prunes it.
+PRUNABLE_KINDS = (KIND_RESULT, KIND_EXPERIMENT)
 
 
 class StoreCorruptionWarning(UserWarning):
@@ -125,11 +134,6 @@ def simulation_key(engine, trace, policy_name: str) -> tuple:
             engine.detail, len(trace), trace.seed, trace.fingerprint(),
             engine.max_records, engine.history_window,
             engine.annotate_context)
-
-
-def entry_key(engine, trace, policy_name: str, description: str = "") -> tuple:
-    """Identity of one derived database entry (simulation key + description)."""
-    return simulation_key(engine, trace, policy_name) + (description,)
 
 
 def key_digest(key: tuple) -> str:
@@ -157,7 +161,9 @@ def _experiment_key_from_repr(key_repr: str) -> tuple:
 
 
 class TraceStore:
-    """Versioned on-disk cache of trace-database entries and results.
+    """Versioned on-disk cache of simulation results, experiment results
+    and ingested traces: one record per simulation, one per experiment,
+    one per trace.
 
     ``schema_version`` is :data:`STORE_SCHEMA_VERSION`, the one schema
     this build reads and writes.  ``strict=False`` skips the manifest
@@ -415,9 +421,6 @@ class TraceStore:
     # ------------------------------------------------------------------
     # typed wrappers
     # ------------------------------------------------------------------
-    def save_entry(self, key: tuple, entry) -> str:
-        return self.save(KIND_ENTRY, key, entry)
-
     def save_result(self, key: tuple, result) -> str:
         return self.save(KIND_RESULT, key, result)
 
@@ -671,7 +674,6 @@ class TraceStore:
             "layout": "sharded",
             "read_only": self.read_only,
             "records": len(view),
-            "entries": counts[KIND_ENTRY],
             "results": counts[KIND_RESULT],
             "experiments": counts[KIND_EXPERIMENT],
             "traces": counts[KIND_TRACE],
@@ -764,9 +766,13 @@ class TraceStore:
         temp is never touched) are deleted, a corrupt manifest is
         quarantined and re-stamped, and the canonical index is rebuilt
         from the verified headers (dropping entries for missing objects,
-        announcing unindexed ones).  Foreign-schema records (and a
-        readable foreign manifest) are *reported* but left for ``gc`` —
-        verify never destroys data that another build could still read.
+        announcing unindexed ones).  Foreign-schema records are
+        *reported* from their header alone — their payload is never
+        unpickled, since its kind and layout are another build's — and
+        left for ``gc``: verify never destroys data that another build
+        could still read.  A readable foreign manifest means the whole
+        store is another build's, so ``repair=True`` then changes no file
+        at all and reports ``repair_skipped``.
         """
         report: Dict[str, Any] = {
             "root": self.root,
@@ -783,6 +789,7 @@ class TraceStore:
             "quarantined": [],
             "removed_temp": [],
             "repaired": False,
+            "repair_skipped": False,
         }
         shard_filter = set(shards) if shards else None
         for relpath, age in self._objects.temp_files():
@@ -793,6 +800,11 @@ class TraceStore:
         manifest_state, manifest_detail = self._read_manifest()
         if manifest_state == "ok" and manifest_detail != self.schema_version:
             manifest_state = "foreign"
+            # Another build's store: writing an index, quarantining,
+            # sweeping or stamping it would mix two builds' data, so the
+            # repair is skipped; `store gc` is the recovery path.
+            report["repair_skipped"] = repair
+            repair = False
         report["manifest"] = manifest_state
         locations: Dict[str, str] = {}
         ok_entries: Dict[str, Dict[str, Any]] = {}
@@ -807,8 +819,15 @@ class TraceStore:
                 size = os.path.getsize(path)
                 with self._objects.open_for_verify(path) as handle:
                     header = decode_header(handle)
-                    payload_ok = pickle.loads(zlib.decompress(handle.read()))
-                del payload_ok
+                    if header.get("schema") != self.schema_version:
+                        # Reported but left for gc; still indexed (the
+                        # entry carries its schema) so the heal matches a
+                        # reindex.
+                        report["foreign"].append(name)
+                        ok_entries[name] = index_entry_for(name, header,
+                                                           size)
+                        continue
+                    pickle.loads(zlib.decompress(handle.read()))
                 key_repr = header.get("key_repr")
                 kind = header.get("kind")
                 if (not isinstance(key_repr, str)
@@ -822,12 +841,6 @@ class TraceStore:
                     # it can never be loaded (lookups go by digest), so it
                     # is dead weight and quarantined on repair.
                     report["misplaced"].append(name)
-                    continue
-                if header.get("schema") != self.schema_version:
-                    # Reported but left for gc; still indexed (the entry
-                    # carries its schema) so the heal matches a reindex.
-                    report["foreign"].append(name)
-                    ok_entries[name] = index_entry_for(name, header, size)
                     continue
             except self._DECODE_ERRORS as error:
                 report["corrupt"].append(name)
@@ -909,12 +922,16 @@ class TraceStore:
         Stranded ``.tmp`` files are swept **age-gated** (older than
         ``temp_max_age`` seconds): a concurrent writer's in-progress
         atomic write is never deleted out from under it.  With
-        ``max_records``, the oldest surviving records (by modification
-        time) are pruned until at most that many remain.  The index is
-        compacted to exactly the survivors and the manifest re-stamped
-        with the current schema, so ``gc`` is the supported recovery path
-        for a store left behind by a different build (open with
-        ``strict=False``).  Returns the removed filenames per reason.
+        ``max_records``, the oldest surviving result and experiment
+        records (by modification time) are pruned until at most that many
+        of them remain: those are a cache a rebuild recreates, while an
+        ingested trace is an input nothing can recreate, so trace records
+        are neither counted nor pruned (a corrupt or foreign one is still
+        removed).  The index is compacted to exactly the survivors and the
+        manifest re-stamped with the current schema, so ``gc`` is the
+        supported recovery path for a store left behind by a different
+        build (open with ``strict=False``).  Returns the removed filenames
+        per reason.
         """
         if self.read_only:
             raise StoreReadOnlyError(
@@ -955,15 +972,17 @@ class TraceStore:
                     removed["schema"].append(name)
             else:
                 survivors.append(name)
-        if max_records is not None and len(survivors) > max_records:
+        prunable = [name for name in survivors
+                    if view[name].get("kind") in PRUNABLE_KINDS]
+        if max_records is not None and len(prunable) > max_records:
             def age_of(name: str) -> float:
                 try:
                     return os.path.getmtime(self._objects.object_path(name))
                 except OSError:
                     return 0.0
 
-            by_age = sorted(survivors, key=age_of)
-            for name in by_age[:len(survivors) - max_records]:
+            by_age = sorted(prunable, key=age_of)
+            for name in by_age[:len(prunable) - max_records]:
                 if self._objects.remove_object(name):
                     removed["pruned"].append(name)
                     survivors.remove(name)

@@ -217,14 +217,18 @@ def _reference_pc_statistics(table, pc):
 @pytest.mark.parametrize("policy", available_policies())
 @pytest.mark.parametrize("workload", available_workloads())
 def test_statistics_match_row_loop_reference(workload, policy, mode):
-    """Statistics read from the table's columns equal the row-loop
-    reference, and leave its snapshot columns unbuilt."""
-    result = SimulationEngine(config=TINY_CONFIG, mode=mode).run(
-        _trace(workload), policy)
-    reference = records_to_table(result.log.to_records())
+    """The replay's statistics (read from its access log) equal the
+    row-loop reference, with and without a record cap; per-PC statistics
+    read from the table's columns do too, and leave its snapshot columns
+    unbuilt."""
+    for max_records in (66, None):
+        result = SimulationEngine(config=TINY_CONFIG, mode=mode,
+                                  max_records=max_records).run(
+            _trace(workload), policy)
+        reference = records_to_table(result.log.to_records())
+        assert result.statistics == _reference_workload_statistics(reference)
     table = result.log.to_table()
     expert = CacheStatisticalExpert(table)
-    assert expert.workload_statistics() == _reference_workload_statistics(reference)
     pcs = expert.pcs()
     assert pcs == reference["program_counter"].unique()
     for pc in pcs:

@@ -40,6 +40,7 @@ from repro.serve.server import CacheMindServer
 from repro.serve.service import CacheMindService
 from repro.sim.config import TINY_CONFIG
 from repro.sim.parallel import ParallelSimulator, SimulationJob
+from repro.tracedb.database import make_entry
 from repro.tracedb.store import StoreCorruptionWarning, TraceStore
 from repro.workloads.generator import generate_trace
 
@@ -61,8 +62,8 @@ def _table_bytes(entry):
                       default=str).encode("utf-8")
 
 
-def _entry_tables(entries):
-    return [_table_bytes(entry) for entry in entries]
+def _result_tables(results):
+    return [_table_bytes(make_entry(result)) for result in results]
 
 
 # ----------------------------------------------------------------------
@@ -258,18 +259,19 @@ def test_worker_scoped_rule_never_fires_in_the_parent_process():
 # store: torn writes, transient reads, full corruption matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cold_route", ["serial", "threads", "grid"])
-def test_torn_entry_write_heals_with_zero_resimulation(tmp_path, cold_route):
-    reference_session, _ = _session()
-    reference = _table_bytes(reference_session.database.entry(
-        "astar_evictions_lru"))
-    # Every route writes the simulation result first and the derived entry
-    # second: tearing write #2 leaves the result intact, so a warm start
-    # rebuilds the entry from it without re-simulating anything.
+def test_torn_result_write_resimulates_only_that_pair(tmp_path, cold_route):
+    policies = ["lru", "belady"]
+    reference_session, _ = _session(policies=policies)
+    reference = {key: _table_bytes(reference_session.database.entry(key))
+                 for key in reference_session.database.keys()}
+    # Every route writes one result record per simulation: tearing write
+    # #2 damages the second pair's only record, so a warm start quarantines
+    # it and re-simulates exactly that pair.
     plan = FaultPlan([FaultRule("store.write", action="truncate", nth=2)])
     with thread_scope(plan):
         overrides = (dict(jobs=2, executor="thread")
                      if cold_route == "threads" else {})
-        cold_session, _ = _session(tmp_path, **overrides)
+        cold_session, _ = _session(tmp_path, policies=policies, **overrides)
         if cold_route == "grid":
             cold_session.run_experiment(cold_session.experiment_spec())
         else:
@@ -277,13 +279,13 @@ def test_torn_entry_write_heals_with_zero_resimulation(tmp_path, cold_route):
     assert plan.triggered == 1
 
     with pytest.warns(StoreCorruptionWarning):
-        warm_session, warm_cache = _session(tmp_path)
-        warm_table = _table_bytes(warm_session.database.entry(
-            "astar_evictions_lru"))
-    assert warm_table == reference
-    assert warm_cache.misses == 0
-    store = warm_cache.store
-    assert any(name.startswith("entry-") for name in store.quarantined_files())
+        warm_session, warm_cache = _session(tmp_path, policies=policies)
+        warm = {key: _table_bytes(warm_session.database.entry(key))
+                for key in warm_session.database.keys()}
+    assert warm == reference
+    assert warm_cache.misses == 1 and warm_cache.store_hits == 1
+    quarantined = warm_cache.store.quarantined_files()
+    assert len(quarantined) == 1 and quarantined[0].startswith("result-")
 
 
 def test_transient_read_error_is_a_miss_without_quarantine(tmp_path):
@@ -294,9 +296,9 @@ def test_transient_read_error_is_a_miss_without_quarantine(tmp_path):
         with pytest.warns(StoreCorruptionWarning, match="unreadable"):
             warm_session, warm_cache = _session(tmp_path)
             _ = warm_session.database
-    # The entry read failed transiently, but the intact result record
-    # rebuilt it — and the healthy file must not have been quarantined.
-    assert warm_cache.misses == 0
+    # The pair's only record read failed transiently, so that pair
+    # re-simulated — and the healthy file must not have been quarantined.
+    assert warm_cache.misses == 1
     assert warm_cache.store.quarantined_files() == []
 
 
@@ -334,7 +336,7 @@ def test_corruption_matrix_across_all_record_kinds(tmp_path, mode):
             if name.endswith(".pkl"):
                 paths[name] = os.path.join(shard_dir, name)
     records = sorted(paths)
-    assert len(records) == 4  # entry, result, experiment, trace
+    assert len(records) == 3  # result, experiment, trace
     for name in records:
         _damage(paths[name], mode)
     # Corrupt the manifest too — verify must flag it, repair must re-stamp.
@@ -377,7 +379,7 @@ PARALLEL_JOBS = [SimulationJob(workload=workload, policy=policy,
 def _serial_reference():
     simulator = ParallelSimulator(jobs=1, executor="serial",
                                   config=TINY_CONFIG)
-    return _entry_tables(simulator.run_entries(PARALLEL_JOBS))
+    return _result_tables(simulator.run_results(PARALLEL_JOBS))
 
 
 def test_injected_worker_fault_recovers_on_a_fresh_pool():
@@ -386,9 +388,9 @@ def test_injected_worker_fault_recovers_on_a_fresh_pool():
     simulator = ParallelSimulator(jobs=2, executor="thread",
                                   config=TINY_CONFIG)
     with process_scope(plan):
-        entries = simulator.run_entries(PARALLEL_JOBS)
+        results = simulator.run_results(PARALLEL_JOBS)
     assert plan.triggered == 1
-    assert _entry_tables(entries) == reference
+    assert _result_tables(results) == reference
     assert simulator.last_executor == "thread"
     assert simulator.recovery["pools_replaced"] == 1
     assert simulator.recovery["retried_jobs"] >= 1
@@ -406,8 +408,8 @@ def test_killed_process_workers_converge_via_serial_fallback():
     simulator = ParallelSimulator(jobs=2, executor="process",
                                   config=TINY_CONFIG)
     with env_scope(plan):
-        entries = simulator.run_entries(PARALLEL_JOBS)
-    assert _entry_tables(entries) == reference
+        results = simulator.run_results(PARALLEL_JOBS)
+    assert _result_tables(results) == reference
     assert simulator.last_executor == "serial"
     assert simulator.recovery["pools_replaced"] == 1
     assert simulator.recovery["serial_jobs"] == len(PARALLEL_JOBS)

@@ -432,6 +432,31 @@ def test_cli_trace_import_list_info(tmp_path, capsys, registry_guard):
     assert main(["trace", "info", prefix, "--dir", store_dir]) == 0
 
 
+def test_gc_record_budget_never_prunes_an_ingested_trace(tmp_path, capsys,
+                                                        registry_guard):
+    """An ingested trace is an input no rebuild can recreate: ``store gc
+    --max-records`` prunes only the result cache around it."""
+    path = write_text_trace(small_trace("mytrace", accesses=300),
+                            str(tmp_path / "mytrace.csv"))
+    store_dir = str(tmp_path / "store")
+    assert main(["trace", "import", path, "--dir", store_dir]) == 0
+    registry_guard.append("mytrace")
+    session = ["--workloads", "mytrace", "--policies", "lru,belady",
+               "--config", "tiny"]
+    assert main(["store", "save", "--dir", store_dir] + session) == 0
+    # A new process knows the trace only from the store.
+    unregister_workload("mytrace")
+    capsys.readouterr()
+    assert main(["store", "gc", "--dir", store_dir,
+                 "--max-records", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "removed 1 record(s)" in out and "trace-" not in out
+    assert main(["trace", "list", "--dir", store_dir]) == 0
+    assert "mytrace" in capsys.readouterr().out
+    assert main(["store", "load", "--dir", store_dir] + session) == 0
+    assert "1 from store, 1 simulated" in capsys.readouterr().out
+
+
 def test_cli_trace_import_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,trace,line,at,all\n")

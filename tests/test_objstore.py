@@ -25,6 +25,8 @@ from repro.sim.config import TINY_CONFIG
 from repro.tracedb.objstore import (
     TEMP_MAX_AGE_SECONDS,
     encode_record,
+    entry_line,
+    index_entry_for,
     parse_object_name,
     shard_of,
 )
@@ -41,9 +43,9 @@ SESSION_KWARGS = dict(workloads=["astar"], policies=["lru"],
 
 
 def _populate(store, count=6):
-    """A small mixed corpus: entries, results, an experiment, a trace."""
+    """A small mixed corpus: results, an experiment, a trace."""
     for i in range(count):
-        store.save("entry", ("k", i), {"i": i})
+        store.save("result", ("k", i), {"i": i})
         store.save("result", ("r", i), [i, i + 1])
     store.save_experiment("cafe0123", {"cells": [1, 2, 3]})
     store.save_trace(generate_trace("astar", 200, seed=1), source="unit")
@@ -85,10 +87,10 @@ def test_objects_land_in_their_digest_shard(tmp_path):
 def test_round_trip_and_per_shard_info(tmp_path):
     store = TraceStore(str(tmp_path))
     _populate(store)
-    assert store.load("entry", ("k", 0)) == {"i": 0}
+    assert store.load("result", ("k", 0)) == {"i": 0}
     info = store.info()
     assert info["layout"] == "sharded"
-    assert info["entries"] == 6 and info["results"] == 6
+    assert info["results"] == 12
     assert info["experiments"] == 1 and info["traces"] == 1
     assert sum(info["shards"].values()) == info["records"] == 14
     assert sum(sum(per.values()) for per in info["by_kind_shard"].values()) \
@@ -120,7 +122,7 @@ def test_missing_index_falls_back_to_header_scan(tmp_path):
     os.unlink(_index_path(tmp_path))
     store = TraceStore(str(tmp_path))
     # Everything still answers (reads never depend on the index)...
-    assert store.load("entry", ("k", 1)) == {"i": 1}
+    assert store.load("result", ("k", 1)) == {"i": 1}
     assert store.experiment_fingerprints() == ["cafe0123"]
     info = store.info()
     assert info["records"] == 14 and info["unreadable"] == 0
@@ -155,7 +157,7 @@ def test_reindex_reproduces_the_index_byte_identically(tmp_path):
     store = TraceStore(str(tmp_path))
     _populate(store)
     # Re-save a record (duplicate line) so compaction has real work.
-    store.save("entry", ("k", 0), {"i": 0})
+    store.save("result", ("k", 0), {"i": 0})
     store.compact_index()
     canonical = store.index_bytes()
     assert canonical
@@ -169,11 +171,11 @@ def test_reindex_reproduces_the_index_byte_identically(tmp_path):
 def test_compaction_drops_duplicates_and_stale_entries(tmp_path):
     store = TraceStore(str(tmp_path))
     _populate(store, count=3)
-    store.save("entry", ("k", 0), {"i": 0})  # duplicate line
-    name = "entry-" + sorted(
+    store.save("result", ("k", 0), {"i": 0})  # duplicate line
+    name = "result-" + sorted(
         n.split("-")[1] for n, _ in
         ((os.path.basename(p), p) for _, p in _object_paths(tmp_path))
-        if n.startswith("entry-"))[0]
+        if n.startswith("result-"))[0]
     # Delete one object behind the index's back: its entry goes stale.
     store._objects.remove_object(name)
     stats = store.compact_index()
@@ -189,10 +191,10 @@ def test_torn_index_append_fault_degrades_to_compaction_lag(tmp_path):
     store = TraceStore(str(tmp_path))
     plan = FaultPlan([FaultRule("index.append", action="truncate", nth=1)])
     with thread_scope(plan):
-        store.save("entry", ("k",), {"x": 1})
+        store.save("result", ("k",), {"x": 1})
     assert plan.triggered == 1
     # The record itself committed and is readable...
-    assert store.load("entry", ("k",)) == {"x": 1}
+    assert store.load("result", ("k",)) == {"x": 1}
     # ...the torn line is just lag, healed by reindex.
     fresh = TraceStore(str(tmp_path))
     health = fresh.info()["index"]
@@ -246,7 +248,7 @@ def test_verify_can_be_scoped_to_shards(tmp_path):
 
 def test_gc_never_sweeps_a_fresh_temp_file(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("entry", ("k",), {"x": 1})
+    store.save("result", ("k",), {"x": 1})
     shard = next(iter(_object_paths(tmp_path)))[0]
     fresh_tmp = os.path.join(str(tmp_path), "objects", shard, "inflight.tmp")
     with open(fresh_tmp, "wb") as handle:
@@ -275,9 +277,9 @@ def test_gc_never_sweeps_a_fresh_temp_file(tmp_path):
 def test_read_only_mount_serves_warm_and_refuses_writes(tmp_path):
     _populate(TraceStore(str(tmp_path)), count=2)
     mount = TraceStore(str(tmp_path), read_only=True)
-    assert mount.load("entry", ("k", 0)) == {"i": 0}
+    assert mount.load("result", ("k", 0)) == {"i": 0}
     assert mount.experiment_fingerprints() == ["cafe0123"]
-    for mutate in (lambda: mount.save("entry", ("z",), {}),
+    for mutate in (lambda: mount.save("result", ("z",), {}),
                    mount.gc, mount.clear, mount.reindex,
                    mount.compact_index,
                    lambda: mount.verify(repair=True)):
@@ -289,7 +291,7 @@ def test_read_only_mount_never_creates_or_mutates_anything(tmp_path):
     with pytest.raises(FileNotFoundError):
         TraceStore(str(tmp_path / "nope"), read_only=True)
     store = TraceStore(str(tmp_path))
-    store.save("entry", ("k",), {"x": 1})
+    store.save("result", ("k",), {"x": 1})
     # Corrupt the record: a read-only reader warns and misses but must NOT
     # quarantine (that would mutate a store it does not own).
     path = next(iter(_object_paths(tmp_path)))[1]
@@ -297,7 +299,7 @@ def test_read_only_mount_never_creates_or_mutates_anything(tmp_path):
         handle.write(b"junk")
     mount = TraceStore(str(tmp_path), read_only=True)
     with pytest.warns(StoreCorruptionWarning):
-        assert mount.load("entry", ("k",)) is None
+        assert mount.load("result", ("k",)) is None
     assert os.path.exists(path)
     assert mount.quarantined_files() == []
 
@@ -387,6 +389,90 @@ def test_gc_clears_a_pre_sharding_store(tmp_path, capsys):
     assert len(TraceStore(root)) > 0
 
 
+# ----------------------------------------------------------------------
+# stores another build owns
+# ----------------------------------------------------------------------
+def _schema_2_store(root):
+    """A store as the schema-2 build left it: a schema-2 manifest and, per
+    simulation, an ``entry`` and a ``result`` record in their digest
+    shards, all announced in the index.  Returns the record names."""
+    with open(os.path.join(root, "manifest.json"), "w") as handle:
+        json.dump({"schema": 2, "layout": "sharded"}, handle)
+    names, lines = [], []
+    for i in range(2):
+        for kind, key in (("result", ("k", i)), ("entry", ("k", i, "d"))):
+            digest = key_digest(key)
+            name = f"{kind}-{digest}.pkl"
+            header = {"schema": 2, "kind": kind, "key_repr": repr(key)}
+            data = encode_record(header, {"i": i})
+            shard_dir = os.path.join(root, "objects", shard_of(digest))
+            os.makedirs(shard_dir, exist_ok=True)
+            with open(os.path.join(shard_dir, name), "wb") as handle:
+                handle.write(data)
+            names.append(name)
+            lines.append(entry_line(index_entry_for(name, header,
+                                                    len(data))))
+    os.makedirs(os.path.join(root, "index"))
+    with open(os.path.join(root, "index", "log.jsonl"), "wb") as handle:
+        handle.write(b"".join(lines))
+    return sorted(names)
+
+
+def test_schema_2_store_is_foreign_until_gc(tmp_path, capsys):
+    root = str(tmp_path)
+    names = _schema_2_store(root)
+    before = _tree(root)
+    for read_only in (False, True):
+        with pytest.raises(StoreVersionError, match="store gc"):
+            TraceStore(root, read_only=read_only)
+    # Every record is another build's: foreign by its header schema,
+    # whatever its kind, and never corrupt.
+    report = TraceStore(root, strict=False).verify()
+    assert sorted(report["foreign"]) == names
+    assert report["corrupt"] == [] and report["ok"] == 0
+    for repair in ([], ["--repair"]):
+        assert main(["store", "verify", "--dir", root] + repair) == 1
+        captured = capsys.readouterr()
+        assert "corrupt:" not in captured.out
+        assert "store gc" in captured.err
+    assert _tree(root) == before
+    assert main(["store", "gc", "--dir", root]) == 0
+    assert f"removed {len(names)} record(s)" in capsys.readouterr().out
+    # A session over it simulates and persists; the next one is warm.
+    cold, warm = SimulationCache(), SimulationCache()
+    for cache in (cold, warm):
+        _ = CacheMind(store_dir=root, simulation_cache=cache,
+                      **SESSION_KWARGS).database
+    assert cold.misses == 1 and warm.misses == 0
+    assert TraceStore(root).info()["results"] == 1
+
+
+def test_verify_repair_leaves_a_foreign_store_untouched(tmp_path, capsys):
+    """``--repair`` on a store whose manifest names another schema writes
+    no index, quarantines nothing, sweeps no temp file and stamps no
+    manifest: ``store gc`` is the only path that rewrites such a store."""
+    root = str(tmp_path)
+    store = TraceStore(root)
+    store.save("result", ("k", 0), {"i": 0})
+    broken = store.save("result", ("k", 1), {"i": 1})
+    with open(broken, "wb") as handle:
+        handle.write(b"junk")
+    stale_tmp = os.path.join(os.path.dirname(broken), "stranded.tmp")
+    with open(stale_tmp, "wb") as handle:
+        handle.write(b"half-written")
+    old = time.time() - (TEMP_MAX_AGE_SECONDS + 5)
+    os.utime(stale_tmp, (old, old))
+    os.unlink(_index_path(tmp_path))
+    with open(os.path.join(root, "manifest.json"), "w") as handle:
+        json.dump({"schema": 1}, handle)
+    before = _tree(root)
+    assert main(["store", "verify", "--dir", root, "--repair"]) == 1
+    assert _tree(root) == before
+    captured = capsys.readouterr()
+    assert "repair skipped" in captured.out
+    assert "store gc" in captured.err
+
+
 def test_store_reindex_and_compact_cli(tmp_path, capsys):
     _populate(TraceStore(str(tmp_path)), count=2)
     os.unlink(_index_path(tmp_path))
@@ -410,7 +496,7 @@ from repro.tracedb.store import TraceStore
 root, writer, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 store = TraceStore(root)
 for i in range(count):
-    store.save("entry", ("w", writer, i), {"writer": writer, "i": i})
+    store.save("result", ("w", writer, i), {"writer": writer, "i": i})
 print(store.saves)
 """
 
@@ -446,7 +532,7 @@ def test_concurrent_writer_processes_lose_no_records(tmp_path):
     assert len(store) == writers * per_writer
     for writer in range(writers):
         for i in range(per_writer):
-            assert store.load("entry", ("w", writer, i)) \
+            assert store.load("result", ("w", writer, i)) \
                 == {"writer": writer, "i": i}
     # Snapshots only ever grew (objects are immutable, appends atomic).
     assert snapshots == sorted(snapshots)

@@ -55,13 +55,13 @@ def test_parallel_build_ships_ingested_traces(monkeypatch):
     name = register_trace(generate_trace("astar", NUM_ACCESSES, seed=3),
                           name="ingested_parallel")
     dispatched = []
-    run_entries = ParallelSimulator.run_entries
+    run_results = ParallelSimulator.run_results
 
     def recording(simulator, jobs):
         dispatched.extend(jobs)
-        return run_entries(simulator, jobs)
+        return run_results(simulator, jobs)
 
-    monkeypatch.setattr(ParallelSimulator, "run_entries", recording)
+    monkeypatch.setattr(ParallelSimulator, "run_results", recording)
     try:
         serial = _build(jobs=1, workloads=(name,))
         assert dispatched == []

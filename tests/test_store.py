@@ -20,7 +20,6 @@ from repro.tracedb.store import (
     STORE_SCHEMA_VERSION,
     StoreCorruptionWarning,
     TraceStore,
-    entry_key,
     simulation_key,
 )
 from repro.workloads.generator import generate_trace
@@ -74,6 +73,27 @@ def test_save_load_round_trip_is_byte_identical(tmp_path):
         assert cold_result.wrong_evictions == warm_result.wrong_evictions
 
 
+def test_cold_build_writes_one_result_record_per_pair(tmp_path):
+    pairs = len(WORKLOADS) * len(POLICIES)
+    cold_session, cold_cache = _session(tmp_path)
+    cold_db = cold_session.database
+    assert cold_cache.store.saves == pairs
+    report = TraceStore(str(tmp_path)).verify()
+    assert report["clean"] and report["checked"] == pairs
+    assert report["by_kind"] == {"result": pairs, "experiment": 0,
+                                 "trace": 0}
+
+    warm_session, warm_cache = _session(tmp_path)
+    warm_db = warm_session.database
+    assert warm_cache.misses == 0 and warm_cache.store.saves == 0
+    assert warm_db.keys() == cold_db.keys()
+    for key in cold_db.keys():
+        cold_entry, warm_entry = cold_db.entry(key), warm_db.entry(key)
+        assert _table_bytes(warm_entry) == _table_bytes(cold_entry)
+        assert warm_entry.metadata == cold_entry.metadata
+        assert repr(warm_entry.statistics) == repr(cold_entry.statistics)
+
+
 def test_warm_session_answers_with_zero_simulations(tmp_path):
     cold_session, _cache = _session(tmp_path)
     _ = cold_session.database
@@ -81,7 +101,7 @@ def test_warm_session_answers_with_zero_simulations(tmp_path):
     report = TraceStore(str(tmp_path)).verify()
     assert report["clean"], report
     pairs = len(WORKLOADS) * len(POLICIES)
-    assert report["by_kind"]["entry"] == report["by_kind"]["result"] == pairs
+    assert report["by_kind"]["result"] == report["ok"] == pairs
     assert report["ok"] == report["checked"]
 
     warm_session, warm_cache = _session(tmp_path)
@@ -111,7 +131,7 @@ def test_result_round_trip_via_get_or_run(tmp_path):
 
 def test_builds_persist_results_so_simulate_is_warm_too(tmp_path):
     cold_session, _ = _session(tmp_path)
-    _ = cold_session.database  # persists entry- AND result- records
+    _ = cold_session.database  # persists one result record per pair
 
     warm_session, warm_cache = _session(tmp_path)
     result = warm_session.simulate("astar", "lru")
@@ -122,7 +142,7 @@ def test_builds_persist_results_so_simulate_is_warm_too(tmp_path):
 def test_build_database_with_store_loads_instead_of_simulating(tmp_path):
     first = CacheMind(store_dir=str(tmp_path), **SESSION_KWARGS).database
     store = TraceStore(str(tmp_path))
-    assert store.info()["entries"] == len(WORKLOADS) * len(POLICIES)
+    assert store.info()["results"] == len(WORKLOADS) * len(POLICIES)
     second = CacheMind(simulation_cache=SimulationCache(store=store),
                        **SESSION_KWARGS).database
     loads_before = store.loads
@@ -139,8 +159,6 @@ def test_store_keys_follow_trace_content(tmp_path):
     other.seed = trace.seed  # same metadata, different content
     assert (simulation_key(engine, trace, "lru")
             != simulation_key(engine, other, "lru"))
-    assert (entry_key(engine, trace, "lru", "d")
-            != entry_key(engine, trace, "lru", "e"))
 
 
 # ----------------------------------------------------------------------
@@ -156,14 +174,14 @@ def test_foreign_schema_version_is_refused(tmp_path):
 
 def test_corrupt_manifest_is_quarantined_and_rebuilt(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("entry", ("k",), {"x": 1})
+    store.save("result", ("k",), {"x": 1})
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.warns(StoreCorruptionWarning):
         healed = TraceStore(str(tmp_path))
     # The bad manifest is preserved aside, a fresh one is stamped, and the
     # surviving record is still readable.
     assert "manifest.json" in healed.quarantined_files()
-    assert healed.load("entry", ("k",)) == {"x": 1}
+    assert healed.load("result", ("k",)) == {"x": 1}
     assert json.loads((tmp_path / "manifest.json").read_text())["schema"] \
         == STORE_SCHEMA_VERSION
 
@@ -171,12 +189,12 @@ def test_corrupt_manifest_is_quarantined_and_rebuilt(tmp_path):
 def test_corrupt_manifest_over_foreign_records_is_refused(tmp_path):
     """Manifest self-healing must not adopt another build's records."""
     store = TraceStore(str(tmp_path))
-    store.save("entry", ("k",), {"x": 1})
+    store.save("result", ("k",), {"x": 1})
     # Re-open pretending to be a future build whose records use a bumped
     # schema (the manifest still matches at open time).
     future = TraceStore(str(tmp_path))
     future.schema_version = STORE_SCHEMA_VERSION + 1
-    future.save("entry", ("other",), {"x": 2})
+    future.save("result", ("other",), {"x": 2})
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(StoreVersionError):
         TraceStore(str(tmp_path))
@@ -184,13 +202,13 @@ def test_corrupt_manifest_over_foreign_records_is_refused(tmp_path):
 
 def test_foreign_record_schema_is_a_miss(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("entry", ("k",), {"x": 1})
+    store.save("result", ("k",), {"x": 1})
     # Re-open pretending to be a future version that kept the manifest
     # format but bumped record layouts.
     future = TraceStore(str(tmp_path))
     future.schema_version = STORE_SCHEMA_VERSION + 1
     with pytest.warns(StoreCorruptionWarning):
-        assert future.load("entry", ("k",)) is None
+        assert future.load("result", ("k",)) is None
 
 
 # ----------------------------------------------------------------------
@@ -223,10 +241,11 @@ def _truncate(path):
 @pytest.mark.parametrize("warm_route", ["database", "grid"])
 def test_truncated_entry_warns_and_recovers_from_result_record(tmp_path,
                                                                warm_route):
+    """An entry's only record is its simulation's result record: a
+    truncated one warns, and that one pair re-simulates."""
     cold_session, _ = _session(tmp_path)
-    _ = cold_session.database
-    # Builds persist entry- and result- records; damage one entry record.
-    _truncate(_first_record_path(str(tmp_path)))  # sorted: entry-* first
+    cold_db = cold_session.database
+    _truncate(_first_record_path(str(tmp_path)))
 
     warm_session, warm_cache = _session(tmp_path)
     with pytest.warns(StoreCorruptionWarning):
@@ -234,12 +253,14 @@ def test_truncated_entry_warns_and_recovers_from_result_record(tmp_path,
             cells = len(warm_session.database)
         else:
             grid = warm_session.run_experiment(warm_session.experiment_spec())
-            assert grid.counters["simulations_run"] == 0
+            assert grid.counters["simulations_run"] == 1
             cells = len(grid)
-    # The surviving result record covers the damaged entry: the table is
-    # re-derived but nothing re-simulates, on either warm route.
-    assert warm_cache.misses == 0
+    assert warm_cache.misses == 1
+    assert warm_cache.store_hits == len(WORKLOADS) * len(POLICIES) - 1
     assert cells == len(WORKLOADS) * len(POLICIES)
+    for key in cold_db.keys():
+        assert (_table_bytes(warm_session.database.entry(key))
+                == _table_bytes(cold_db.entry(key)))
 
 
 def test_fully_corrupt_store_warns_and_resimulates(tmp_path):
@@ -264,18 +285,18 @@ def test_fully_corrupt_store_warns_and_resimulates(tmp_path):
 
 def test_garbage_bytes_record_is_a_miss(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("entry", ("k",), {"x": 1})
+    store.save("result", ("k",), {"x": 1})
     path = _first_record_path(str(tmp_path))
     with open(path, "wb") as handle:
         handle.write(b"definitely not a store record")
     with pytest.warns(StoreCorruptionWarning):
-        assert store.load("entry", ("k",)) is None
+        assert store.load("result", ("k",)) is None
 
 
 def test_gc_removes_corrupt_and_prunes(tmp_path):
     store = TraceStore(str(tmp_path))
     for i in range(4):
-        store.save("entry", (i,), {"i": i})
+        store.save("result", (i,), {"i": i})
     # Corrupt one record, and strand a fake interrupted atomic write.
     path = _first_record_path(str(tmp_path))
     with open(path, "wb") as handle:
@@ -294,7 +315,7 @@ def test_gc_removes_corrupt_and_prunes(tmp_path):
 
 def test_gc_recovers_a_foreign_schema_store(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("entry", ("k",), {"x": 1})
+    store.save("result", ("k",), {"x": 1})
     (tmp_path / "manifest.json").write_text(
         json.dumps({"schema": STORE_SCHEMA_VERSION + 1}))
     # Strict opening refuses...
@@ -306,14 +327,14 @@ def test_gc_recovers_a_foreign_schema_store(tmp_path):
     removed = TraceStore(str(tmp_path), strict=False).gc()
     assert removed["schema"] == []
     reopened = TraceStore(str(tmp_path))
-    assert reopened.load("entry", ("k",)) == {"x": 1}
+    assert reopened.load("result", ("k",)) == {"x": 1}
 
 
 def test_store_verify_hints_gc_for_foreign_records(tmp_path, capsys):
     # --repair leaves foreign records alone, so it is not the remedy.
     future = TraceStore(str(tmp_path))
     future.schema_version = STORE_SCHEMA_VERSION + 1
-    future.save("entry", ("k",), {"x": 1})
+    future.save("result", ("k",), {"x": 1})
     for repair in ([], ["--repair"]):
         assert main(["store", "verify", "--dir", str(tmp_path)]
                     + repair) == 1
@@ -328,9 +349,9 @@ def test_info_is_header_only(tmp_path):
         def __reduce__(self):
             return (_raise_on_unpickle, ())
 
-    store.save("entry", ("k",), Unloadable())
+    store.save("result", ("k",), Unloadable())
     info = store.info()
-    assert info["entries"] == 1 and info["unreadable"] == 0
+    assert info["results"] == 1 and info["unreadable"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +362,8 @@ def test_store_cli_save_load_info_gc(tmp_path, capsys):
     base = ["--workloads", "astar", "--policies", "lru,belady",
             "--accesses", "300", "--config", "tiny"]
     assert main(["store", "save", "--dir", store_dir] + base) == 0
-    # Each pair persists an entry record plus a bare result record.
-    assert "4 record(s) written" in capsys.readouterr().out
+    # Each pair persists one result record.
+    assert "2 record(s) written" in capsys.readouterr().out
 
     assert main(["store", "load", "--dir", store_dir, "--expect-warm"]
                 + base) == 0
@@ -351,11 +372,11 @@ def test_store_cli_save_load_info_gc(tmp_path, capsys):
     assert main(["store", "info", "--dir", store_dir]) == 0
     out = capsys.readouterr().out
     assert f"schema version: {STORE_SCHEMA_VERSION}" in out
-    assert "2 entries" in out and "2 results" in out
+    assert "records: 2 (2 results," in out
 
     assert main(["store", "gc", "--dir", store_dir,
                  "--max-records", "1"]) == 0
-    assert "removed 3 record(s)" in capsys.readouterr().out
+    assert "removed 1 record(s)" in capsys.readouterr().out
 
 
 def test_store_cli_read_only_commands_reject_missing_dir(tmp_path, capsys):
