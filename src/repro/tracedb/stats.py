@@ -9,11 +9,9 @@ insight analyses need.  Every helper reads only the scalar columns it needs,
 zipped column by column, so the table's lazily built snapshot columns are
 never formatted here.
 
-The whole-trace summary the metadata string needs comes from
-:func:`log_statistics`, straight from an
-:class:`~repro.tracedb.schema.AccessLog`'s columns: the engine computes it
-once at the end of every full-detail replay and stores it on the result,
-so no table is built for it.
+:func:`log_statistics` computes the whole-trace summary the metadata string
+needs from an :class:`~repro.tracedb.schema.AccessLog`'s columns, once per
+full-detail replay, so no table is built for it.
 """
 
 from __future__ import annotations

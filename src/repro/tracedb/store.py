@@ -800,9 +800,7 @@ class TraceStore:
         manifest_state, manifest_detail = self._read_manifest()
         if manifest_state == "ok" and manifest_detail != self.schema_version:
             manifest_state = "foreign"
-            # Another build's store: writing an index, quarantining,
-            # sweeping or stamping it would mix two builds' data, so the
-            # repair is skipped; `store gc` is the recovery path.
+            # Another build's store: only `store gc` may rewrite it.
             report["repair_skipped"] = repair
             repair = False
         report["manifest"] = manifest_state
