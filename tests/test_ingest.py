@@ -441,9 +441,9 @@ def test_gc_record_budget_never_prunes_an_ingested_trace(tmp_path, capsys,
     store_dir = str(tmp_path / "store")
     assert main(["trace", "import", path, "--dir", store_dir]) == 0
     registry_guard.append("mytrace")
-    session = ["--workloads", "mytrace", "--policies", "lru,belady",
-               "--config", "tiny"]
-    assert main(["store", "save", "--dir", store_dir] + session) == 0
+    flags = ["--workloads", "mytrace", "--policies", "lru,belady",
+             "--config", "tiny"]
+    assert main(["store", "save", "--dir", store_dir] + flags) == 0
     # A new process knows the trace only from the store.
     unregister_workload("mytrace")
     capsys.readouterr()
@@ -453,7 +453,7 @@ def test_gc_record_budget_never_prunes_an_ingested_trace(tmp_path, capsys,
     assert "removed 1 record(s)" in out and "trace-" not in out
     assert main(["trace", "list", "--dir", store_dir]) == 0
     assert "mytrace" in capsys.readouterr().out
-    assert main(["store", "load", "--dir", store_dir] + session) == 0
+    assert main(["store", "load", "--dir", store_dir] + flags) == 0
     assert "1 from store, 1 simulated" in capsys.readouterr().out
 
 
