@@ -6,7 +6,9 @@ sequences — no row dicts are materialised and no column is copied, so
 filtering/grouping large tables stays O(columns touched), not
 O(rows × columns).  A lazy column (:class:`~repro.tracedb.table.LazyColumn`)
 builds only the cells a query reads, and a result keeps it lazy as a view
-of the selected rows.
+of the selected rows.  The first ``eq``/``in`` filter of an unjoined query
+reads the table's equality index (``Table.equal_positions``), which the
+table keeps for every later query; the other filters scan only its rows.
 
 Results are in the engine's canonical value domain: booleans become
 ``0``/``1`` and ``NaN`` becomes ``None``, and every query result carries a
@@ -23,7 +25,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import UnknownNameError
 from ..tracedb.table import Column, ColumnValues, LazyColumn, Table, take_values
-from .query import Query, as_query
+from .query import Filter, Query, as_query
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +236,9 @@ class StdlibBackend:
     them, honouring the execution contract documented on the
     :mod:`repro.analytics.query` dataclasses.
 
-    Tables are registered by reference (registration is O(1)); mutating a
-    table after registering it is visible to later queries.
+    Tables are registered by reference (registration is O(1)); a column
+    that :meth:`Table.add_column` replaces after registration is visible to
+    later queries, because it drops that column's equality index.
     """
 
     def __init__(self) -> None:
@@ -261,7 +264,8 @@ class StdlibBackend:
             data = {source.name: left.sequence(source.column) for source in sources}
             count = len(left)
 
-        indices = self._filter_indices(query, data, count)
+        indices = self._filter_indices(
+            query, data, count, left if query.join is None else None)
 
         if query.aggregates:
             names, columns = self._aggregate(query, data, indices)
@@ -316,10 +320,23 @@ class StdlibBackend:
         return data, len(pairs)
 
     def _filter_indices(
-        self, query: Query, data: Mapping[str, Sequence[Any]], count: int
+        self, query: Query, data: Mapping[str, Sequence[Any]], count: int,
+        table: Optional[Table] = None,
     ) -> List[int]:
-        indices = list(range(count))
-        for item in query.filters:
+        """Ascending positions of the rows every filter keeps.  With
+        ``table`` (the unjoined source), the first ``eq``/``in`` filter reads
+        its rows from the table's equality index when that can answer."""
+        filters = list(query.filters)
+        first = next((n for n, item in enumerate(filters)
+                      if item.op in ("eq", "in")), None)
+        indices = None
+        if table is not None and first is not None:
+            indices = _indexed_positions(table, filters[first])
+        if indices is None:
+            indices = list(range(count))
+        else:
+            del filters[first]
+        for item in filters:
             literal = canonical_value(item.value) if not isinstance(item.value, tuple) else tuple(
                 canonical_value(part) for part in item.value
             )
@@ -367,6 +384,21 @@ class StdlibBackend:
         keys = [(by_name[spec.column], spec.descending) for spec in query.order_by]
         positions.sort(key=_order_comparator(keys))
         return positions
+
+
+def _indexed_positions(table: Table, item: Filter) -> Optional[List[int]]:
+    """Ascending positions of the rows an ``eq``/``in`` filter keeps, each
+    once, from ``table``'s equality index; ``None`` when the index cannot
+    answer.  A NULL literal matches nothing, as in :func:`_matches`."""
+    found = []
+    for part in (item.value if item.op == "in" else (item.value,)):
+        part = canonical_value(part)
+        if part is not None:
+            positions = table.equal_positions(item.column, part)
+            if positions is None:
+                return None
+            found.append(positions)
+    return list(found[0]) if len(found) == 1 else sorted(set().union(*found))
 
 
 def _output_values(values: ColumnValues, indices: List[int]) -> ColumnValues:

@@ -257,11 +257,10 @@ class RangerCodeGenerator:
     def _set_analysis(self, intent: QueryIntent) -> str:
         body = """
         per_set = {}
-        for row in df.rows():
-            set_id = row["cache_set_id"]
+        for set_id, outcome in zip(df["cache_set_id"].values, df["evict"].values):
             stats = per_set.setdefault(set_id, [0, 0])
             stats[0] += 1
-            if row["evict"] == "Cache Hit":
+            if outcome == "Cache Hit":
                 stats[1] += 1
         summary = {set_id: {"accesses": values[0], "hits": values[1],
                             "hit_rate": (values[1] / values[0]) if values[0] else 0.0}

@@ -29,7 +29,6 @@ replays every query the stages issue through an independent SQL oracle.
 from __future__ import annotations
 
 import time
-from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.analytics import Aggregate, Filter, Query, run_query
@@ -252,7 +251,7 @@ class SieveRetriever(Retriever):
             return
 
         facts["exact_match"] = True
-        rows = list(islice(slice_table.iter_rows(), self.slice_limit))
+        rows = slice_table.head(self.slice_limit).rows()
         facts["slice_rows"] = rows
         first = rows[0]
         if pc is not None and address is not None:

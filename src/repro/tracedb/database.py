@@ -21,7 +21,8 @@ batched per trace and optionally parallel) and installs the entries here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import UnknownNameError
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
@@ -89,13 +90,36 @@ class TraceEntry:
     def expert(self) -> CacheStatisticalExpert:
         return CacheStatisticalExpert(self.data_frame)
 
-    def as_loaded_data_value(self) -> Dict[str, object]:
-        """The plain dictionary shape documented in the Ranger system prompt."""
-        return {
-            "data_frame": self.data_frame,
-            "metadata": self.metadata,
-            "description": self.description,
-        }
+    def as_loaded_data_value(self) -> Mapping[str, object]:
+        """The ``loaded_data`` value documented in the Ranger system prompt:
+        a read-only mapping of ``data_frame``, ``metadata`` and
+        ``description`` that reads ``data_frame`` only when it is looked up,
+        so handing out ``loaded_data`` builds no table."""
+        return _LoadedDataValue(self)
+
+
+class _LoadedDataValue(Mapping):
+    """See :meth:`TraceEntry.as_loaded_data_value`."""
+
+    __slots__ = ("_entry",)
+    _KEYS = ("data_frame", "metadata", "description")
+
+    def __init__(self, entry: TraceEntry):
+        self._entry = entry
+
+    def __getitem__(self, key: str) -> object:
+        if key not in self._KEYS:
+            raise KeyError(key)
+        return getattr(self._entry, key)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._KEYS
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._KEYS)
+
+    def __len__(self) -> int:
+        return len(self._KEYS)
 
 
 def make_entry(result: SimulationResult,
@@ -183,8 +207,9 @@ class TraceDatabase:
     def entries_for_policy(self, policy: str) -> List[TraceEntry]:
         return [entry for entry in self.entries.values() if entry.policy == policy]
 
-    def loaded_data(self) -> Dict[str, Dict[str, object]]:
-        """The exact dictionary layout Ranger-generated code queries."""
+    def loaded_data(self) -> Dict[str, Mapping[str, object]]:
+        """The exact dictionary layout Ranger-generated code queries; an
+        entry's table is built when its ``data_frame`` is first read."""
         return {key: entry.as_loaded_data_value()
                 for key, entry in self.entries.items()}
 

@@ -176,6 +176,13 @@ def log_statistics(log: AccessLog) -> WorkloadStatistics:
     )
 
 
+#: The columns :meth:`CacheStatisticalExpert.pc_statistics` reads.
+_PC_STATISTICS_COLUMNS = (
+    "evict", "evicted_address", "evicted_address_reuse_distance_numeric",
+    "accessed_address_reuse_distance_numeric",
+    "accessed_address_recency_numeric", "function_name")
+
+
 class CacheStatisticalExpert:
     """Computes per-PC and per-set statistics over a trace table.
 
@@ -203,12 +210,14 @@ class CacheStatisticalExpert:
             self._store.register_table("trace", self.table)
         return self._store
 
-    def _slice_query(self, **conditions) -> Table:
-        """Rows matching exact-equality ``conditions``, via the engine."""
+    def _slice_query(self, select: Sequence[str] = (), **conditions) -> Table:
+        """Rows matching exact-equality ``conditions``, via the engine:
+        the ``select`` columns, or every column when it is empty."""
         from repro.analytics import Filter, Query
 
         return self._engine().execute(Query(
             table="trace",
+            select=tuple(select),
             filters=tuple(Filter(name, "eq", value)
                           for name, value in conditions.items()),
         ))
@@ -225,7 +234,7 @@ class CacheStatisticalExpert:
 
     def pc_statistics(self, pc: str) -> PCStatistics:
         """Full statistics for one program counter."""
-        rows = self.pc_slice(pc)
+        rows = self._slice_query(_PC_STATISTICS_COLUMNS, program_counter=pc)
         accesses = len(rows)
         hits = sum(1 for value in rows["evict"].values if value == HIT_LABEL)
         misses = accesses - hits
@@ -274,7 +283,7 @@ class CacheStatisticalExpert:
         return sorted(self.table["cache_set_id"].unique())
 
     def set_statistics(self, set_id: int) -> SetStatistics:
-        rows = self._slice_query(cache_set_id=set_id)
+        rows = self._slice_query(("evict",), cache_set_id=set_id)
         hits = sum(1 for value in rows["evict"].values if value == HIT_LABEL)
         return SetStatistics(set_id=set_id, accesses=len(rows), hits=hits)
 

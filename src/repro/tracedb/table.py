@@ -21,6 +21,12 @@ access log until a row is read.  Row access (``row``), row selection
 only the cells they return; a whole-column or whole-table read
 (``table[name]``, ``rows``, ``iter_rows``, ``to_dict``, pickling) first
 swaps each lazy column for the list of its cells.
+
+Equality lookups (``where`` and the analytics executor's ``eq``/``in``
+filters) read a per-column index, built on the column's first lookup: each
+distinct cell maps to its row positions in ascending order, so a lookup
+keeps row order.  ``add_column`` drops the index of the column it replaces,
+and pickles and copies carry none.
 """
 
 from __future__ import annotations
@@ -80,6 +86,23 @@ class LazyColumn:
 
 #: What a :class:`Table` holds per column.
 ColumnValues = Union[List[Any], LazyColumn]
+
+
+def _equality_index(values: Sequence[Any]) -> Optional[Dict[Any, List[int]]]:
+    """Each distinct cell of ``values`` -> its positions, ascending; ``None``
+    when a cell is unhashable.  ``True``, ``1`` and ``1.0`` share a key, as
+    they compare equal."""
+    index: Dict[Any, List[int]] = {}
+    try:
+        for position, cell in enumerate(values):
+            found = index.get(cell)
+            if found is None:
+                index[cell] = [position]
+            else:
+                found.append(position)
+    except TypeError:
+        return None
+    return index
 
 
 def take_values(values: ColumnValues, indices: Sequence[int]) -> ColumnValues:
@@ -217,6 +240,9 @@ class Table:
     def __init__(self, columns: Optional[Mapping[str, Sequence[Any]]] = None):
         self._columns: Dict[str, ColumnValues] = {}
         self._length = 0
+        # Column name -> equality index (see equal_positions); None marks a
+        # column whose cells cannot all be dict keys.
+        self._indexes: Dict[str, Optional[Dict[Any, List[int]]]] = {}
         if columns:
             lengths = {len(values) for values in columns.values()}
             if len(lengths) > 1:
@@ -299,9 +325,10 @@ class Table:
         return Column(name, self._listed(name))
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Pickles and deep copies carry plain lists.
+        # Pickles and deep copies carry plain lists and no index: a copy
+        # builds its own on first lookup.
         self._materialise()
-        return self.__dict__
+        return {**self.__dict__, "_indexes": {}}
 
     def sequence(self, name: str) -> ColumnValues:
         """Column ``name``'s own sequence, uncopied and read-only: a list,
@@ -370,6 +397,7 @@ class Table:
         if not self._columns:
             self._length = len(values)
         self._columns[name] = values
+        self._indexes.pop(name, None)
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """Return a copy with columns renamed according to ``mapping``."""
@@ -404,8 +432,31 @@ class Table:
         start = max(0, self._length - count)
         return self.take(range(start, self._length))
 
+    def equal_positions(self, name: str, value: Any) -> Optional[Sequence[int]]:
+        """Ascending positions of the rows whose ``name`` cell ``== value``,
+        from the column's equality index (read-only); ``None`` when the
+        index cannot answer, so the caller scans: a lazy column (indexing it
+        would build every cell), an unhashable cell or ``value``."""
+        try:
+            hash(value)
+        except TypeError:
+            return None
+        index = self._indexes.get(name, _UNBUILT)
+        if index is _UNBUILT:
+            values = self.sequence(name)
+            if isinstance(values, LazyColumn):
+                return None
+            index = _equality_index(values)
+            self._indexes[name] = index  # published whole, never partial
+        if index is None:
+            return None
+        # NaN equals nothing, though a dict finds a NaN cell by identity.
+        return () if value != value else index.get(value, ())
+
     def where(self, **conditions: Any) -> "Table":
-        """Filter rows by exact equality on one or more columns.
+        """Filter rows by exact equality on one or more columns, keeping
+        row order; the first condition's rows come from its column's
+        index when it can answer (see :meth:`equal_positions`).
 
         Example::
 
@@ -414,11 +465,16 @@ class Table:
         for name in conditions:
             if name not in self._columns:
                 raise KeyError(f"unknown column {name!r}; available: {sorted(self._columns)}")
-        indices = []
-        for i in range(self._length):
-            if all(self._columns[name][i] == expected
-                   for name, expected in conditions.items()):
-                indices.append(i)
+        checks = list(conditions.items())
+        indices = self.equal_positions(*checks[0]) if checks else None
+        if indices is None:
+            indices = range(self._length)
+        else:
+            del checks[0]
+        if checks:
+            indices = [i for i in indices
+                       if all(self._columns[name][i] == expected
+                              for name, expected in checks)]
         return self.take(indices)
 
     def filter_rows(self, predicate: Callable[[Dict[str, Any]], bool]) -> "Table":

@@ -6,11 +6,15 @@ must return byte-identical tables from the stdlib executor and the SQL
 oracle in ``sqlite_oracle.py``, as must every query the Sieve issues.
 """
 
+import copy
 import json
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -470,6 +474,8 @@ def random_table(rng: random.Random, rows: int) -> Table:
         v=[rng.choice([None, rng.randint(-5, 5), rng.random() * 10,
                        "stray", True]) for _ in range(rows)],
         w=[float(rng.randint(0, 3)) for _ in range(rows)],  # heavy ties
+        # equal under `==` and one dict key: 1, True and 1.0
+        m=[rng.choice([1, True, 1.0, 0, "x", None]) for _ in range(rows)],
     )
 
 
@@ -502,6 +508,17 @@ DIFFERENTIAL_QUERIES = [
           ).where("w", "ge", 1.0).order("v").head(20),
     Query("t", join=Join("u", on=(("g", "g"), ("k", "k")),
                          select=(("v", "v_right"),))).order("v_right"),
+    # The first eq/in filter reads the table's equality index; the other
+    # filters scan its rows.
+    Query("t").where("m", "eq", 1),
+    Query("t").where("m", "eq", True).order("w"),
+    Query("t").where("m", "eq", 1.0).where("g", "eq", "red"),
+    Query("t").where("m", "in", [1, True, 1.0, "x", "x"]),  # duplicate parts
+    Query("t").where("v", "ne", 1).where("m", "eq", 0),
+    Query("t").where("g", "eq", 1).where("v", "gt", 0),
+    Query("t").where("k", "in", [2, 0]).where("m", "not_null").head(9),
+    Query("t", group_by=("g",), aggregates=(Aggregate("count", alias="n"),)
+          ).where("m", "in", ["x", 0]),
 ]
 
 
@@ -522,6 +539,131 @@ def test_differential_stdlib_vs_sqlite(seed):
             # and the wire form reproduces the native result exactly
             rewired = stdlib.execute(Query.from_dict(query.to_dict())).to_dict()
             assert rewired == expected
+
+
+def _unchecked(column, op, value):
+    """A filter holding a literal that ``Filter`` refuses (``None``), as
+    if built past its checks."""
+    item = Filter(column, op, (0,) if op == "in" else 0)
+    object.__setattr__(item, "value", value)
+    return item
+
+
+def test_index_path_keeps_the_null_rule_past_validation():
+    # eq None matches nothing and `in` keeps the union of its non-None
+    # parts, in the executor's index path as in its scan and in SQL.
+    queries = [
+        Query("t", filters=(_unchecked("m", "eq", None),)),
+        Query("t", filters=(_unchecked("m", "in", (None, 1, 1, "x")),)),
+        Query("t", filters=(_unchecked("m", "in", (None,)),)),
+    ]
+    table = random_table(random.Random(4), 60)
+    stdlib = StdlibBackend()
+    with SqliteOracle() as sqlite:
+        for store in (stdlib, sqlite):
+            store.register_table("t", table)
+        for query in queries:
+            assert stdlib.execute(query).to_dict() == sqlite.execute(query).to_dict()
+    assert len(stdlib.execute(queries[0])) == 0
+    assert len(stdlib.execute(queries[1])) > 0
+
+
+def _where_by_scan(table, **conditions):
+    return [row for row in table.rows()
+            if all(row[name] == value for name, value in conditions.items())]
+
+
+def test_table_where_equals_a_brute_force_scan():
+    nan = math.nan
+    table = make_table(
+        g=["a", None, "b", "a", None, 1, True, 1.0, "a", "b"],
+        f=[nan, 1.0, nan, float("nan"), None, 2.0, nan, 0.0, 1, nan],
+        u=[[1], [2], [1], [], [2], [1], [3], [1], [2], []],  # unhashable
+        k=[0, 1, 0, 1, 0, 1, 0, 1, 0, 0],
+    )
+    cases = [
+        {"g": None},                  # `==` matches None cells
+        {"f": nan},                   # NaN matches nothing, not even the
+        {"f": float("nan")},          # math.nan cells a dict would find
+        {"f": 1}, {"g": True}, {"g": 1.0}, {"g": "zzz"},
+        {"u": 1}, {"u": [1]},         # unhashable cells: a scan
+        {"g": [1]},                   # unhashable literal: a scan
+        {"g": "a", "k": 0}, {"k": 0, "g": "a"}, {"k": 0, "u": []},
+        {"g": "b", "f": nan}, {},
+    ]
+    for conditions in cases:
+        assert table.where(**conditions).rows() == _where_by_scan(
+            table, **conditions), conditions
+
+
+def test_index_lookups_keep_row_order():
+    table = make_table(c=[(i * 37) % 11 for i in range(600)],
+                       i=list(range(600)))
+    assert table.where(c=3)["i"].values == [
+        row["i"] for row in _where_by_scan(table, c=3)]
+    rows = run_query(Query("t").where("c", "in", [9, 3, 9]), {"t": table})
+    expected = [i for i in range(600) if (i * 37) % 11 in (3, 9)]
+    assert rows["i"].values == expected
+
+
+def test_concurrent_first_lookups_see_a_whole_index():
+    """Threads racing to build one column's index, against an executor
+    and ``where``, each see every matching row: an index is published
+    only once it is complete."""
+    rng = random.Random(6)
+    values = [rng.randrange(40) for _ in range(20000)]
+    expected = {key: [i for i, value in enumerate(values) if value == key]
+                for key in range(40)}
+
+    def look_up(worker):
+        keys = list(range(40))
+        random.Random(worker).shuffle(keys)
+        found = {}
+        for key in keys:
+            if worker % 2:
+                rows = run_query(Query("t").where("c", "eq", key), {"t": table})
+            else:
+                rows = table.where(c=key)
+            found[key] = rows["i"].values
+        return found
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            table = make_table(c=values, i=list(range(len(values))))
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(look_up, worker) for worker in range(8)]
+                results = [future.result(timeout=120) for future in futures]
+            assert all(found == expected for found in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_add_column_after_a_lookup_is_seen_by_the_next_query():
+    table = make_table(k=[1, 2, 1], v=["a", "b", "c"])
+    store = StdlibBackend()
+    store.register_table("t", table)
+    query = Query("t").where("k", "eq", 1)
+    assert table.where(k=1)["v"].values == ["a", "c"]
+    assert store.execute(query)["v"].values == ["a", "c"]
+    table.add_column("k", [2, 1, 1])
+    assert table.where(k=1)["v"].values == ["b", "c"]
+    assert store.execute(query)["v"].values == ["b", "c"]
+
+
+def test_pickled_and_copied_tables_answer_like_the_original():
+    table = random_table(random.Random(5), 60)
+    unindexed = pickle.dumps(table)
+    query = Query("t").where("g", "in", ["red", 1]).where("v", "ne", 1)
+    expected = run_query(query, {"t": table}).to_dict()
+    sliced = table.where(m=1, k=0).to_dict()
+    # The index stays behind: the pickle of a looked-up table is the
+    # pickle of a fresh one.
+    assert pickle.dumps(table) == unindexed
+    for clone in (pickle.loads(unindexed), copy.deepcopy(table)):
+        assert run_query(query, {"t": clone}).to_dict() == expected
+        assert clone.where(m=1, k=0).to_dict() == sliced
 
 
 def test_differential_identity_is_type_strict():

@@ -384,3 +384,15 @@ def test_asks_grids_and_warm_builds_format_no_snapshot_cell(tmp_path,
     # Positive control: reading one row builds that row's cells only.
     table.row(0)
     assert sorted(snapshot_decodes) == ["row_history", "row_lines", "row_scores"]
+
+
+def test_first_ranger_question_builds_one_table(fresh_cache, monkeypatch):
+    session = CacheMind(simulation_cache=fresh_cache, **SESSION_KWARGS)
+    assert len(session.database) == 4
+    built = []
+    to_table = AccessLog.to_table
+    monkeypatch.setattr(AccessLog, "to_table",
+                        lambda log: built.append(log) or to_table(log))
+    answer = session.ask("How many accesses are there in astar under lru?")
+    assert answer.retriever == "ranger"
+    assert built == [session.database.get("astar", "lru").result.log]

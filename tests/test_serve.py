@@ -17,6 +17,7 @@ from repro.core.pipeline import SimulationCache
 from repro.serve import CacheMindServer, CacheMindService, RemoteClient
 from repro.serve.client import RemoteError, parse_address
 from repro.serve.service import percentile
+from repro.tracedb.table import LazyColumn
 
 from conftest import SESSION_KWARGS
 
@@ -92,6 +93,17 @@ def test_intent_questions_cover_the_taxonomy():
 # ----------------------------------------------------------------------
 # CacheMindService
 # ----------------------------------------------------------------------
+def test_served_set_analysis_leaves_snapshot_columns_lazy(service):
+    response = service.ask("Which cache sets are hot and cold in astar under lru?")
+    assert response.answer.retriever == "ranger"
+    assert response.answer.category == "set_analysis"
+    table = service.session.database.get("astar", "lru").data_frame
+    assert all(isinstance(table.sequence(name), LazyColumn)
+               for name in ("current_cache_lines", "recent_access_history",
+                            "cache_line_eviction_scores",
+                            "current_cache_line_addresses"))
+
+
 def test_service_assigns_request_ids(service):
     first = service.ask("What is the miss rate of lru on astar?")
     second = service.ask("What is the miss rate of belady on astar?")
