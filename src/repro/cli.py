@@ -374,13 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     store_verify.add_argument("--dir", required=True, metavar="DIR")
     store_verify.add_argument("--repair", action="store_true",
                               help="quarantine corrupt records, delete "
-                                   "stale temp files, rebuild a corrupt "
-                                   "manifest and heal the index")
+                                   "stale temp files and rebuild a corrupt "
+                                   "manifest")
     store_verify.add_argument("--shard", action="append", default=None,
                               metavar="XX", dest="shards",
                               help="restrict the deep check to this shard "
-                                   "prefix (repeatable); the index audit "
-                                   "runs only on full verifies")
+                                   "prefix (repeatable)")
     store_verify.add_argument("--temp-max-age", type=_non_negative_float,
                               default=TEMP_MAX_AGE_SECONDS,
                               metavar="SECONDS",
@@ -401,18 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sweep .tmp files older than this (default: "
                                "600; fresher ones are presumed to be a "
                                "concurrent writer's in-progress write)")
-
-    store_reindex = store_sub.add_parser(
-        "reindex", help="rebuild the append-only index from the object "
-                        "headers alone (byte-identical to a compacted "
-                        "live index)")
-    store_reindex.add_argument("--dir", required=True, metavar="DIR")
-
-    store_compact = store_sub.add_parser(
-        "compact", help="rewrite the index in canonical form (drops "
-                        "duplicate/torn/stale lines without opening any "
-                        "record file)")
-    store_compact.add_argument("--dir", required=True, metavar="DIR")
 
     trace = subparsers.add_parser(
         "trace",
@@ -472,7 +459,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"error: no trace store at {args.store_dir!r}",
                       file=sys.stderr)
                 return 1
-            ensure_store_traces_registered(TraceStore(args.store_dir))
+            ensure_store_traces_registered(
+                TraceStore(args.store_dir, read_only=True))
         infos = available_workload_info()
         print("workloads:")
         name_width = max(len(info["name"]) for info in infos)
@@ -785,7 +773,7 @@ def _cmd_experiment_report(args: argparse.Namespace) -> int:
             print(f"error: no trace store at {args.store_dir!r}",
                   file=sys.stderr)
             return 1
-        store = TraceStore(args.store_dir)
+        store = TraceStore(args.store_dir, read_only=True)
         if args.fingerprint is None:
             summaries = store.list_experiments()
             if not summaries:
@@ -875,14 +863,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
     # Read-only/maintenance commands must not conjure an empty store out of
     # a typo'd path; only save/load (which build) may create the directory.
-    if (args.store_command in ("info", "gc", "verify", "reindex", "compact")
+    if (args.store_command in ("info", "gc", "verify")
             and not os.path.isdir(args.dir)):
         print(f"error: no trace store at {args.dir!r}", file=sys.stderr)
         return 1
 
     if args.store_command == "info":
-        info = TraceStore(args.dir).info()
-        index = info["index"]
+        info = TraceStore(args.dir, read_only=True).info()
         print(f"trace store at {info['root']}")
         print(f"  schema version: {info['schema']} "
               f"(layout: {info['layout']})")
@@ -898,16 +885,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print(f" (busiest {busiest[0]}: {busiest[1]} record(s))")
         else:
             print()
-        print(f"  index: {index['entries']} entr(ies) covering "
-              f"{index['live_objects']} live object(s)"
-              + ("" if index["present"] else " [missing — header-scan "
-                                             "fallback]"))
-        if (index["stale_entries"] or index["unindexed_objects"]
-                or index["invalid_lines"] or index["compaction_lag"]):
-            print(f"  index health: {index['stale_entries']} stale, "
-                  f"{index['unindexed_objects']} unindexed, "
-                  f"{index['invalid_lines']} invalid line(s), "
-                  f"compaction lag {index['compaction_lag']}")
         print(f"  size: {info['total_bytes'] / 1024:.1f} KiB")
         return 0
 
@@ -927,18 +904,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
               f"{by_kind['experiment']} experiments, "
               f"{by_kind['trace']} traces)")
         print(f"  manifest: {report['manifest']}")
-        index = report["index"]
-        if index is not None:
-            issues = (len(index["stale"]) + len(index["unindexed"])
-                      + index["invalid_lines"])
-            state = ("healed" if index["healed"]
-                     else "ok" if index["present"] and not issues
-                     else "missing" if not index["present"]
-                     else f"{issues} issue(s)")
-            print(f"  index: {state} "
-                  f"({len(index['stale'])} stale, "
-                  f"{len(index['unindexed'])} unindexed, "
-                  f"{index['invalid_lines']} invalid line(s))")
         for label in ("corrupt", "misplaced", "foreign", "temp"):
             for name in report[label]:
                 print(f"  {label}: {name}")
@@ -972,21 +937,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 print(f"  removed ({reason}): {name}")
         total = sum(len(names) for names in removed.values())
         print(f"gc: removed {total} record(s) from {args.dir}")
-        return 0
-
-    if args.store_command == "reindex":
-        stats = TraceStore(args.dir, strict=False).reindex()
-        print(f"reindex: {args.dir}: {stats['indexed']} object(s) indexed"
-              + (f", {stats['unreadable']} unreadable skipped"
-                 if stats["unreadable"] else ""))
-        return 0
-
-    if args.store_command == "compact":
-        stats = TraceStore(args.dir, strict=False).compact_index()
-        print(f"compact: {args.dir}: {stats['entries']} entr(ies) kept "
-              f"({stats['dropped_stale']} stale, "
-              f"{stats['dropped_duplicates']} duplicate, "
-              f"{stats['dropped_invalid']} invalid line(s) dropped)")
         return 0
 
     # save / load share the session plumbing; each uses a private cache so
@@ -1047,7 +997,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               f"repro simulate --workloads {name} --store-dir {args.dir}`")
         return 0
 
-    store = TraceStore(args.dir)
+    store = TraceStore(args.dir, read_only=True)
     rows = store.trace_manifest()
     if args.trace_command == "list":
         if not rows:

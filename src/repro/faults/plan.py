@@ -43,7 +43,6 @@ __all__ = [
 FAULT_POINTS: Tuple[str, ...] = (
     "store.read",
     "store.write",
-    "index.append",
     "worker.simulate",
     "socket.recv",
     "socket.send",

@@ -12,14 +12,14 @@ This package provides the external store that CacheMind retrievers query:
   and the ``loaded_data`` dictionary keyed by
   ``<workload>_evictions_<policy>`` that a session's database build fills.
 * :mod:`~repro.tracedb.metadata` -- the whole-trace metadata summary string.
-* :mod:`~repro.tracedb.stats` -- the "cache statistical expert": per-PC and
-  per-set statistics (miss rates, reuse distances, wrong-eviction ratios).
+* :mod:`~repro.tracedb.stats` -- the "cache statistical expert": per-PC
+  statistics (miss rates, reuse distances, wrong-eviction ratios) and the
+  whole-trace summary.
 * :mod:`~repro.tracedb.store` -- the versioned persistent on-disk store
   (:class:`~repro.tracedb.store.TraceStore`) that lets fresh processes load
   simulation results (one record each) instead of re-simulating.
 * :mod:`~repro.tracedb.objstore` -- the storage substrate under the store:
-  content-addressed sharded immutable objects plus the append-only,
-  byte-identically rebuildable index log.
+  content-addressed sharded immutable objects, one file per record.
 """
 
 from repro.tracedb.table import Table, Column
@@ -39,7 +39,6 @@ from repro.tracedb.metadata import TraceMetadata, build_metadata_string
 from repro.tracedb.stats import (
     CacheStatisticalExpert,
     PCStatistics,
-    SetStatistics,
     WorkloadStatistics,
 )
 from repro.tracedb.database import (
@@ -65,7 +64,6 @@ __all__ = [
     "build_metadata_string",
     "CacheStatisticalExpert",
     "PCStatistics",
-    "SetStatistics",
     "WorkloadStatistics",
     "TraceDatabase",
     "TraceEntry",

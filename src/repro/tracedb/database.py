@@ -28,7 +28,7 @@ from repro.errors import UnknownNameError
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
 from repro.sim.engine import SimulationResult
 from repro.tracedb.metadata import build_metadata_string
-from repro.tracedb.stats import CacheStatisticalExpert, WorkloadStatistics
+from repro.tracedb.stats import WorkloadStatistics
 from repro.tracedb.table import Table
 
 #: default workloads and policies used in the paper's evaluation.
@@ -85,10 +85,6 @@ class TraceEntry:
     @property
     def key(self) -> str:
         return trace_key(self.workload, self.policy)
-
-    @property
-    def expert(self) -> CacheStatisticalExpert:
-        return CacheStatisticalExpert(self.data_frame)
 
     def as_loaded_data_value(self) -> Mapping[str, object]:
         """The ``loaded_data`` value documented in the Ranger system prompt:

@@ -1,13 +1,12 @@
-"""Cache statistical expert: per-PC, per-set and whole-trace statistics.
+"""Cache statistical expert: per-PC and whole-trace statistics.
 
 The paper's Sieve pipeline includes a "Cache Statistical Expert" stage that,
 for the PCs present in a retrieved slice, computes "miss rate, access and
 eviction reuse distances, and percentage of bad evictions" (section 3.2.3).
 :class:`CacheStatisticalExpert` implements exactly those helpers on top of a
-trace :class:`~repro.tracedb.table.Table`, plus the per-set summaries the
-insight analyses need.  Every helper reads only the scalar columns it needs,
-zipped column by column, so the table's lazily built snapshot columns are
-never formatted here.
+trace :class:`~repro.tracedb.table.Table`.  Every helper reads only the
+scalar columns it needs, zipped column by column, so the table's lazily
+built snapshot columns are never formatted here.
 
 :func:`log_statistics` computes the whole-trace summary the metadata string
 needs from an :class:`~repro.tracedb.schema.AccessLog`'s columns, once per
@@ -60,23 +59,6 @@ class PCStatistics:
                 f"{self.miss_rate * 100:.2f}% miss rate, "
                 f"mean reuse distance {reuse}"
                 + (f", function {self.function_name}" if self.function_name else ""))
-
-
-@dataclass
-class SetStatistics:
-    """Aggregated behaviour of one cache set."""
-
-    set_id: int
-    accesses: int
-    hits: int
-
-    @property
-    def misses(self) -> int:
-        return self.accesses - self.hits
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
 
 
 @dataclass
@@ -184,10 +166,9 @@ _PC_STATISTICS_COLUMNS = (
 
 
 class CacheStatisticalExpert:
-    """Computes per-PC and per-set statistics over a trace table.
+    """Computes per-PC statistics over a trace table.
 
-    Row lookups (PC slices, exact-equality counts, hit/miss outcomes) are
-    expressed as declarative :class:`repro.analytics.Query` objects and
+    A PC's slice is a declarative :class:`repro.analytics.Query`
     executed by the analytics engine.  The cross-column row
     logic (bad-eviction classification, recency/miss correlation) stays as
     explicit loops — it is row-wise conditional logic the declarative layer
@@ -210,9 +191,9 @@ class CacheStatisticalExpert:
             self._store.register_table("trace", self.table)
         return self._store
 
-    def _slice_query(self, select: Sequence[str] = (), **conditions) -> Table:
-        """Rows matching exact-equality ``conditions``, via the engine:
-        the ``select`` columns, or every column when it is empty."""
+    def _slice_query(self, select: Sequence[str], **conditions) -> Table:
+        """The ``select`` columns of the rows matching exact-equality
+        ``conditions``, via the engine."""
         from repro.analytics import Filter, Query
 
         return self._engine().execute(Query(
@@ -228,9 +209,6 @@ class CacheStatisticalExpert:
     def pcs(self) -> List[str]:
         """Unique program counters in first-seen order."""
         return self.table["program_counter"].unique()
-
-    def pc_slice(self, pc: str) -> Table:
-        return self._slice_query(program_counter=pc)
 
     def pc_statistics(self, pc: str) -> PCStatistics:
         """Full statistics for one program counter."""
@@ -272,35 +250,3 @@ class CacheStatisticalExpert:
             bad_eviction_fraction=bad / evictions if evictions else None,
             function_name=function_names[0] if function_names else "",
         )
-
-    def all_pc_statistics(self) -> List[PCStatistics]:
-        return [self.pc_statistics(pc) for pc in self.pcs()]
-
-    # ------------------------------------------------------------------
-    # per-set statistics
-    # ------------------------------------------------------------------
-    def sets(self) -> List[int]:
-        return sorted(self.table["cache_set_id"].unique())
-
-    def set_statistics(self, set_id: int) -> SetStatistics:
-        rows = self._slice_query(("evict",), cache_set_id=set_id)
-        hits = sum(1 for value in rows["evict"].values if value == HIT_LABEL)
-        return SetStatistics(set_id=set_id, accesses=len(rows), hits=hits)
-
-    def all_set_statistics(self) -> List[SetStatistics]:
-        return [self.set_statistics(set_id) for set_id in self.sets()]
-
-    # ------------------------------------------------------------------
-    # convenience lookups used by retrievers and the bench generator
-    # ------------------------------------------------------------------
-    def count(self, **conditions) -> int:
-        """Number of rows matching exact-equality conditions."""
-        from repro.analytics import Aggregate, Filter, Query
-
-        result = self._engine().execute(Query(
-            table="trace",
-            filters=tuple(Filter(name, "eq", value)
-                          for name, value in conditions.items()),
-            aggregates=(Aggregate("count", alias="n"),),
-        ))
-        return result["n"].values[0]

@@ -28,20 +28,22 @@ Layout (sharded, schema v3) — one directory per store:
   never a wrong answer.  Objects are written atomically (temp file +
   ``os.replace`` inside the shard) and never modified, so concurrent
   writer processes can share a store without locks.
-* ``index/log.jsonl`` — the append-only object index: one fsync'd JSON
-  line per committed object (see :mod:`repro.tracedb.objstore`).  The
-  index is an *accelerator only*: ``info``/``gc``/``trace list``/
-  ``experiment_fingerprints`` answer from it without opening a single
-  record file, but a missing or torn index never blocks anything —
-  readers fall back to the object headers, and :meth:`TraceStore.reindex`
-  rebuilds the log **byte-identically** from the headers alone.
+
+A save is that one atomic object write; there is no second structure to
+keep in step.  Listings read record headers: the filename names the
+kind, so ``trace list`` and ``experiment_fingerprints`` open only the
+trace or experiment records, and ``info``/``gc`` judge every record from
+its header.  A store written by an older build may still hold an
+``index/`` directory: ``gc`` deletes it and every other path ignores it.
 
 Read-only mounts: ``TraceStore(root, read_only=True)`` refuses every
 mutation with :class:`~repro.errors.StoreReadOnlyError` (and never
 creates directories, stamps manifests or quarantines files), which is how
 the serve layer fronts one shared warm corpus from many replicas while a
-single writer keeps appending — atomic object writes and torn-line-
-tolerant index replay make concurrent reads race-safe.
+single writer keeps adding records — atomic object writes make
+concurrent reads race-safe.  Inspection commands (``store info``,
+``trace list``/``info``, ``experiment report``, ``simulate --list``)
+open their store this way, so they never write into what they inspect.
 
 Keys cover everything that determines a simulation's output — the trace
 content fingerprint, hierarchy config, policy, engine mode/detail and the
@@ -56,11 +58,10 @@ visible.  A corrupt manifest is quarantined and rebuilt from the surviving
 record headers (a *readable* manifest declaring a foreign schema still
 raises :class:`~repro.errors.StoreVersionError` — that is a real version
 mismatch, not damage).  :meth:`TraceStore.verify` deep-checks every record
-(magic+header+zlib+pickle+filename digest+shard placement) and the index
-(torn lines, stale entries, unindexed objects); ``repair=True`` quarantines
-what is broken, sweeps *stale* temp files (age-gated: a concurrent
-writer's fresh ``.tmp`` is never touched) and re-writes the canonical
-index — exposed as ``python -m repro store verify [--repair]``.
+(magic+header+zlib+pickle+filename digest+shard placement); ``repair=True``
+quarantines what is broken and sweeps *stale* temp files (age-gated: a
+concurrent writer's fresh ``.tmp`` is never touched) — exposed as
+``python -m repro store verify [--repair]``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ import zlib
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreReadOnlyError, StoreVersionError
-from repro.faults import InjectedFault, fault_point
+from repro.faults import fault_point
 from repro.tracedb.objstore import (
     OBJECTS_DIR,
     TEMP_MAX_AGE_SECONDS,
@@ -84,7 +85,6 @@ from repro.tracedb.objstore import (
     atomic_write,
     decode_header,
     encode_record,
-    index_entry_for,
     parse_object_name,
     shard_of,
 )
@@ -202,8 +202,8 @@ class TraceStore:
     def record_opens(self) -> int:
         """Record files opened so far (header or payload) by this handle.
 
-        Index-served maintenance (``info``/``gc``/listings on a store with
-        a complete index) must leave this untouched — tests assert on it.
+        A listing of one kind opens only that kind's records — tests
+        assert on it.
         """
         return self._objects.record_opens
 
@@ -275,8 +275,7 @@ class TraceStore:
         """
         survivors = 0
         foreign = set()
-        for name in self._objects.list_object_names():
-            header = self._read_header_quietly(name)
+        for _name, header in self._headers():
             if header is None:
                 continue
             survivors += 1
@@ -324,11 +323,6 @@ class TraceStore:
         ``info``/``gc`` never decompress payloads.  ``extra_header`` keys
         ride in that block — used by trace records to expose their manifest
         metadata without decompressing the trace itself.
-
-        The committed object is then announced in the append-only index
-        (one fsync'd line).  A failed index append degrades to compaction
-        lag — the record itself is durable and loadable; ``reindex``/
-        ``verify --repair``/``gc`` all heal the gap.
         """
         if self.read_only:
             raise StoreReadOnlyError(
@@ -353,15 +347,6 @@ class TraceStore:
         # rule models a torn write of this record's bytes.
         data = fault_point("store.write", encode_record(header, payload))
         path = self._objects.write_object(name, data)
-        try:
-            self._objects.index.append(
-                index_entry_for(name, header, len(data)))
-        except (OSError, InjectedFault) as error:
-            warnings.warn(
-                f"trace store index append failed for {name!r} ({error!r}); "
-                f"the record is durable and readable — `store reindex` (or "
-                f"verify --repair / gc) will re-announce it",
-                StoreCorruptionWarning, stacklevel=2)
         self.saves += 1
         return path
 
@@ -369,10 +354,9 @@ class TraceStore:
         """Load one record, or ``None`` (with a warning if it was corrupt).
 
         Any failure mode — missing file, truncated pickle, foreign schema,
-        digest collision, torn index — degrades to a miss so callers simply
-        rebuild.  Loads never consult the index (object paths are pure
-        functions of the key), which is what makes a missing index unable
-        to block reads.  Damaged files are quarantined so they can never
+        digest collision — degrades to a miss so callers simply rebuild.
+        The object path is a pure function of the key, so a load opens
+        exactly one file.  Damaged files are quarantined so they can never
         crash a second read (except on read-only mounts, which may not
         mutate anything); transient I/O failures leave the file in place.
         """
@@ -427,9 +411,8 @@ class TraceStore:
     # Trace records are keyed by the content fingerprint alone (the
     # fingerprint hashes the workload name plus all four columns, so one
     # trace maps to exactly one record).  The manifest metadata rides in
-    # the uncompressed header block *and* the index line, so ``trace
-    # list``/``trace info`` decompress nothing and (with a live index)
-    # open no record files at all.
+    # the uncompressed header block, so ``trace list``/``trace info``
+    # decompress nothing and open only the trace records.
     def save_trace(self, trace, source: str = "", fmt: str = "") -> str:
         """Persist one ingested :class:`~repro.workloads.trace.MemoryTrace`
         keyed by its content fingerprint."""
@@ -449,15 +432,15 @@ class TraceStore:
     def trace_manifest(self) -> List[Dict[str, Any]]:
         """Metadata of every stored trace, name-sorted.
 
-        Index-served (payloads stay compressed on disk, and with a
-        complete index no record file is even opened): each row is the
-        ``{"name", "accesses", "fingerprint", "source", "format"}`` dict
-        written at import time.  Rows missing that metadata (foreign or
-        damaged headers) are skipped rather than guessed at.
+        Header-served: only ``trace-*`` records are opened, for their
+        header block, and payloads stay compressed on disk.  Each row is
+        the ``{"name", "accesses", "fingerprint", "source", "format"}``
+        dict written at import time.  Rows missing that metadata (foreign
+        or damaged headers) are skipped rather than guessed at.
         """
         rows = []
-        for _name, header in self.iter_records():
-            if header.get("kind") != KIND_TRACE:
+        for _name, header in self._headers(KIND_TRACE):
+            if header is None or header.get("kind") != KIND_TRACE:
                 continue
             meta = header.get("trace")
             if (not isinstance(meta, dict) or not meta.get("name")
@@ -481,14 +464,15 @@ class TraceStore:
     def experiment_fingerprints(self) -> List[str]:
         """Fingerprints of every stored experiment, sorted.
 
-        Index-served (the fingerprint is the whole key, recovered from the
-        indexed ``key_repr``): with a complete index this opens zero
-        record files — use :meth:`list_experiments` when the spec
-        summaries are actually needed.
+        Header-served (the fingerprint is the whole key, recovered from
+        the header's ``key_repr``): only ``experiment-*`` records are
+        opened, and no payload is decompressed — use
+        :meth:`list_experiments` when the spec summaries are actually
+        needed.
         """
         fingerprints = []
-        for _name, header in self.iter_records():
-            if header.get("kind") != KIND_EXPERIMENT:
+        for _name, header in self._headers(KIND_EXPERIMENT):
+            if header is None or header.get("kind") != KIND_EXPERIMENT:
                 continue
             try:
                 key = _experiment_key_from_repr(header.get("key_repr") or "")
@@ -518,7 +502,7 @@ class TraceStore:
         return sorted(summaries, key=lambda item: item["fingerprint"])
 
     # ------------------------------------------------------------------
-    # index-served view
+    # header listing
     # ------------------------------------------------------------------
     def _read_header_quietly(self, name: str) -> Optional[Dict[str, Any]]:
         try:
@@ -526,79 +510,21 @@ class TraceStore:
         except Exception:
             return None
 
-    def _entry_from_disk(self, name: str) -> Optional[Dict[str, Any]]:
-        """Rebuild one object's index entry from the file itself (one
-        header read + one stat), or ``None`` if it is unreadable."""
-        header = self._read_header_quietly(name)
-        if header is None:
-            return None
-        try:
-            size = os.path.getsize(self._objects.object_path(name))
-        except OSError:
-            return None
-        return index_entry_for(name, header, size)
+    def _headers(self, kind: Optional[str] = None
+                 ) -> Iterator[Tuple[str, Optional[Dict[str, Any]]]]:
+        """Yield ``(filename, header)`` for every record on disk, sorted by
+        filename; ``header`` is ``None`` for an unreadable record.
 
-    def _records_view(self) -> Tuple[Dict[str, Optional[Dict[str, Any]]],
-                                     Dict[str, Any]]:
-        """One coherent picture of the live objects, index-accelerated.
-
-        Returns ``(view, index_health)`` where ``view`` maps every object
-        filename on disk to its index entry (``None`` for unreadable
-        files).  Objects covered by the index cost **zero** record opens;
-        only the delta — objects the index has not seen — pays a header
-        read, which is what makes maintenance O(changed) instead of
-        O(records).  Stale index entries (object deleted since) are
-        excluded from the view and reported in the health block.
+        With ``kind``, only records whose filename names that kind are
+        opened.  Each open reads the small header block alone; a record
+        that vanishes mid-iteration (a concurrent ``gc``/``clear``) reads
+        as unreadable.
         """
-        disk = self._objects.list_object_names()
-        entries, health = self._objects.index.read()
-        view: Dict[str, Optional[Dict[str, Any]]] = {}
-        unindexed: List[str] = []
-        for name in disk:
-            entry = entries.get(name)
-            if entry is not None:
-                view[name] = entry
-            else:
-                unindexed.append(name)
-        for name in unindexed:
-            view[name] = self._entry_from_disk(name)
-        disk_set = set(disk)
-        stale = sorted(name for name in entries if name not in disk_set)
-        covered = len(disk) - len(unindexed)
-        health.update({
-            "entries": len(entries),
-            "live_objects": len(disk),
-            "stale_entries": len(stale),
-            "unindexed_objects": len(unindexed),
-            # Lines a compaction would drop: duplicates, stale, torn.
-            "compaction_lag": (health["lines"] + health["invalid_lines"]
-                               - covered),
-        })
-        return view, health
+        for name in self._objects.list_object_names(kind):
+            yield name, self._read_header_quietly(name)
 
     def __len__(self) -> int:
         return len(self._objects.list_object_names())
-
-    def iter_records(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """Yield ``(filename, header_summary)`` for every readable record.
-
-        Served from the append-only index: with a complete index not a
-        single record file is opened; unindexed objects (a writer that
-        crashed between commit and index append, or a deleted index) fall
-        back to a per-object header read.  Records that vanish
-        mid-iteration (a concurrent ``gc``/``clear``) are skipped.
-        """
-        view, _health = self._records_view()
-        for name in sorted(view):
-            entry = view[name]
-            if entry is None:
-                continue
-            summary = {"kind": entry.get("kind"),
-                       "schema": entry.get("schema"),
-                       "key_repr": entry.get("key_repr")}
-            if "trace" in entry:
-                summary["trace"] = entry["trace"]
-            yield name, summary
 
     # ------------------------------------------------------------------
     # inspection / maintenance
@@ -640,30 +566,27 @@ class TraceStore:
 
     def info(self) -> Dict[str, Any]:
         """Summary of the store: schema, per-kind and per-shard counts,
-        index health, total bytes.
+        total bytes.
 
-        Index-served: with a complete index this opens zero record files
-        (``record_opens`` stays flat) — shard listings and size stats are
-        directory metadata only.
+        Header-only: each record's kind comes from its header block, and
+        no payload is decompressed.
         """
-        view, index_health = self._records_view()
         counts = {kind: 0 for kind in KINDS}
         shards: Dict[str, int] = {}
         by_kind_shard: Dict[str, Dict[str, int]] = {kind: {} for kind in KINDS}
         unreadable = 0
         total_bytes = 0
-        for name, entry in view.items():
-            parsed = parse_object_name(name)
-            shard = shard_of(parsed[1]) if parsed else "??"
+        for name, header in self._headers():
+            shard = shard_of(parse_object_name(name)[1])
             shards[shard] = shards.get(shard, 0) + 1
             try:
                 total_bytes += os.path.getsize(self._objects.object_path(name))
             except OSError:
                 pass  # removed by a concurrent session
-            if entry is None:
+            if header is None:
                 unreadable += 1
                 continue
-            kind = entry.get("kind")
+            kind = header.get("kind")
             if kind in counts:
                 counts[kind] += 1
                 by_kind_shard[kind][shard] = \
@@ -673,7 +596,7 @@ class TraceStore:
             "schema": self.schema_version,
             "layout": "sharded",
             "read_only": self.read_only,
-            "records": len(view),
+            "records": sum(shards.values()),
             "results": counts[KIND_RESULT],
             "experiments": counts[KIND_EXPERIMENT],
             "traces": counts[KIND_TRACE],
@@ -683,7 +606,6 @@ class TraceStore:
             "shards": dict(sorted(shards.items())),
             "by_kind_shard": {kind: dict(sorted(per_shard.items()))
                               for kind, per_shard in by_kind_shard.items()},
-            "index": index_health,
             "saves": self.saves,
             "loads": self.loads,
             "load_misses": self.load_misses,
@@ -691,89 +613,33 @@ class TraceStore:
         }
 
     # ------------------------------------------------------------------
-    # index maintenance
-    # ------------------------------------------------------------------
-    def reindex(self) -> Dict[str, int]:
-        """Rebuild the index from the object headers alone.
-
-        The full-scan recovery path (O(records)): every object's header is
-        read and the canonical index — one sorted line per readable object
-        — atomically replaces the log.  Because index entries are pure
-        functions of the headers, a reindex of an uncorrupted store
-        reproduces a freshly-compacted index **byte-identically**.
-        Unreadable objects are skipped (they are ``gc``'s problem), so a
-        torn or deleted index never costs data.
-        """
-        if self.read_only:
-            raise StoreReadOnlyError(
-                f"store at {self.root!r} is mounted read-only")
-        entries: Dict[str, Dict[str, Any]] = {}
-        unreadable = 0
-        for name in self._objects.list_object_names():
-            entry = self._entry_from_disk(name)
-            if entry is None:
-                unreadable += 1
-                continue
-            entries[name] = entry
-        self._objects.index.write_canonical(entries)
-        return {"indexed": len(entries), "unreadable": unreadable}
-
-    def compact_index(self) -> Dict[str, int]:
-        """Rewrite the index in canonical form from the live log.
-
-        O(index): drops duplicate, torn and stale lines without opening a
-        single record file.  Does *not* discover unindexed objects — that
-        is :meth:`reindex` (full scan) or ``verify --repair``.
-        """
-        if self.read_only:
-            raise StoreReadOnlyError(
-                f"store at {self.root!r} is mounted read-only")
-        entries, health = self._objects.index.read()
-        disk = set(self._objects.list_object_names())
-        live = {name: entry for name, entry in entries.items()
-                if name in disk}
-        self._objects.index.write_canonical(live)
-        return {"entries": len(live),
-                "dropped_stale": len(entries) - len(live),
-                "dropped_duplicates": health["duplicate_lines"],
-                "dropped_invalid": health["invalid_lines"]}
-
-    def index_bytes(self) -> bytes:
-        """Raw bytes of the index log (empty if missing) — the probe the
-        byte-identical-reindex tests compare."""
-        try:
-            with open(self._objects.index.path, "rb") as handle:
-                return handle.read()
-        except OSError:
-            return b""
-
-    # ------------------------------------------------------------------
     # verify / gc / clear
     # ------------------------------------------------------------------
     def verify(self, repair: bool = False,
                shards: Optional[Sequence[str]] = None,
                temp_max_age: float = TEMP_MAX_AGE_SECONDS) -> Dict[str, Any]:
-        """Deep-check every record and the index; optionally heal.
+        """Deep-check every record; optionally heal.
 
-        Unlike the index-served listings, this decompresses and unpickles
+        Unlike the header-only listings, this decompresses and unpickles
         every payload and checks that each filename's digest matches the
         key stored in its header *and* that the file sits in its digest's
         shard, so silent bit rot anywhere in a record is caught.
-        ``shards`` restricts the deep check to those shard prefixes (the
-        index audit runs only on full verifies).  With ``repair=True``:
-        corrupt and misplaced records are quarantined, *stale* ``.tmp``
-        files (older than ``temp_max_age`` — a concurrent writer's fresh
-        temp is never touched) are deleted, a corrupt manifest is
-        quarantined and re-stamped, and the canonical index is rebuilt
-        from the verified headers (dropping entries for missing objects,
-        announcing unindexed ones).  Foreign-schema records are
-        *reported* from their header alone — their payload is never
+        ``shards`` restricts the deep check to those shard prefixes.  With
+        ``repair=True``: corrupt and misplaced records are quarantined,
+        *stale* ``.tmp`` files (older than ``temp_max_age`` — a concurrent
+        writer's fresh temp is never touched) are deleted, and a corrupt
+        manifest is quarantined and re-stamped.  Foreign-schema records
+        are *reported* from their header alone — their payload is never
         unpickled, since its kind and layout are another build's — and
         left for ``gc``: verify never destroys data that another build
         could still read.  A readable foreign manifest means the whole
         store is another build's, so ``repair=True`` then changes no file
-        at all and reports ``repair_skipped``.
+        at all and reports ``repair_skipped``.  A read-only mount refuses
+        ``repair=True``.
         """
+        if repair and self.read_only:
+            raise StoreReadOnlyError(
+                f"store at {self.root!r} is mounted read-only")
         report: Dict[str, Any] = {
             "root": self.root,
             "schema": self.schema_version,
@@ -805,25 +671,19 @@ class TraceStore:
             repair = False
         report["manifest"] = manifest_state
         locations: Dict[str, str] = {}
-        ok_entries: Dict[str, Dict[str, Any]] = {}
         for shard, name in self._objects.walk_objects():
             if shard_filter is not None and shard not in shard_filter:
                 continue
             report["checked"] += 1
             relpath = os.path.join(OBJECTS_DIR, shard, name)
             locations[name] = relpath
-            path = os.path.join(self.root, relpath)
             try:
-                size = os.path.getsize(path)
-                with self._objects.open_for_verify(path) as handle:
+                with self._objects.open_for_verify(
+                        os.path.join(self.root, relpath)) as handle:
                     header = decode_header(handle)
                     if header.get("schema") != self.schema_version:
-                        # Reported but left for gc; still indexed (the
-                        # entry carries its schema) so the heal matches a
-                        # reindex.
+                        # Reported but left for gc.
                         report["foreign"].append(name)
-                        ok_entries[name] = index_entry_for(name, header,
-                                                           size)
                         continue
                     pickle.loads(zlib.decompress(handle.read()))
                 key_repr = header.get("key_repr")
@@ -846,22 +706,6 @@ class TraceStore:
                 continue
             report["ok"] += 1
             report["by_kind"][kind] += 1
-            ok_entries[name] = index_entry_for(name, header, size)
-        if shard_filter is None:
-            entries, index_health = self._objects.index.read()
-            disk = set(locations)
-            report["index"] = {
-                "present": index_health["present"],
-                "invalid_lines": index_health["invalid_lines"],
-                "duplicate_lines": index_health["duplicate_lines"],
-                "stale": sorted(name for name in entries
-                                if name not in disk),
-                "unindexed": sorted(name for name in ok_entries
-                                    if name not in entries),
-                "healed": False,
-            }
-        else:
-            report["index"] = None
         if repair:
             for name in report["corrupt"] + report["misplaced"]:
                 target = self._quarantine(name, relpath=locations.get(name))
@@ -874,12 +718,6 @@ class TraceStore:
                 self._quarantine(MANIFEST_NAME)
                 self._write_manifest()
                 report["manifest"] = "ok"
-            if report["index"] is not None:
-                # The canonical index from exactly the records that
-                # survived the deep check: stale entries dropped,
-                # unindexed objects announced, torn lines gone.
-                self._objects.index.write_canonical(ok_entries)
-                report["index"]["healed"] = True
             report["repaired"] = True
             # "clean" reflects the post-repair state: everything broken
             # either quarantined/removed, or still outstanding.
@@ -891,15 +729,10 @@ class TraceStore:
             report["clean"] = (not leftover and not report["foreign"]
                                and report["manifest"] == "ok")
         else:
-            index_dirty = (report["index"] is not None
-                           and (report["index"]["invalid_lines"]
-                                or report["index"]["stale"]
-                                or report["index"]["unindexed"]))
             report["clean"] = (not report["corrupt"]
                                and not report["misplaced"]
                                and not report["foreign"]
                                and not report["temp"]
-                               and not index_dirty
                                and report["manifest"] == "ok")
         return report
 
@@ -907,16 +740,12 @@ class TraceStore:
            temp_max_age: float = TEMP_MAX_AGE_SECONDS) -> Dict[str, List[str]]:
         """Remove unreadable/foreign records; optionally prune to a budget.
 
-        Index-served: objects the index covers are judged from their index
-        entries plus one ``stat`` (zero record opens on a warm store) —
-        a file whose size drifted from its indexed entry is re-examined
-        from its header; only that changed delta and unindexed objects pay
-        header reads, so gc scales with what changed, not with the corpus.
-        Unreadable (corrupt/truncated) files and records written with a
-        different schema version are always removed (silent *same-size*
-        bit rot is ``verify``'s deep-check job); so are records at the
-        store root, which only a schema-1 build from before the sharded
-        layout wrote (reported under ``schema``).
+        Every record is judged from its header block (no payload is
+        decompressed).  Unreadable (corrupt/truncated) files and records
+        written with a different schema version are always removed
+        (silent bit rot past the header is ``verify``'s deep-check job);
+        so are records at the store root, which only a schema-1 build
+        from before the sharded layout wrote (reported under ``schema``).
         Stranded ``.tmp`` files are swept **age-gated** (older than
         ``temp_max_age`` seconds): a concurrent writer's in-progress
         atomic write is never deleted out from under it.  With
@@ -925,17 +754,16 @@ class TraceStore:
         of them remain: those are a cache a rebuild recreates, while an
         ingested trace is an input nothing can recreate, so trace records
         are neither counted nor pruned (a corrupt or foreign one is still
-        removed).  The index is compacted to exactly the survivors and the
-        manifest re-stamped with the current schema, so ``gc`` is the
-        supported recovery path for a store left behind by a different
-        build (open with ``strict=False``).  Returns the removed filenames
-        per reason.
+        removed).  The ``index/`` directory an older build kept its index
+        log in is deleted, and the manifest re-stamped with the current
+        schema, so ``gc`` is the supported recovery path for a store left
+        behind by a different build (open with ``strict=False``).  Returns
+        the removed record and temp filenames per reason.
         """
         if self.read_only:
             raise StoreReadOnlyError(
                 f"store at {self.root!r} is mounted read-only")
         removed = {"corrupt": [], "schema": [], "pruned": [], "temp": []}
-        view, _health = self._records_view()
         for relpath, age in self._objects.temp_files():
             if age >= temp_max_age and self._objects.remove_temp(relpath):
                 removed["temp"].append(relpath)
@@ -947,31 +775,28 @@ class TraceStore:
                 removed["schema"].append(name)
             except OSError:
                 pass  # removed by a concurrent gc
-        survivors: List[str] = []
-        for name in sorted(view):
-            entry = view[name]
-            if entry is not None:
-                # One stat against the indexed size catches objects that
-                # changed since they were indexed (truncated, overwritten,
-                # re-saved) without opening them; only those drifters pay
-                # the header re-read below.
-                try:
-                    size = os.path.getsize(self._objects.object_path(name))
-                except OSError:
-                    size = None
-                if size != entry.get("size"):
-                    entry = self._entry_from_disk(name)
-                    view[name] = entry
-            if entry is None:
+        # An older build's index log and any temp file stranded beside it:
+        # nothing reads them, so nothing else would ever clean them.  Only
+        # those names go, so a foreign file keeps the directory alive.
+        legacy_index = os.path.join(self.root, "index")
+        if os.path.isdir(legacy_index):
+            for name in os.listdir(legacy_index):
+                if name == "log.jsonl" or name.endswith(".tmp"):
+                    self._objects.remove_temp(os.path.join("index", name))
+            try:
+                os.rmdir(legacy_index)
+            except OSError:
+                pass
+        prunable: List[str] = []
+        for name, header in self._headers():
+            if header is None:
                 if self._objects.remove_object(name):
                     removed["corrupt"].append(name)
-            elif entry.get("schema") != self.schema_version:
+            elif header.get("schema") != self.schema_version:
                 if self._objects.remove_object(name):
                     removed["schema"].append(name)
-            else:
-                survivors.append(name)
-        prunable = [name for name in survivors
-                    if view[name].get("kind") in PRUNABLE_KINDS]
+            elif header.get("kind") in PRUNABLE_KINDS:
+                prunable.append(name)
         if max_records is not None and len(prunable) > max_records:
             def age_of(name: str) -> float:
                 try:
@@ -983,17 +808,12 @@ class TraceStore:
             for name in by_age[:len(prunable) - max_records]:
                 if self._objects.remove_object(name):
                     removed["pruned"].append(name)
-                    survivors.remove(name)
-        self._objects.index.write_canonical(
-            {name: view[name] for name in survivors
-             if view[name] is not None})
         self._write_manifest()
         return removed
 
     def clear(self) -> int:
-        """Delete every record, truncate the index and sweep temp files
-        regardless of age (keeps the manifest); returns the number of
-        records removed."""
+        """Delete every record and sweep temp files regardless of age
+        (keeps the manifest); returns the number of records removed."""
         if self.read_only:
             raise StoreReadOnlyError(
                 f"store at {self.root!r} is mounted read-only")
@@ -1001,7 +821,6 @@ class TraceStore:
         count = sum(1 for name in names if self._objects.remove_object(name))
         for relpath, _age in self._objects.temp_files():
             self._objects.remove_temp(relpath)
-        self._objects.index.write_canonical({})
         return count
 
     def __repr__(self) -> str:

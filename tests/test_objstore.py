@@ -1,12 +1,13 @@
-"""Content-addressed sharded object store and its append-only index.
+"""Content-addressed sharded object store.
 
 The contract under test: objects shard by digest prefix and stay immutable;
-the index is an *accelerator only* — maintenance answers from it with zero
-record opens on a warm store, a missing/torn index never blocks anything,
-and ``reindex`` reproduces a compacted index byte-identically from the
-object headers alone.  Read-only mounts refuse writes cleanly while staying
-race-safe beside concurrent writer processes, and a store from before the
-sharded layout is refused untouched until ``store gc`` clears it.
+a listing of one kind opens only that kind's records, found by filename.
+Read-only mounts refuse writes cleanly while staying race-safe beside
+concurrent writer processes, and inspection commands write nothing into
+the directory they inspect.  A store from before the sharded layout is
+refused untouched until ``store gc`` clears it, and the index directory an
+older build left beside its records is ignored until ``store gc`` deletes
+it.
 """
 
 import json
@@ -14,19 +15,18 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
 from repro.cli import main
 from repro.core.pipeline import CacheMind, SimulationCache
 from repro.errors import StoreReadOnlyError, StoreVersionError
-from repro.faults import FaultPlan, FaultRule, thread_scope
 from repro.sim.config import TINY_CONFIG
 from repro.tracedb.objstore import (
     TEMP_MAX_AGE_SECONDS,
+    decode_header,
     encode_record,
-    entry_line,
-    index_entry_for,
     parse_object_name,
     shard_of,
 )
@@ -36,7 +36,12 @@ from repro.tracedb.store import (
     TraceStore,
     key_digest,
 )
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import generate_trace, unregister_workload
+from repro.workloads.ingest import (
+    ensure_store_traces_registered,
+    import_trace_file,
+    write_text_trace,
+)
 
 SESSION_KWARGS = dict(workloads=["astar"], policies=["lru"],
                       num_accesses=300, config=TINY_CONFIG, seed=0)
@@ -49,10 +54,6 @@ def _populate(store, count=6):
         store.save("result", ("r", i), [i, i + 1])
     store.save_experiment("cafe0123", {"cells": [1, 2, 3]})
     store.save_trace(generate_trace("astar", 200, seed=1), source="unit")
-
-
-def _index_path(root):
-    return os.path.join(str(root), "index", "log.jsonl")
 
 
 def _object_paths(root):
@@ -76,12 +77,25 @@ def test_objects_land_in_their_digest_shard(tmp_path):
         assert shard == shard_of(parsed[1])
         seen += 1
     assert seen == len(store) == 14
-    # Nothing at the top level but the manifest and the index/objects dirs.
+    # Nothing at the top level but the manifest and the objects dir.
     top = set(os.listdir(str(tmp_path)))
-    assert top == {"manifest.json", "objects", "index"}
+    assert top == {"manifest.json", "objects"}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["layout"] == "sharded"
     assert manifest["schema"] == STORE_SCHEMA_VERSION
+
+
+def test_a_save_writes_one_object_file(tmp_path):
+    store = TraceStore(str(tmp_path))
+    store.save("result", ("k", 0), {"i": 0})
+    before = _tree(str(tmp_path))
+    path = store.save("result", ("k", 1), {"i": 1})
+    after = _tree(str(tmp_path))
+    added = {name for name in after if name not in before}
+    relpath = os.path.relpath(path, str(tmp_path))
+    assert added <= {relpath, os.path.dirname(relpath)}
+    assert relpath in added
+    assert {name: after[name] for name in before} == before
 
 
 def test_round_trip_and_per_shard_info(tmp_path):
@@ -95,145 +109,36 @@ def test_round_trip_and_per_shard_info(tmp_path):
     assert sum(info["shards"].values()) == info["records"] == 14
     assert sum(sum(per.values()) for per in info["by_kind_shard"].values()) \
         == 14
-    assert info["index"]["entries"] == 14
-    assert info["index"]["compaction_lag"] == 0
 
 
 # ----------------------------------------------------------------------
-# the index is an accelerator: zero record opens when warm
+# listings open only the records of their kind
 # ----------------------------------------------------------------------
-def test_warm_maintenance_opens_zero_record_files(tmp_path):
-    _populate(TraceStore(str(tmp_path)))
-    # A fresh handle models a new maintenance process: its only warmth is
-    # the on-disk index.
-    store = TraceStore(str(tmp_path))
-    store.info()
-    assert store.experiment_fingerprints() == ["cafe0123"]
+def test_listings_open_only_the_records_of_their_kind(tmp_path):
+    mixed = str(tmp_path / "mixed")
+    _populate(TraceStore(mixed))  # 12 results, 1 experiment, 1 trace
+    # A fresh handle per listing models a new process.
+    store = TraceStore(mixed)
     assert len(store.trace_manifest()) == 1
-    assert list(store.iter_records())
-    assert store.gc() == {"corrupt": [], "schema": [], "pruned": [],
-                          "temp": []}
-    assert store.record_opens == 0, \
-        "index-served maintenance must not open record files"
-
-
-def test_missing_index_falls_back_to_header_scan(tmp_path):
-    _populate(TraceStore(str(tmp_path)))
-    os.unlink(_index_path(tmp_path))
-    store = TraceStore(str(tmp_path))
-    # Everything still answers (reads never depend on the index)...
-    assert store.load("result", ("k", 1)) == {"i": 1}
+    assert store.record_opens == 1
+    store = TraceStore(mixed)
     assert store.experiment_fingerprints() == ["cafe0123"]
-    info = store.info()
-    assert info["records"] == 14 and info["unreadable"] == 0
-    assert not info["index"]["present"]
-    # ...the fallback just pays header reads for the uncovered objects.
-    assert store.record_opens > 0
-
-
-def test_torn_index_tail_is_skipped_not_fatal(tmp_path):
-    store = TraceStore(str(tmp_path))
-    _populate(store, count=3)
-    with open(_index_path(tmp_path), "rb") as handle:
-        whole = handle.read()
-    # Tear the final append mid-line (no trailing newline).
-    with open(_index_path(tmp_path), "wb") as handle:
-        handle.write(whole[:-10])
-    fresh = TraceStore(str(tmp_path))
-    assert fresh.load("trace", tuple()) is None  # reads still fine
-    info = fresh.info()
-    assert info["records"] == 8 and info["unreadable"] == 0
-    assert info["index"]["invalid_lines"] == 1
-    # Exactly one object lost its line; the view healed it via one header
-    # read, and compaction lag reflects the torn line.
-    assert info["index"]["unindexed_objects"] == 1
-    assert info["index"]["compaction_lag"] >= 1
+    assert store.record_opens == 1
+    # Every grid run registers the store's traces: on a store without
+    # any, that opens nothing.
+    results_only = TraceStore(str(tmp_path / "results"))
+    for i in range(12):
+        results_only.save("result", ("k", i), {"i": i})
+    fresh = TraceStore(str(tmp_path / "results"))
+    assert fresh.trace_manifest() == []
+    assert ensure_store_traces_registered(fresh) == []
+    assert fresh.experiment_fingerprints() == []
+    assert fresh.record_opens == 0
 
 
 # ----------------------------------------------------------------------
-# byte-identical reindex
+# verify and gc
 # ----------------------------------------------------------------------
-def test_reindex_reproduces_the_index_byte_identically(tmp_path):
-    store = TraceStore(str(tmp_path))
-    _populate(store)
-    # Re-save a record (duplicate line) so compaction has real work.
-    store.save("result", ("k", 0), {"i": 0})
-    store.compact_index()
-    canonical = store.index_bytes()
-    assert canonical
-    os.unlink(_index_path(tmp_path))
-    stats = TraceStore(str(tmp_path)).reindex()
-    assert stats == {"indexed": 14, "unreadable": 0}
-    assert TraceStore(str(tmp_path)).index_bytes() == canonical, \
-        "reindex from headers must be byte-identical to the compacted log"
-
-
-def test_compaction_drops_duplicates_and_stale_entries(tmp_path):
-    store = TraceStore(str(tmp_path))
-    _populate(store, count=3)
-    store.save("result", ("k", 0), {"i": 0})  # duplicate line
-    name = "result-" + sorted(
-        n.split("-")[1] for n, _ in
-        ((os.path.basename(p), p) for _, p in _object_paths(tmp_path))
-        if n.startswith("result-"))[0]
-    # Delete one object behind the index's back: its entry goes stale.
-    store._objects.remove_object(name)
-    stats = store.compact_index()
-    assert stats["dropped_duplicates"] == 1
-    assert stats["dropped_stale"] == 1
-    # After compaction the log equals a fresh reindex.
-    compacted = store.index_bytes()
-    store.reindex()
-    assert store.index_bytes() == compacted
-
-
-def test_torn_index_append_fault_degrades_to_compaction_lag(tmp_path):
-    store = TraceStore(str(tmp_path))
-    plan = FaultPlan([FaultRule("index.append", action="truncate", nth=1)])
-    with thread_scope(plan):
-        store.save("result", ("k",), {"x": 1})
-    assert plan.triggered == 1
-    # The record itself committed and is readable...
-    assert store.load("result", ("k",)) == {"x": 1}
-    # ...the torn line is just lag, healed by reindex.
-    fresh = TraceStore(str(tmp_path))
-    health = fresh.info()["index"]
-    assert health["invalid_lines"] == 1
-    assert health["unindexed_objects"] == 1
-    fresh.reindex()
-    assert TraceStore(str(tmp_path)).info()["index"]["unindexed_objects"] == 0
-
-
-# ----------------------------------------------------------------------
-# verify heals the index; gc age-gates temp files
-# ----------------------------------------------------------------------
-def test_verify_repair_heals_stale_and_unindexed_entries(tmp_path):
-    store = TraceStore(str(tmp_path))
-    _populate(store, count=3)
-    # One stale entry (object removed behind the index's back)...
-    victim = sorted(name for name, _ in store.iter_records())[0]
-    store._objects.remove_object(victim)
-    # ...and one unindexed object (index line torn off).
-    with open(_index_path(tmp_path), "rb") as handle:
-        lines = handle.read().splitlines(keepends=True)
-    with open(_index_path(tmp_path), "wb") as handle:
-        handle.writelines(lines[:-1])
-    report = TraceStore(str(tmp_path)).verify()
-    assert not report["clean"]
-    assert report["index"]["stale"] == [victim]
-    assert len(report["index"]["unindexed"]) == 1
-
-    repaired = TraceStore(str(tmp_path)).verify(repair=True)
-    assert repaired["repaired"] and repaired["index"]["healed"]
-    assert repaired["clean"]
-    healed = TraceStore(str(tmp_path))
-    assert healed.verify()["clean"]
-    # The healed index is exactly what a reindex produces.
-    canonical = healed.index_bytes()
-    healed.reindex()
-    assert healed.index_bytes() == canonical
-
-
 def test_verify_can_be_scoped_to_shards(tmp_path):
     store = TraceStore(str(tmp_path))
     _populate(store)
@@ -241,7 +146,6 @@ def test_verify_can_be_scoped_to_shards(tmp_path):
     scoped = store.verify(shards=shards[:1])
     assert scoped["shards"] == shards[:1]
     assert 0 < scoped["checked"] < 14
-    assert scoped["index"] is None  # the index audit is a full-verify job
     total = sum(store.verify(shards=[shard])["checked"] for shard in shards)
     assert total == 14
 
@@ -280,8 +184,7 @@ def test_read_only_mount_serves_warm_and_refuses_writes(tmp_path):
     assert mount.load("result", ("k", 0)) == {"i": 0}
     assert mount.experiment_fingerprints() == ["cafe0123"]
     for mutate in (lambda: mount.save("result", ("z",), {}),
-                   mount.gc, mount.clear, mount.reindex,
-                   mount.compact_index,
+                   mount.gc, mount.clear,
                    lambda: mount.verify(repair=True)):
         with pytest.raises(StoreReadOnlyError):
             mutate()
@@ -308,7 +211,7 @@ def test_cachemind_read_only_store_skips_persistence(tmp_path):
     # Writer session populates; a read-only replica answers warm and
     # persists nothing new.
     _ = CacheMind(store_dir=str(tmp_path), **SESSION_KWARGS).database
-    before = TraceStore(str(tmp_path)).index_bytes()
+    before = _tree(str(tmp_path))
     cache = SimulationCache()
     replica = CacheMind(store_dir=str(tmp_path), store_read_only=True,
                         simulation_cache=cache, **SESSION_KWARGS)
@@ -316,10 +219,48 @@ def test_cachemind_read_only_store_skips_persistence(tmp_path):
     assert cache.misses == 0 and cache.store_hits > 0
     assert cache.store.read_only
     assert cache.store.saves == 0
-    assert TraceStore(str(tmp_path)).index_bytes() == before
+    assert _tree(str(tmp_path)) == before
     # A replica without a store to mount is a configuration error.
     with pytest.raises(ValueError):
         CacheMind(store_read_only=True, **SESSION_KWARGS)
+
+
+# ----------------------------------------------------------------------
+# inspection commands write nothing
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("state", ["empty", "populated", "corrupt-manifest"])
+def test_inspection_commands_leave_the_tree_untouched(tmp_path, state):
+    root = str(tmp_path / "store")
+    os.makedirs(root)
+    expected = {"store": 0, "trace list": 0, "trace info": 1,
+                "experiment": 0, "simulate": 0}
+    if state != "empty":
+        _ = CacheMind(store_dir=root, **SESSION_KWARGS).database
+        TraceStore(root).save_experiment(
+            "cafe0123", {"fingerprint": "cafe0123", "spec": {},
+                         "columns": {"workload": ["astar"]}})
+        trace = generate_trace("mcf", 200, seed=1)
+        source = write_text_trace(trace, str(tmp_path / "inspected.csv"))
+        import_trace_file(TraceStore(root), source, name="inspected")
+        expected["trace info"] = 0
+    if state == "corrupt-manifest":
+        # A writable open would quarantine and re-stamp it.
+        with open(os.path.join(root, "manifest.json"), "w") as handle:
+            handle.write("{not json")
+    before = _tree(root)
+    try:
+        for label, command in (
+                ("store", ["store", "info", "--dir", root]),
+                ("trace list", ["trace", "list", "--dir", root]),
+                ("trace info", ["trace", "info", "inspected", "--dir", root]),
+                ("experiment", ["experiment", "report", "--store-dir", root]),
+                ("simulate", ["simulate", "--list", "--store-dir", root])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StoreCorruptionWarning)
+                assert main(command) == expected[label], command
+            assert _tree(root) == before, command
+    finally:
+        unregister_workload("inspected")
 
 
 # ----------------------------------------------------------------------
@@ -395,10 +336,10 @@ def test_gc_clears_a_pre_sharding_store(tmp_path, capsys):
 def _schema_2_store(root):
     """A store as the schema-2 build left it: a schema-2 manifest and, per
     simulation, an ``entry`` and a ``result`` record in their digest
-    shards, all announced in the index.  Returns the record names."""
+    shards.  Returns the record names."""
     with open(os.path.join(root, "manifest.json"), "w") as handle:
         json.dump({"schema": 2, "layout": "sharded"}, handle)
-    names, lines = [], []
+    names = []
     for i in range(2):
         for kind, key in (("result", ("k", i)), ("entry", ("k", i, "d"))):
             digest = key_digest(key)
@@ -410,11 +351,6 @@ def _schema_2_store(root):
             with open(os.path.join(shard_dir, name), "wb") as handle:
                 handle.write(data)
             names.append(name)
-            lines.append(entry_line(index_entry_for(name, header,
-                                                    len(data))))
-    os.makedirs(os.path.join(root, "index"))
-    with open(os.path.join(root, "index", "log.jsonl"), "wb") as handle:
-        handle.write(b"".join(lines))
     return sorted(names)
 
 
@@ -447,10 +383,75 @@ def test_schema_2_store_is_foreign_until_gc(tmp_path, capsys):
     assert TraceStore(root).info()["results"] == 1
 
 
+def _index_left_by_an_older_build(root):
+    """What a build that kept an append-only index left beside its
+    records: ``index/log.jsonl`` with one JSON line per record (its
+    header fields and size) and a stale temp file from an interrupted
+    rewrite of that log."""
+    index_dir = os.path.join(root, "index")
+    os.makedirs(index_dir, exist_ok=True)
+    lines = []
+    for _shard, path in _object_paths(root):
+        with open(path, "rb") as handle:
+            header = decode_header(handle)
+        lines.append(json.dumps(
+            {"kind": header["kind"], "key_repr": header["key_repr"],
+             "name": os.path.basename(path), "schema": header["schema"],
+             "size": os.path.getsize(path)},
+            sort_keys=True, separators=(",", ":")) + "\n")
+    with open(os.path.join(index_dir, "log.jsonl"), "w") as handle:
+        handle.writelines(lines)
+    stale_tmp = os.path.join(index_dir, "tmp0log.tmp")
+    with open(stale_tmp, "wb") as handle:
+        handle.write(b"half-written")
+    old = time.time() - (TEMP_MAX_AGE_SECONDS + 5)
+    os.utime(stale_tmp, (old, old))
+
+
+def test_a_store_with_an_older_index_stays_warm_until_gc_drops_it(
+        tmp_path, capsys):
+    root = str(tmp_path)
+    _ = CacheMind(store_dir=root, **SESSION_KWARGS).database
+    _index_left_by_an_older_build(root)
+    assert len(TraceStore(root)) == 1  # a strict open accepts it
+    cache = SimulationCache()
+    _ = CacheMind(store_dir=root, simulation_cache=cache,
+                  **SESSION_KWARGS).database
+    assert cache.misses == 0 and cache.store_hits == 1
+    assert main(["store", "verify", "--dir", root]) == 0
+    assert "store is clean" in capsys.readouterr().out
+    assert main(["store", "gc", "--dir", root]) == 0
+    assert "removed 0 record(s)" in capsys.readouterr().out
+    assert set(os.listdir(root)) == {"manifest.json", "objects"}
+    cache = SimulationCache()
+    _ = CacheMind(store_dir=root, simulation_cache=cache,
+                  **SESSION_KWARGS).database
+    assert cache.misses == 0
+
+
+def test_gc_deletes_only_what_an_older_index_left(tmp_path):
+    root = str(tmp_path)
+    TraceStore(root).save("result", ("k",), {"x": 1})
+    _index_left_by_an_older_build(root)
+    foreign = os.path.join(root, "index", "notes.txt")
+    with open(foreign, "w") as handle:
+        handle.write("not the store's")
+    TraceStore(root).gc()
+    assert os.listdir(os.path.join(root, "index")) == ["notes.txt"]
+
+
+def test_index_subcommands_are_gone(tmp_path, capsys):
+    for command in ("reindex", "compact"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", command, "--dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_repair_leaves_a_foreign_store_untouched(tmp_path, capsys):
-    """``--repair`` on a store whose manifest names another schema writes
-    no index, quarantines nothing, sweeps no temp file and stamps no
-    manifest: ``store gc`` is the only path that rewrites such a store."""
+    """``--repair`` on a store whose manifest names another schema
+    quarantines nothing, sweeps no temp file and stamps no manifest:
+    ``store gc`` is the only path that rewrites such a store."""
     root = str(tmp_path)
     store = TraceStore(root)
     store.save("result", ("k", 0), {"i": 0})
@@ -462,7 +463,6 @@ def test_verify_repair_leaves_a_foreign_store_untouched(tmp_path, capsys):
         handle.write(b"half-written")
     old = time.time() - (TEMP_MAX_AGE_SECONDS + 5)
     os.utime(stale_tmp, (old, old))
-    os.unlink(_index_path(tmp_path))
     with open(os.path.join(root, "manifest.json"), "w") as handle:
         json.dump({"schema": 1}, handle)
     before = _tree(root)
@@ -471,19 +471,6 @@ def test_verify_repair_leaves_a_foreign_store_untouched(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "repair skipped" in captured.out
     assert "store gc" in captured.err
-
-
-def test_store_reindex_and_compact_cli(tmp_path, capsys):
-    _populate(TraceStore(str(tmp_path)), count=2)
-    os.unlink(_index_path(tmp_path))
-    assert main(["store", "reindex", "--dir", str(tmp_path)]) == 0
-    assert "6 object(s) indexed" in capsys.readouterr().out
-    assert main(["store", "compact", "--dir", str(tmp_path)]) == 0
-    assert "6 entr(ies) kept" in capsys.readouterr().out
-    assert main(["store", "info", "--dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "layout: sharded" in out
-    assert "6 entr(ies) covering 6 live object(s)" in out
 
 
 # ----------------------------------------------------------------------
@@ -534,15 +521,5 @@ def test_concurrent_writer_processes_lose_no_records(tmp_path):
         for i in range(per_writer):
             assert store.load("result", ("w", writer, i)) \
                 == {"writer": writer, "i": i}
-    # Snapshots only ever grew (objects are immutable, appends atomic).
+    # Snapshots only ever grew (objects are immutable, writes atomic).
     assert snapshots == sorted(snapshots)
-    # The live interleaved log compacts to exactly what a reindex builds:
-    # concurrent lock-free appends lost nothing.
-    health = store.info()["index"]
-    assert health["entries"] == writers * per_writer
-    assert health["invalid_lines"] == 0
-    store.compact_index()
-    canonical = store.index_bytes()
-    os.unlink(_index_path(tmp_path))
-    assert store.reindex()["indexed"] == writers * per_writer
-    assert store.index_bytes() == canonical
