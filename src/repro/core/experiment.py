@@ -18,13 +18,13 @@ that runs the whole evaluation matrix as one call:
   policy list — it simulates exactly once.
 * :class:`ExperimentRunner` executes a compiled plan through
   :meth:`SimulationCache.run_jobs
-  <repro.core.pipeline.SimulationCache.run_jobs>`, the one job executor
-  asks and database builds share (and therefore through the persistent
-  :class:`~repro.tracedb.store.TraceStore`, when one is attached: warm
-  cells skip simulation across processes), with serial misses batched per
-  trace and ``jobs > 1`` misses fanned out over
-  :class:`~repro.sim.parallel.ParallelSimulator` workers per
-  (config, mode, detail) group.
+  <repro.core.pipeline.SimulationCache.run_jobs>`, where every simulation
+  starts, asks and database builds included (and therefore through the
+  persistent :class:`~repro.tracedb.store.TraceStore`, when one is
+  attached: warm cells skip simulation across processes), with serial
+  misses batched per trace and, with ``jobs > 1``, every miss of the grid
+  replayed in one :class:`~repro.sim.parallel.ParallelSimulator` process
+  pool.
 * :class:`ExperimentResult` is a columnar cell table — one row per unique
   grid cell with miss/hit rate, IPC and cycle accounting — with lossless
   ``to_dict``/``from_dict``, derived views (:meth:`~ExperimentResult.pivot`,
@@ -77,7 +77,7 @@ from repro.policies.base import get_policy
 from repro.sim.config import HierarchyConfig, resolve_config
 from repro.errors import StoreReadOnlyError
 from repro.tracedb.store import StoreCorruptionWarning
-from repro.workloads.generator import get_workload
+from repro.workloads.generator import workload_info
 from repro.workloads.ingest import ensure_store_traces_registered
 
 #: metrics where a smaller value wins (everything else is higher-is-better).
@@ -663,19 +663,17 @@ class ExperimentRunner:
     through :meth:`SimulationCache.run_jobs
     <repro.core.pipeline.SimulationCache.run_jobs>`, the executor asks and
     database builds use too: serial misses sharing a trace batch over one
-    replay core, ``jobs > 1`` fans the misses of each (config, mode,
-    detail) group out over a :class:`~repro.sim.parallel.ParallelSimulator`,
-    and every value installs through the memoiser and its store, so re-runs
-    simulate zero cells.  This runner maps the values to cell rows and
+    replay core, ``jobs > 1`` sends every miss to one
+    :class:`~repro.sim.parallel.ParallelSimulator` process pool, and every
+    value installs through the memoiser and its store, so re-runs simulate
+    zero cells.  This runner maps the values to cell rows and
     takes its counters from the executor's tally.
     """
 
     def __init__(self, simulation_cache=None, jobs: int = 1,
-                 executor: str = "auto",
                  max_records: Optional[int] = None):
         self.simulation_cache = simulation_cache
         self.jobs = max(1, int(jobs))
-        self.executor = executor
         self.max_records = max_records
 
     # ------------------------------------------------------------------
@@ -706,7 +704,7 @@ class ExperimentRunner:
         for policy in {job.policy for job in plan.jobs}:
             get_policy(policy)
         for workload in {job.workload for job in plan.jobs}:
-            get_workload(workload)
+            workload_info(workload)
         compile_seconds = time.perf_counter() - started
         execute_started = time.perf_counter()
         # The executor's tally counts this run's own cells (not a delta of
@@ -717,8 +715,7 @@ class ExperimentRunner:
         # rely on.
         values, tally = cache.run_jobs(
             plan.jobs, spec.config_map, jobs=self.jobs,
-            executor=self.executor, max_records=self.max_records,
-            progress=progress)
+            max_records=self.max_records, progress=progress)
         execute_seconds = time.perf_counter() - execute_started
 
         columns: Dict[str, List[Any]] = {name: [] for name in COLUMNS}
@@ -808,11 +805,10 @@ class ExperimentRunner:
 
 def run_experiment(spec: Union[ExperimentSpec, Dict[str, Any]],
                    simulation_cache=None, jobs: int = 1,
-                   executor: str = "auto",
                    max_records: Optional[int] = None,
                    progress: Optional[ProgressCallback] = None
                    ) -> ExperimentResult:
     """Module-level convenience: compile and execute one spec."""
     runner = ExperimentRunner(simulation_cache=simulation_cache, jobs=jobs,
-                              executor=executor, max_records=max_records)
+                              max_records=max_records)
     return runner.run(spec, progress=progress)

@@ -24,11 +24,12 @@ route, the exact simulation jobs required), batches are merged so duplicate
 jobs simulate once, and execution emits :class:`AskResponse` envelopes with
 per-stage timings (:meth:`CacheMind.ask_request_many`).
 
-:meth:`SimulationCache.run_jobs` is the one executor that turns planned jobs
-into memoised values.  Asks, experiment grids (``repro.core.experiment``)
-and database builds all run through it, so they share the memo and store
-lookups, the per-trace batch rollouts, the worker fan-out and the store
-writes.  The legacy
+Every simulation starts in :meth:`SimulationCache.run_jobs`, which turns
+planned jobs into memoised values and replays each miss as a
+:class:`~repro.sim.batch.BatchSimulator` rollout.  Asks, experiment grids
+(``repro.core.experiment``), database builds and :meth:`CacheMind.simulate`
+all run through it, so they share the memo and store lookups, the
+per-trace batch passes, the worker pool and the store writes.  The legacy
 :meth:`CacheMind.ask`/:meth:`ask_many` delegate to that path with
 byte-identical answers, and ``repro.serve`` puts a thread-safe service, an
 asyncio front-end and a JSON-lines server on top of it (the
@@ -96,9 +97,8 @@ from repro.llm.memory import ConversationMemory
 from repro.retrieval.base import Retriever, get_retriever, resolve_retriever_name
 from repro.sim.batch import BatchSimulator, RolloutSpec
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
-from repro.sim.engine import SimulationEngine, SimulationResult
-from repro.sim.replay import TraceReuse, compute_full_reuse, compute_next_use
-from repro.sim.parallel import ParallelSimulator, SimulationJob
+from repro.sim.engine import SimulationResult
+from repro.sim.parallel import ParallelSimulator
 from repro.tracedb.database import (
     DEFAULT_POLICIES,
     DEFAULT_WORKLOADS,
@@ -107,7 +107,7 @@ from repro.tracedb.database import (
     make_entry,
 )
 from repro.tracedb.store import StoreCorruptionWarning, TraceStore, simulation_key
-from repro.workloads.generator import get_workload, workload_kind
+from repro.workloads.generator import get_workload, workload_generation
 from repro.workloads.ingest import ensure_store_traces_registered
 from repro.workloads.trace import MemoryTrace
 
@@ -133,7 +133,7 @@ class _Miss(NamedTuple):
     """
 
     job: PlannedJob
-    engine: SimulationEngine
+    spec: RolloutSpec
     trace: MemoryTrace
     description: Optional[str]
     key: tuple
@@ -142,12 +142,14 @@ class _Miss(NamedTuple):
 class SimulationCache:
     """Process-wide memoiser for simulation runs and generated traces.
 
-    Keys cover everything that determines a run's output: workload, policy,
-    the (hashable, frozen) hierarchy config, engine mode, trace length, seed
-    and the record cap.  ``hits``/``misses`` are exposed so callers and tests
-    can verify that repeated sessions reuse prior work; the counters and
-    :meth:`stats` read under the cache lock, so concurrent serving threads
-    never observe a torn snapshot.
+    Result keys (:func:`~repro.tracedb.store.simulation_key` of a
+    :class:`~repro.sim.batch.RolloutSpec` and its trace) cover everything
+    that determines a run's output: the trace's workload, length, seed and
+    content fingerprint, and the rollout's policy, (hashable, frozen)
+    hierarchy config, mode, detail and record cap.  ``hits``/``misses``
+    are exposed so callers and tests can verify that repeated sessions
+    reuse prior work; the counters and :meth:`stats` read under the cache
+    lock, so concurrent serving threads never observe a torn snapshot.
 
     With a ``store`` (a :class:`~repro.tracedb.store.TraceStore` or a
     directory path), memoisation extends across processes: in-memory misses
@@ -158,10 +160,10 @@ class SimulationCache:
     entries are never stored: each is derived in memory from its result
     and memoised beside it.
 
-    Values enter through one lookup (:meth:`_lookup`) and one install
-    (:meth:`_install`): :meth:`get_or_run` runs one simulation through
-    them, and :meth:`run_jobs` — the executor under asks, experiment grids
-    and database builds — runs a list of planned jobs.
+    Every simulation starts in :meth:`run_jobs`, the executor under asks,
+    experiment grids, database builds and :meth:`CacheMind.simulate`;
+    values enter through one lookup (:meth:`_lookup`) and one install
+    (:meth:`_install`).
     """
 
     def __init__(self, max_entries: int = 256,
@@ -174,7 +176,6 @@ class SimulationCache:
         self._results: "OrderedDict[tuple, SimulationResult]" = OrderedDict()
         self._entries: "OrderedDict[tuple, TraceEntry]" = OrderedDict()
         self._traces: "OrderedDict[tuple, Tuple[MemoryTrace, str]]" = OrderedDict()
-        self._reuse: "OrderedDict[tuple, TraceReuse]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -223,9 +224,10 @@ class SimulationCache:
         immutable.  To modify it, work on a copy (``copy.deepcopy(trace)``,
         or a ``slice()`` — zero-copy views copy-on-write before any
         mutation), or every later session with the same key sees the
-        mutation.
+        mutation.  A workload name that left the registry misses the memo:
+        it may have come back as a different trace.
         """
-        key = (workload, num_accesses, seed)
+        key = (workload, num_accesses, seed, workload_generation(workload))
         with self._lock:
             cached = self._get(self._traces, key)
         if cached is not None:
@@ -249,50 +251,6 @@ class SimulationCache:
         return value
 
     # ------------------------------------------------------------------
-    def reuse_for(self, trace: MemoryTrace, block_bytes: int,
-                  full: bool = False) -> TraceReuse:
-        """Memoised oracle reuse precompute, keyed by trace fingerprint.
-
-        ``full=False`` returns just the next-use column (the stats replay's
-        need); ``full=True`` also carries the prev-use column (the
-        full-detail replay's need) and upgrades an existing stats-only
-        entry in place.  The arrays are pure functions of
-        ``(trace content, block_bytes)``, so every belady/oracle cell over
-        the same trace — batch or single replay — shares one computation.
-        Engines built by this cache get this method as their
-        ``reuse_cache`` hook.
-        """
-        key = (trace.fingerprint(), block_bytes)
-        with self._lock:
-            cached = self._get(self._reuse, key)
-        if cached is not None and (not full or cached.prev_use is not None):
-            return cached
-        addresses = trace.columns()[1]
-        if full:
-            reuse = compute_full_reuse(addresses, block_bytes)
-        else:
-            reuse = TraceReuse(next_use=compute_next_use(addresses,
-                                                         block_bytes))
-        with self._lock:
-            # Re-check under the lock: never downgrade a full entry a
-            # concurrent caller installed while we computed.
-            cached = self._get(self._reuse, key)
-            if cached is not None and (not full
-                                       or cached.prev_use is not None):
-                return cached
-            self._reuse[key] = reuse
-            self._reuse.move_to_end(key)
-            while len(self._reuse) > self.max_entries:
-                self._reuse.popitem(last=False)
-        return reuse
-
-    @staticmethod
-    def _key(engine: SimulationEngine, trace: MemoryTrace,
-             policy_name: str) -> tuple:
-        # Shared with the on-disk store so both layers agree on identity
-        # (content fingerprint, config, mode, detail, record cap, ...).
-        return simulation_key(engine, trace, policy_name)
-
     @staticmethod
     def _store_save(save, *args) -> None:
         """Persist a record, degrading to a warning on I/O failure.
@@ -368,29 +326,13 @@ class SimulationCache:
             self._store_save(self.store.save_result, key, result)
         return result
 
-    def get_or_run(self, engine: SimulationEngine, trace: MemoryTrace,
-                   policy_name: str) -> SimulationResult:
-        """Run ``trace`` under ``policy_name``, reusing a memoised result.
-
-        Lookup order: in-memory, then the on-disk store (if attached), then
-        a real simulation (whose result is persisted).
-        """
-        key = self._key(engine, trace, policy_name)
-        result, _origin = self._lookup(key)
-        if result is not None:
-            return result
-        if engine.reuse_cache is None:
-            # Oracle cells over the same trace then share one reuse
-            # precompute, keyed by content fingerprint.
-            engine.reuse_cache = self.reuse_for
-        return self._install(key, engine.run(trace, policy_name))
-
     def run_jobs(self, planned: Sequence[PlannedJob],
                  configs: Dict[str, HierarchyConfig], jobs: int = 1,
-                 executor: str = "auto", max_records: Optional[int] = None,
+                 max_records: Optional[int] = None,
                  progress: Optional[ProgressCallback] = None
                  ) -> Tuple[Dict[tuple, object], Dict[str, int]]:
-        """Turn planned jobs into memoised values: the one job executor.
+        """Turn planned jobs into memoised values: where every simulation
+        starts.
 
         Returns ``(values, tally)``.  ``values`` maps each job key to an
         entry for a ``"full"`` job (derived in memory from its result) and
@@ -401,22 +343,24 @@ class SimulationCache:
         cache (a delta of the global counters does not).  ``configs`` maps
         each job's ``config_name`` to its hierarchy.
 
-        Duplicate keys run once.  Every job is looked up first; the misses
-        then run serially, grouped by trace (two or more on one trace share
-        one :class:`~repro.sim.batch.BatchSimulator` pass, a singleton runs
-        through its engine), or with ``jobs > 1`` over one
-        :class:`ParallelSimulator` per (config, mode, detail).  Every
-        result installs through the memoiser (and its store, as one record
-        per simulation), so later callers and warm re-runs simulate
-        nothing.  ``progress(done, total)`` is called with ``done=0``
-        first, then once per finished job.
+        Duplicate keys run once.  Every job is looked up first (in memory,
+        then in the store); each miss then replays as a
+        :class:`~repro.sim.batch.BatchSimulator` rollout.  Serially, the
+        misses sharing a trace replay as one batch pass (a lone miss is a
+        one-rollout batch; ``batch_groups``/``batch_cells`` count the
+        groups of two or more).  With ``jobs > 1`` every miss of the call
+        goes to one :class:`~repro.sim.parallel.ParallelSimulator` pool as
+        a task carrying its trace.  Every result installs through the
+        memoiser (and its store, as one record per simulation), so later
+        callers and warm re-runs simulate nothing.  ``progress(done,
+        total)`` is called with ``done=0`` first, then once per finished
+        job.
         """
         unique = {job.key: job for job in planned}
         values: Dict[tuple, object] = {}
         tally = dict.fromkeys(("simulations_run", "cache_hits", "store_hits",
                                "batch_groups", "batch_cells"), 0)
-        engines: Dict[tuple, SimulationEngine] = {}
-        misses: Dict[tuple, List[_Miss]] = {}
+        misses: Dict[Optional[tuple], List[_Miss]] = {}
 
         def finish(job: PlannedJob, value) -> None:
             values[job.key] = value
@@ -428,77 +372,42 @@ class SimulationCache:
         if progress is not None:
             progress(0, len(unique))
         for job in unique.values():
-            group = (job.config_name, job.mode, job.detail)
-            if group not in engines:
-                # reuse_for: oracle cells share one reuse precompute per
-                # trace.
-                engines[group] = SimulationEngine(
-                    config=configs[job.config_name], mode=job.mode,
-                    max_records=max_records, detail=job.detail,
-                    reuse_cache=self.reuse_for)
+            spec = RolloutSpec(policy=job.policy,
+                               config=configs[job.config_name],
+                               mode=job.mode, detail=job.detail,
+                               max_records=max_records)
             trace, description = self.get_trace(job.workload,
                                                 job.num_accesses, job.seed)
-            miss = _Miss(job, engines[group], trace,
+            miss = _Miss(job, spec, trace,
                          description if job.detail == "full" else None,
-                         self._key(engines[group], trace, job.policy))
+                         simulation_key(spec, trace))
             value, origin = self._lookup(miss.key, miss.description)
             if value is None:
-                trace_id = (job.workload, job.num_accesses, job.seed)
-                misses.setdefault(group if jobs > 1 else trace_id,
-                                  []).append(miss)
+                # Serially one batch per trace; with jobs > 1 one pool for
+                # the whole call, whatever its configs and details.
+                group = ((job.workload, job.num_accesses, job.seed)
+                         if jobs <= 1 else None)
+                misses.setdefault(group, []).append(miss)
                 continue
             tally["cache_hits"] += 1
             tally["store_hits"] += origin == "store"
             finish(job, value)
-        for group_misses in misses.values():
-            produced = (self._run_parallel(group_misses, jobs, executor)
-                        if jobs > 1 else self._run_serial(group_misses, tally))
-            for miss, result in zip(group_misses, produced):
+        for group in misses.values():
+            if jobs > 1:
+                produced = ParallelSimulator(jobs).run_results(
+                    [(miss.trace, miss.spec) for miss in group])
+            else:
+                if len(group) >= 2:
+                    tally["batch_groups"] += 1
+                    tally["batch_cells"] += len(group)
+                produced = BatchSimulator(group[0].trace).run(
+                    [miss.spec for miss in group])
+            for miss, result in zip(group, produced):
                 tally["simulations_run"] += 1
                 self._install(miss.key, result)
                 finish(miss.job, result if miss.description is None
                        else self._derive(miss.key, result, miss.description))
         return values, tally
-
-    @staticmethod
-    def _run_serial(misses: List[_Miss], tally: Dict[str, int]
-                    ) -> List[SimulationResult]:
-        """Simulate misses sharing one trace: one batch pass for two or
-        more, the engine for a singleton."""
-        if len(misses) >= 2:
-            tally["batch_groups"] += 1
-            tally["batch_cells"] += len(misses)
-            return BatchSimulator(misses[0].trace).run([
-                RolloutSpec(policy=miss.job.policy, config=miss.engine.config,
-                            mode=miss.engine.mode, detail=miss.engine.detail,
-                            max_records=miss.engine.max_records)
-                for miss in misses])
-        return [misses[0].engine.run(misses[0].trace, misses[0].job.policy)]
-
-    @staticmethod
-    def _run_parallel(misses: List[_Miss], jobs: int, executor: str
-                      ) -> List[SimulationResult]:
-        """Simulate misses sharing one engine over worker processes."""
-        engine = misses[0].engine
-        simulator = ParallelSimulator(
-            jobs=jobs, executor=executor, config=engine.config,
-            mode=engine.mode, max_records=engine.max_records,
-            detail=engine.detail)
-        # trace=None: workers regenerate the identical trace from
-        # (workload, num_accesses, seed) — crc32-seeded generators are
-        # process-independent — which keeps the pickled payload to a few
-        # strings per job instead of one full trace copy per policy.
-        # Ingested traces are the exception: spawned workers cannot
-        # regenerate a trace that exists only in this process's registry
-        # (or a store manifest), so those jobs ship the trace itself.
-        return simulator.run_results([
-            SimulationJob(workload=miss.job.workload, policy=miss.job.policy,
-                          num_accesses=miss.job.num_accesses,
-                          seed=miss.job.seed,
-                          trace=(miss.trace
-                                 if workload_kind(miss.job.workload)
-                                 == "ingested" else None))
-            for miss in misses])
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -512,7 +421,6 @@ class SimulationCache:
             return {"results": len(self._results),
                     "derived_entries": len(self._entries),
                     "traces": len(self._traces),
-                    "reuse": len(self._reuse),
                     "hits": self._hits, "misses": self._misses,
                     "store_hits": self._store_hits}
 
@@ -523,7 +431,6 @@ class SimulationCache:
             self._results.clear()
             self._entries.clear()
             self._traces.clear()
-            self._reuse.clear()
             self._hits = 0
             self._misses = 0
             self._store_hits = 0
@@ -557,7 +464,6 @@ class CacheMind:
                  max_records: Optional[int] = None,
                  simulation_cache: Optional[SimulationCache] = None,
                  jobs: int = 1,
-                 executor: str = "auto",
                  store_dir: Optional[str] = None,
                  store_read_only: bool = False):
         if not workloads:
@@ -575,7 +481,6 @@ class CacheMind:
         # jobs > 1 fans the cache misses of asks and experiment grids out
         # over worker processes (see SimulationCache.run_jobs).
         self.jobs = max(1, int(jobs))
-        self.executor = executor
         # store_dir attaches a persistent on-disk store so repeated sessions
         # (and parallel workers) start warm across processes.  With an
         # explicit simulation_cache the store is attached to it (unless it
@@ -685,16 +590,17 @@ class CacheMind:
                     f"{self.mode!r}, 'full')")
         values, tally = self.simulation_cache.run_jobs(
             planned, {self.config.name: self.config}, jobs=self.jobs,
-            executor=self.executor, max_records=self.max_records)
+            max_records=self.max_records)
         return [values[job.key] for job in planned], tally["simulations_run"]
 
     def simulate(self, workload: str, policy: str) -> SimulationResult:
-        """One memoised simulation run (shares the session's cache)."""
-        engine = SimulationEngine(config=self.config, mode=self.mode,
-                                  max_records=self.max_records)
-        trace, _description = self.simulation_cache.get_trace(
-            workload, self.num_accesses, self.seed)
-        return self.simulation_cache.get_or_run(engine, trace, policy)
+        """One memoised full-detail simulation run (shares the session's
+        cache)."""
+        job = PlannedJob(workload=workload, policy=policy,
+                         num_accesses=self.num_accesses, seed=self.seed,
+                         config_name=self.config.name, mode=self.mode)
+        entries, _simulations = self._execute_planned_jobs([job])
+        return entries[0].result
 
     # ------------------------------------------------------------------
     # retriever routing
@@ -908,8 +814,7 @@ class CacheMind:
         """
         spec = as_experiment_spec(spec)
         runner = ExperimentRunner(simulation_cache=self.simulation_cache,
-                                  jobs=self.jobs, executor=self.executor,
-                                  max_records=self.max_records)
+                                  jobs=self.jobs, max_records=self.max_records)
         result = runner.run(spec, progress=progress)
         with self._experiment_state_lock:
             # The planner's merge counter doubles as the dedup probe for

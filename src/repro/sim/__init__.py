@@ -13,7 +13,9 @@ Every replay goes through one core (:mod:`repro.sim.replay`): shared
 policy-independent precomputes, one policy loop per rollout (the
 :meth:`Cache.access` step or a native kernel) and one stats/timing
 post-pass.  :class:`SimulationEngine` and :class:`BatchSimulator` are its
-two entry points.
+two entry points; the session executor replays every simulation as a
+batch rollout, serially or in :class:`ParallelSimulator`'s worker
+processes.
 """
 
 from repro.sim.config import (
@@ -41,13 +43,8 @@ from repro.sim.batch import (
     NATIVE_POLICIES,
     RolloutSpec,
     rollout_strategy,
-    run_batch,
 )
-from repro.sim.parallel import (
-    ParallelSimulator,
-    SimulationJob,
-    default_jobs,
-)
+from repro.sim.parallel import ParallelSimulator
 
 __all__ = [
     "CacheConfig",
@@ -73,8 +70,5 @@ __all__ = [
     "NATIVE_POLICIES",
     "RolloutSpec",
     "rollout_strategy",
-    "run_batch",
     "ParallelSimulator",
-    "SimulationJob",
-    "default_jobs",
 ]

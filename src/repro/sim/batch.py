@@ -15,6 +15,11 @@ standalone ``engine.run`` takes, so every rollout is **byte-identical** to
 it (enforced by ``tests/test_batch.py`` across the full policy x workload x
 mode x detail matrix).  Policies in :data:`NATIVE_POLICIES` run their
 native kernels at stats detail in either mode.
+
+This is how :meth:`SimulationCache.run_jobs
+<repro.core.pipeline.SimulationCache.run_jobs>` replays every simulation:
+one batch per trace serially, one one-rollout batch per task in a
+:class:`~repro.sim.parallel.ParallelSimulator` worker.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.sim.replay import NATIVE_POLICIES, ReplayCore, native_kernel
 from repro.workloads.trace import MemoryTrace
 
 __all__ = ["BatchSimulator", "NATIVE_POLICIES", "RolloutSpec",
-           "rollout_strategy", "run_batch"]
+           "rollout_strategy"]
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,3 @@ class BatchSimulator:
                     max_records=spec.max_records,
                     detail=spec.detail).replay(self._core, spec.policy)
                 for spec in specs]
-
-
-def run_batch(trace: MemoryTrace,
-              specs: Sequence[RolloutSpec]) -> List[SimulationResult]:
-    """Convenience wrapper: one shared replay core for ``specs``."""
-    return BatchSimulator(trace).run(list(specs))

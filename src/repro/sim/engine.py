@@ -68,7 +68,6 @@ from repro.sim.cpu import TimingResult
 from repro.sim.replay import (
     LLCStream,
     ReplayCore,
-    ReuseProvider,
     TraceReuse,
     native_kernel,
     policy_steps,
@@ -161,8 +160,7 @@ class SimulationEngine:
                  mode: str = "llc_only", history_window: int = 8,
                  annotate_context: bool = True,
                  max_records: Optional[int] = None,
-                 detail: str = DETAIL_FULL,
-                 reuse_cache: Optional[ReuseProvider] = None):
+                 detail: str = DETAIL_FULL):
         if mode not in ("llc_only", "hierarchy"):
             raise ValueError("mode must be 'llc_only' or 'hierarchy'")
         if detail not in DETAIL_LEVELS:
@@ -173,11 +171,6 @@ class SimulationEngine:
         self.annotate_context = annotate_context
         self.max_records = max_records
         self.detail = detail
-        #: Optional shared reuse provider (``SimulationCache.reuse_for``):
-        #: llc_only runs fetch next-use/prev-use from it instead of
-        #: recomputing per cell.  The returned arrays are identical to the
-        #: local computation, so results are byte-for-byte unchanged.
-        self.reuse_cache = reuse_cache
 
     # ------------------------------------------------------------------
     # public API
@@ -188,7 +181,7 @@ class SimulationEngine:
         ``policy`` may be a :class:`ReplacementPolicy` instance or a
         registered policy name; see :meth:`replay`.
         """
-        return self.replay(ReplayCore(trace, self.reuse_cache), policy)
+        return self.replay(ReplayCore(trace), policy)
 
     def replay(self, core: ReplayCore, policy) -> SimulationResult:
         """One rollout of ``policy`` over a (possibly shared) replay core.

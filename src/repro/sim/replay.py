@@ -70,19 +70,13 @@ class TraceReuse:
 
     ``next_use`` is always present (the stats path only needs it for
     ``requires_future`` policies); ``prev_use`` is added for full detail.
-    Instances are shared read-only across rollouts and across cells via
-    :meth:`SimulationCache.reuse_for`, so they must never be mutated after
-    construction.
+    An :class:`LLCStream` computes it once per block size, and every
+    rollout of its :class:`ReplayCore` shares it read-only, so it must
+    never be mutated after construction.
     """
 
     next_use: List[int]
     prev_use: Optional[List[int]] = None
-
-
-#: Provider signature for shared reuse precomputation:
-#: ``(trace, block_bytes, full) -> TraceReuse`` (llc_only streams only —
-#: hierarchy streams depend on the upper-level geometry, not just the trace).
-ReuseProvider = Callable[[MemoryTrace, int, bool], TraceReuse]
 
 
 def compute_next_use(addresses: Sequence[int], block_bytes: int) -> List[int]:
@@ -160,16 +154,13 @@ class LLCStream:
 
     def __init__(self, pcs: Sequence[int], addresses: Sequence[int],
                  flags: Sequence[int], address_array: np.ndarray,
-                 positions, levels: np.ndarray,
-                 reuse_provider: Optional[Callable[[int, bool],
-                                                   TraceReuse]] = None):
+                 positions, levels: np.ndarray):
         self.pcs = pcs
         self.addresses = addresses
         self.flags = flags
         self.address_array = address_array
         self.positions = positions
         self.levels = levels
-        self._reuse_provider = reuse_provider
         self._memo: dict = {}
 
     def __len__(self) -> int:
@@ -198,8 +189,6 @@ class LLCStream:
     def reuse(self, block_bytes: int, full: bool) -> TraceReuse:
         """Reuse arrays over the stream; ``full`` adds prev-use (upgrading
         a next-use-only entry)."""
-        if self._reuse_provider is not None:
-            return self._reuse_provider(block_bytes, full)
         key = ("reuse", block_bytes)
         got = self._memo.get(key)
         if got is None or (full and got.prev_use is None):
@@ -211,16 +200,10 @@ class LLCStream:
 
 
 class ReplayCore:
-    """The precomputes shared by every rollout of one trace.
+    """The precomputes shared by every rollout of one trace."""
 
-    ``reuse_provider`` (an engine's ``reuse_cache`` hook) becomes the source
-    of the ``llc_only`` stream's reuse arrays.
-    """
-
-    def __init__(self, trace: MemoryTrace,
-                 reuse_provider: Optional[ReuseProvider] = None):
+    def __init__(self, trace: MemoryTrace):
         self.trace = trace
-        self._reuse_provider = reuse_provider
         self._memo: dict = {}
         pcs, addresses, flags, instr = trace.columns()
         self._pc_array = np.frombuffer(pcs, dtype=np.uint64)
@@ -240,12 +223,9 @@ class ReplayCore:
 
     def _whole_trace_stream(self) -> LLCStream:
         pcs, addresses, flags, _instr = self.trace.columns()
-        provider = (partial(self._reuse_provider, self.trace)
-                    if self._reuse_provider is not None else None)
         return LLCStream(pcs, addresses, flags, self._address_array,
                          slice(None),
-                         np.full(len(addresses), CODE_LLC, dtype=np.uint8),
-                         provider)
+                         np.full(len(addresses), CODE_LLC, dtype=np.uint8))
 
     def _filtered_stream(self, config: HierarchyConfig) -> LLCStream:
         addresses = self._address_array

@@ -46,7 +46,7 @@ concurrent reads race-safe.  Inspection commands (``store info``,
 open their store this way, so they never write into what they inspect.
 
 Keys cover everything that determines a simulation's output — the trace
-content fingerprint, hierarchy config, policy, engine mode/detail and the
+content fingerprint, hierarchy config, policy, rollout mode/detail and the
 record cap (see :func:`simulation_key`) — mirroring the in-memory memoiser,
 so the two layers always agree on identity.
 
@@ -122,18 +122,19 @@ class StoreCorruptionWarning(UserWarning):
     """A store record could not be read and will be rebuilt."""
 
 
-def simulation_key(engine, trace, policy_name: str) -> tuple:
-    """Canonical identity of one simulation run.
+def simulation_key(spec, trace) -> tuple:
+    """Canonical identity of one simulation run: a
+    :class:`~repro.sim.batch.RolloutSpec` over ``trace``.
 
     ``trace.fingerprint()`` keys by content, so a hand-built trace sharing
     (workload, length, seed) metadata with a generated one cannot collide.
     The same tuple keys the in-memory
-    :class:`~repro.core.pipeline.SimulationCache` and the on-disk store.
+    :class:`~repro.core.pipeline.SimulationCache` and the on-disk store;
+    its fields and their order fix every stored record's digest.
     """
-    return (trace.workload, policy_name, engine.config, engine.mode,
-            engine.detail, len(trace), trace.seed, trace.fingerprint(),
-            engine.max_records, engine.history_window,
-            engine.annotate_context)
+    return (trace.workload, spec.policy, spec.config, spec.mode,
+            spec.detail, len(trace), trace.seed, trace.fingerprint(),
+            spec.max_records, spec.history_window, spec.annotate_context)
 
 
 def key_digest(key: tuple) -> str:

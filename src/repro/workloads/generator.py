@@ -119,6 +119,8 @@ class WorkloadGenerator(ABC):
 WorkloadFactory = Callable[..., "WorkloadGenerator"]
 
 _REGISTRY: Dict[str, WorkloadFactory] = {}
+#: name -> how many times it left the registry (see workload_generation).
+_DEPARTURES: Dict[str, int] = {}
 
 
 def _load_builtin_workloads() -> None:
@@ -150,7 +152,17 @@ def register_workload(factory: WorkloadFactory) -> WorkloadFactory:
 
 def unregister_workload(name: str) -> None:
     """Remove a registered workload (no-op when absent)."""
-    _REGISTRY.pop(name, None)
+    if _REGISTRY.pop(name, None) is not None:
+        _DEPARTURES[name] = _DEPARTURES.get(name, 0) + 1
+
+
+def workload_generation(name: str) -> int:
+    """How many times ``name`` has left the registry.
+
+    A name may come back as a different workload, so a memo keyed by
+    workload name must include this count to miss on its old traces.
+    """
+    return _DEPARTURES.get(name, 0)
 
 
 def available_workloads() -> List[str]:

@@ -7,7 +7,8 @@ generic :meth:`Cache.access` loop) would, down to float accumulation order
 in the timing model and every column of the full-detail access log.  These
 tests pin that contract across the policy x workload x mode x detail
 matrix, plus the wiring that batches (``SimulationCache.run_jobs`` under
-experiment grids and session database builds, ParallelSimulator fallback).
+experiment grids and session database builds, ParallelSimulator's serial
+route on a single-core host).
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pickle
 
 import pytest
 
+import repro.sim.parallel as parallel_module
 from repro.core.experiment import ExperimentRunner, ExperimentSpec
 from repro.core.pipeline import CacheMind, SimulationCache
 from repro.policies import available_policies, get_policy
@@ -23,11 +25,10 @@ from repro.sim.batch import (
     NATIVE_POLICIES,
     RolloutSpec,
     rollout_strategy,
-    run_batch,
 )
 from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
-from repro.sim.parallel import ParallelSimulator, SimulationJob
+from repro.sim.parallel import ParallelSimulator
 from repro.workloads.generator import generate_trace, get_workload
 
 NUM_ACCESSES = 600
@@ -95,7 +96,7 @@ def test_mixed_specs_in_one_batch():
         RolloutSpec("hawkeye", TINY_CONFIG),
         RolloutSpec("fifo", SMALL_CONFIG, detail="full", max_records=50),
     ]
-    results = run_batch(trace, specs)
+    results = BatchSimulator(trace).run(specs)
     assert len(results) == len(specs)
     for spec, batched in zip(specs, results):
         _assert_identical(batched, _single(trace, spec))
@@ -257,94 +258,23 @@ def test_build_database_serial_batches_policies_identically():
 
 
 # ----------------------------------------------------------------------
-# shared belady reuse precompute through SimulationCache
-# ----------------------------------------------------------------------
-def test_reuse_for_memoises_by_fingerprint():
-    cache = SimulationCache()
-    trace = _trace("astar")
-    first = cache.reuse_for(trace, 64)
-    assert cache.reuse_for(trace, 64) is first
-    assert first.prev_use is None
-    # Full upgrade replaces the stats-only entry but keeps the same arrays'
-    # content; later full requests reuse the upgraded entry.
-    full = cache.reuse_for(trace, 64, True)
-    assert full.prev_use is not None
-    assert full.next_use == first.next_use
-    assert cache.reuse_for(trace, 64, True) is full
-    assert cache.reuse_for(trace, 64) is full
-    assert cache.stats()["reuse"] == 1
-    # A different block size is a different precompute.
-    assert cache.reuse_for(trace, 32) is not full
-    assert cache.stats()["reuse"] == 2
-
-
-def test_get_or_run_installs_reuse_cache_on_engine():
-    cache = SimulationCache()
-    trace = _trace("lbm")
-    engine = SimulationEngine(config=TINY_CONFIG, mode="llc_only",
-                              detail="stats")
-    result = cache.get_or_run(engine, trace, "belady")
-    assert engine.reuse_cache is not None
-    assert cache.stats()["reuse"] == 1
-    reference = SimulationEngine(config=TINY_CONFIG, mode="llc_only",
-                                 detail="stats").run(trace, "belady")
-    assert result.llc_stats.as_tuple() == reference.llc_stats.as_tuple()
-
-
-# ----------------------------------------------------------------------
 # ParallelSimulator single-core fallback
 # ----------------------------------------------------------------------
-def test_auto_executor_degrades_to_serial_on_single_core(monkeypatch):
-    import repro.sim.parallel as parallel_module
+def _run_two_tasks():
+    return ParallelSimulator(jobs=4).run_results(
+        [(_trace(workload), RolloutSpec("lru", TINY_CONFIG))
+         for workload in WORKLOADS])
+
+
+def test_auto_executor_degrades_to_serial_on_single_core(monkeypatch,
+                                                         process_pools):
     monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
-    simulator = ParallelSimulator(jobs=4, executor="auto",
-                                  config=TINY_CONFIG, detail="stats")
-    jobs = [SimulationJob(workload=workload, policy="lru",
-                          num_accesses=NUM_ACCESSES)
-            for workload in WORKLOADS]
-    results = simulator.run_results(jobs)
-    assert len(results) == len(jobs)
-    assert simulator.last_executor == "serial"
-    assert simulator.last_strategy == {"executor": "serial",
-                                       "reason": "single-core host"}
+    results = _run_two_tasks()
+    assert [result.workload for result in results] == list(WORKLOADS)
+    assert process_pools == []
 
 
-def test_explicit_executor_still_honoured_on_single_core(monkeypatch):
-    import repro.sim.parallel as parallel_module
-    monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
-    simulator = ParallelSimulator(jobs=2, executor="thread",
-                                  config=TINY_CONFIG, detail="stats")
-    results = simulator.run_results(
-        [SimulationJob(workload="astar", policy="lru",
-                       num_accesses=NUM_ACCESSES),
-         SimulationJob(workload="lbm", policy="lru",
-                       num_accesses=NUM_ACCESSES)])
-    assert len(results) == 2
-    assert simulator.last_executor == "thread"
-    assert simulator.last_strategy["reason"] == "parallel"
-
-
-def test_serial_strategy_reasons():
-    simulator = ParallelSimulator(jobs=1, executor="auto",
-                                  config=TINY_CONFIG, detail="stats")
-    simulator.run_results([SimulationJob(workload="astar", policy="lru",
-                                         num_accesses=NUM_ACCESSES)])
-    assert simulator.last_strategy == {"executor": "serial",
-                                       "reason": "jobs=1"}
-    requested = ParallelSimulator(jobs=4, executor="serial",
-                                  config=TINY_CONFIG, detail="stats")
-    requested.run_results([SimulationJob(workload="astar", policy="lru",
-                                         num_accesses=NUM_ACCESSES)])
-    assert requested.last_strategy["reason"] == "requested"
-
-
-def test_auto_executor_starts_with_process_pool_on_multi_core(monkeypatch):
-    import repro.sim.parallel as parallel_module
-    monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-    simulator = ParallelSimulator(jobs=4, executor="auto",
-                                  config=TINY_CONFIG, detail="stats")
-    simulator.run_results([SimulationJob(workload=workload, policy="lru",
-                                         num_accesses=NUM_ACCESSES)
-                           for workload in WORKLOADS])
-    assert simulator.last_strategy == {"executor": "process",
-                                       "reason": "parallel"}
+def test_auto_executor_starts_with_process_pool_on_multi_core(process_pools):
+    results = _run_two_tasks()
+    assert [result.workload for result in results] == list(WORKLOADS)
+    assert len(process_pools) == 1

@@ -175,11 +175,16 @@ def test_stats_cells_match_stats_engine_runs(fresh_cache):
     assert result.value("ipc", workload="astar", policy="lru") == reference.ipc
 
 
-def test_parallel_execution_is_byte_identical(fresh_cache):
+def test_parallel_execution_is_byte_identical(fresh_cache, process_pools):
+    """Every miss of a ``jobs=2`` grid, across both configs and both
+    details, replays in one process pool."""
     spec = small_spec(details=["full", "stats"])
     serial = ExperimentRunner(simulation_cache=fresh_cache).run(spec)
-    parallel = ExperimentRunner(simulation_cache=SimulationCache(), jobs=2,
-                                executor="thread").run(spec)
+    assert process_pools == []
+    parallel = ExperimentRunner(simulation_cache=SimulationCache(),
+                                jobs=2).run(spec)
+    assert len(process_pools) == 1
+    assert parallel.counters["simulations_run"] == spec.compile().unique_jobs
     assert serial.columns == parallel.columns
 
 
@@ -312,12 +317,14 @@ def test_counters_ignore_concurrent_cache_traffic(fresh_cache):
     spec = small_spec(workloads=["astar"], configs=[TINY_CONFIG])
     runner = ExperimentRunner(simulation_cache=fresh_cache)
     runner.run(spec)  # warm the grid
+    foreign_session = CacheMind(workloads=["mcf"], policies=["lru"],
+                                num_accesses=300, config=TINY_CONFIG,
+                                simulation_cache=fresh_cache)
 
     def foreign_traffic(done, total):
         # an unrelated (workload, policy) simulation on the same cache,
         # fired while the warm sweep is mid-flight
-        engine = SimulationEngine(config=TINY_CONFIG)
-        fresh_cache.get_or_run(engine, generate_trace("mcf", 300, 0), "lru")
+        foreign_session.simulate("mcf", "lru")
 
     warm = runner.run(spec, progress=foreign_traffic)
     assert warm.counters["simulations_run"] == 0

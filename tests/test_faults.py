@@ -13,9 +13,11 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.sim.parallel as parallel_module
 from repro.core.pipeline import CacheMind, SimulationCache
 from repro.errors import UnknownNameError
 from repro.faults import (
@@ -38,8 +40,9 @@ from repro.serve.client import (
 )
 from repro.serve.server import CacheMindServer
 from repro.serve.service import CacheMindService
+from repro.sim.batch import RolloutSpec
 from repro.sim.config import TINY_CONFIG
-from repro.sim.parallel import ParallelSimulator, SimulationJob
+from repro.sim.parallel import ParallelSimulator
 from repro.tracedb.database import make_entry
 from repro.tracedb.store import StoreCorruptionWarning, TraceStore
 from repro.workloads.generator import generate_trace
@@ -258,7 +261,7 @@ def test_worker_scoped_rule_never_fires_in_the_parent_process():
 # ----------------------------------------------------------------------
 # store: torn writes, transient reads, full corruption matrix
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cold_route", ["serial", "threads", "grid"])
+@pytest.mark.parametrize("cold_route", ["serial", "parallel", "grid"])
 def test_torn_result_write_resimulates_only_that_pair(tmp_path, cold_route):
     policies = ["lru", "belady"]
     reference_session, _ = _session(policies=policies)
@@ -269,8 +272,7 @@ def test_torn_result_write_resimulates_only_that_pair(tmp_path, cold_route):
     # it and re-simulates exactly that pair.
     plan = FaultPlan([FaultRule("store.write", action="truncate", nth=2)])
     with thread_scope(plan):
-        overrides = (dict(jobs=2, executor="thread")
-                     if cold_route == "threads" else {})
+        overrides = dict(jobs=2) if cold_route == "parallel" else {}
         cold_session, _ = _session(tmp_path, policies=policies, **overrides)
         if cold_route == "grid":
             cold_session.run_experiment(cold_session.experiment_spec())
@@ -370,60 +372,62 @@ def test_corruption_matrix_across_all_record_kinds(tmp_path, mode):
 # ----------------------------------------------------------------------
 # parallel builds: crashed workers, broken pools, genuine errors
 # ----------------------------------------------------------------------
-PARALLEL_JOBS = [SimulationJob(workload=workload, policy=policy,
-                               num_accesses=NUM_ACCESSES)
-                 for workload in ("astar", "lbm")
-                 for policy in ("lru", "belady")]
+PARALLEL_TASKS = [(generate_trace(workload, NUM_ACCESSES, seed=0),
+                   RolloutSpec(policy, TINY_CONFIG, detail="full"))
+                  for workload in ("astar", "lbm")
+                  for policy in ("lru", "belady")]
 
 
 def _serial_reference():
-    simulator = ParallelSimulator(jobs=1, executor="serial",
-                                  config=TINY_CONFIG)
-    return _result_tables(simulator.run_results(PARALLEL_JOBS))
+    return _result_tables(ParallelSimulator(jobs=1).run_results(
+        PARALLEL_TASKS))
 
 
-def test_injected_worker_fault_recovers_on_a_fresh_pool():
+def test_injected_worker_fault_recovers_on_a_fresh_pool(monkeypatch,
+                                                        process_pools):
     reference = _serial_reference()
+    # Thread workers share this process's plan, so the process-scoped
+    # rule fires exactly once across both pools.
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor",
+                        ThreadPoolExecutor)
     plan = FaultPlan([FaultRule("worker.simulate", nth=1)])
-    simulator = ParallelSimulator(jobs=2, executor="thread",
-                                  config=TINY_CONFIG)
+    simulator = ParallelSimulator(jobs=2)
     with process_scope(plan):
-        results = simulator.run_results(PARALLEL_JOBS)
+        results = simulator.run_results(PARALLEL_TASKS)
     assert plan.triggered == 1
     assert _result_tables(results) == reference
-    assert simulator.last_executor == "thread"
     assert simulator.recovery["pools_replaced"] == 1
     assert simulator.recovery["retried_jobs"] >= 1
     assert simulator.recovery["serial_jobs"] == 0
 
 
-def test_killed_process_workers_converge_via_serial_fallback():
+def test_killed_process_workers_converge_via_serial_fallback(process_pools):
     reference = _serial_reference()
     # Every fresh pool worker inherits a zero-counter copy of the plan, so
-    # its first job dies with os._exit: the original pool breaks, the
-    # replacement pool breaks too, and the build converges serially in the
+    # its first task dies with os._exit: the original pool breaks, the
+    # replacement pool breaks too, and the run converges serially in the
     # parent (where the worker-scoped rule never fires).
     plan = FaultPlan([FaultRule("worker.simulate", action="exit",
                                 scope="worker", nth=1)])
-    simulator = ParallelSimulator(jobs=2, executor="process",
-                                  config=TINY_CONFIG)
+    simulator = ParallelSimulator(jobs=2)
     with env_scope(plan):
-        results = simulator.run_results(PARALLEL_JOBS)
+        results = simulator.run_results(PARALLEL_TASKS)
     assert _result_tables(results) == reference
-    assert simulator.last_executor == "serial"
+    assert len(process_pools) == 2
     assert simulator.recovery["pools_replaced"] == 1
-    assert simulator.recovery["serial_jobs"] == len(PARALLEL_JOBS)
+    assert simulator.recovery["serial_jobs"] == len(PARALLEL_TASKS)
 
 
-def test_genuine_simulation_errors_propagate_not_retried():
-    jobs = [SimulationJob(workload="astar", policy="lru",
-                          num_accesses=NUM_ACCESSES),
-            SimulationJob(workload="astar", policy="no-such-policy",
-                          num_accesses=NUM_ACCESSES)]
-    simulator = ParallelSimulator(jobs=2, executor="thread",
-                                  config=TINY_CONFIG)
+def test_genuine_simulation_errors_propagate_not_retried(process_pools):
+    trace = generate_trace("astar", NUM_ACCESSES, seed=0)
+    tasks = [(trace, RolloutSpec("lru", TINY_CONFIG)),
+             (trace, RolloutSpec("no-such-policy", TINY_CONFIG))]
+    simulator = ParallelSimulator(jobs=2)
     with pytest.raises(UnknownNameError):
-        simulator.run_results(jobs)
+        simulator.run_results(tasks)
+    assert len(process_pools) == 1
+    assert simulator.recovery == {"retried_jobs": 0, "pools_replaced": 0,
+                                  "serial_jobs": 0}
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """ParallelSimulator and parallel database builds.
 
 Serial and parallel builds must be byte-identical: deterministic traces and
-policies make every (workload, policy) simulation independent of where it
-runs.
+policies make every rollout independent of where it runs.
 """
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
-import pytest
-
+import repro.sim.parallel as parallel_module
 from repro.core.pipeline import CacheMind, SimulationCache
+from repro.sim.batch import RolloutSpec
 from repro.sim.config import TINY_CONFIG
-from repro.sim.engine import SimulationEngine
-from repro.sim.parallel import ParallelSimulator, SimulationJob, default_jobs
-from repro.workloads.generator import generate_trace, unregister_workload
+from repro.sim.parallel import ParallelSimulator
+from repro.workloads.generator import (
+    generate_trace,
+    register_workload,
+    unregister_workload,
+)
 from repro.workloads.ingest import register_trace
+from repro.workloads.spec import AstarWorkload
 
 WORKLOADS = ("astar", "lbm")
 POLICIES = ("lru", "belady")
@@ -27,18 +32,23 @@ def _table_bytes(entry):
                       default=str).encode("utf-8")
 
 
-def _build(jobs, executor="auto", workloads=WORKLOADS):
+def _build(jobs, workloads=WORKLOADS):
     """A fresh session's database (the one way to build one)."""
     return CacheMind(workloads=workloads, policies=POLICIES,
                      num_accesses=NUM_ACCESSES, config=TINY_CONFIG,
-                     simulation_cache=SimulationCache(), jobs=jobs,
-                     executor=executor).database
+                     simulation_cache=SimulationCache(), jobs=jobs).database
 
 
-@pytest.mark.parametrize("executor", ["process", "thread"])
-def test_parallel_build_identical_to_serial(executor):
+def _assert_same_tables(serial, parallel):
+    assert serial.keys() == parallel.keys()
+    for key in serial.keys():
+        assert _table_bytes(serial.entry(key)) == _table_bytes(parallel.entry(key))
+
+
+def test_parallel_build_identical_to_serial(process_pools):
     serial = _build(jobs=1)
-    parallel = _build(jobs=2, executor=executor)
+    parallel = _build(jobs=2)
+    assert len(process_pools) == 1
     assert serial.keys() == parallel.keys()
     for key in serial.keys():
         serial_entry, parallel_entry = serial.entry(key), parallel.entry(key)
@@ -48,18 +58,18 @@ def test_parallel_build_identical_to_serial(executor):
         assert serial_entry.statistics == parallel_entry.statistics
 
 
-def test_parallel_build_ships_ingested_traces(monkeypatch):
-    """Workers cannot regenerate an ingested trace (it exists only in this
-    process's registry or a store manifest), so every job a parallel build
-    dispatches for one must carry the trace itself."""
+def test_parallel_build_ships_ingested_traces(monkeypatch, process_pools):
+    """Every task a parallel build dispatches carries its trace, so an
+    ingested trace (which exists only in this process's registry or a
+    store manifest) replays in a worker too."""
     name = register_trace(generate_trace("astar", NUM_ACCESSES, seed=3),
                           name="ingested_parallel")
     dispatched = []
     run_results = ParallelSimulator.run_results
 
-    def recording(simulator, jobs):
-        dispatched.extend(jobs)
-        return run_results(simulator, jobs)
+    def recording(simulator, tasks):
+        dispatched.extend(tasks)
+        return run_results(simulator, tasks)
 
     monkeypatch.setattr(ParallelSimulator, "run_results", recording)
     try:
@@ -68,31 +78,58 @@ def test_parallel_build_ships_ingested_traces(monkeypatch):
         parallel = _build(jobs=2, workloads=(name,))
     finally:
         unregister_workload(name)
-    assert [job.policy for job in dispatched] == list(POLICIES)
-    assert all(job.trace is not None and job.trace.workload == name
-               for job in dispatched)
-    assert serial.keys() == parallel.keys()
-    for key in serial.keys():
-        assert _table_bytes(serial.entry(key)) == _table_bytes(parallel.entry(key))
+    assert [spec.policy for _trace, spec in dispatched] == list(POLICIES)
+    assert all(trace.workload == name for trace, _spec in dispatched)
+    assert len(process_pools) == 1
+    _assert_same_tables(serial, parallel)
 
 
-def test_run_results_order_and_serial_fallback():
-    jobs = [SimulationJob(workload=workload, policy=policy,
-                          num_accesses=NUM_ACCESSES)
+def test_runtime_workload_replays_in_spawned_workers(monkeypatch,
+                                                     process_pools):
+    """A workload registered at run time is unknown to a spawn-started
+    worker's registry (the default start method on macOS and Windows); its
+    tasks still replay there because they carry their traces."""
+
+    class SpawnPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None):
+            super().__init__(max_workers=max_workers,
+                             mp_context=multiprocessing.get_context("spawn"))
+
+    class RuntimeAstar(AstarWorkload):
+        name = "runtime_astar"
+
+    register_workload(RuntimeAstar)
+    try:
+        serial = _build(jobs=1, workloads=(RuntimeAstar.name,))
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", SpawnPool)
+        parallel = _build(jobs=2, workloads=(RuntimeAstar.name,))
+    finally:
+        unregister_workload(RuntimeAstar.name)
+    _assert_same_tables(serial, parallel)
+
+
+def _tasks():
+    return [(generate_trace(workload, NUM_ACCESSES, seed=0),
+             RolloutSpec(policy, TINY_CONFIG))
             for workload in WORKLOADS for policy in POLICIES]
-    simulator = ParallelSimulator(jobs=4, executor="serial",
-                                  config=TINY_CONFIG, detail="stats")
-    results = simulator.run_results(jobs)
-    assert simulator.last_executor == "serial"
+
+
+def test_run_results_order_and_serial_fallback(monkeypatch, process_pools):
+    """A pool that cannot start is tried twice, then every task runs
+    serially in the caller; results keep submission order."""
+    def no_pool(max_workers=None):
+        raise OSError("process spawning is forbidden here")
+
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_pool)
+    tasks = _tasks()
+    simulator = ParallelSimulator(jobs=4)
+    results = simulator.run_results(tasks)
     assert [(result.workload, result.policy_name) for result in results] == \
-           [(job.workload, job.policy) for job in jobs]
+           [(trace.workload, spec.policy) for trace, spec in tasks]
     assert all(result.llc_stats.accesses == NUM_ACCESSES for result in results)
-
-
-def test_parallel_simulator_rejects_bad_executor():
-    with pytest.raises(ValueError):
-        ParallelSimulator(executor="gpu")
-    assert default_jobs() >= 1
+    assert simulator.recovery == {"retried_jobs": len(tasks),
+                                  "pools_replaced": 1,
+                                  "serial_jobs": len(tasks)}
 
 
 def test_cachemind_parallel_build_matches_serial():
@@ -121,9 +158,8 @@ def test_parallel_results_flow_back_into_simulation_cache():
     _ = second.database
     assert cache.misses == misses_after_first
     assert cache.hits >= len(POLICIES)
-    # The memoised entries also satisfy plain get_or_run simulations.
-    engine = SimulationEngine(config=TINY_CONFIG)
-    trace, _description = cache.get_trace("astar", NUM_ACCESSES, 0)
+    # The memoised results also satisfy a single simulation.
     hits_before = cache.hits
-    cache.get_or_run(engine, trace, "lru")
+    second.simulate("astar", "lru")
     assert cache.hits == hits_before + 1
+    assert cache.misses == misses_after_first

@@ -254,38 +254,51 @@ def test_database_is_lazy(fresh_cache):
 
 
 def test_cache_keys_by_trace_content_not_metadata():
-    from repro.sim.config import TINY_CONFIG
-    from repro.sim.engine import SimulationEngine
-    from repro.workloads.generator import generate_trace
+    """A workload name that left the registry may come back as a different
+    trace with the same workload, length and seed: sessions over the same
+    cache must replay the new content, and identical content is a hit."""
+    from repro.workloads.generator import generate_trace, unregister_workload
+    from repro.workloads.ingest import register_trace
+
+    first_trace = generate_trace("astar", 300, seed=0)
+
+    def reregister(trace):
+        unregister_workload("renamed")
+        register_trace(trace, name="renamed")
+
+    def lru_miss_rate(cache):
+        return CacheMind(workloads=["renamed"], policies=["lru"],
+                         num_accesses=300, config=TINY_CONFIG,
+                         simulation_cache=cache).simulate(
+                             "renamed", "lru").llc_miss_rate
 
     cache = SimulationCache()
-    engine = SimulationEngine(config=TINY_CONFIG)
-    trace = generate_trace("astar", num_accesses=300, seed=0)
-    cache.get_or_run(engine, trace, "lru")
-    # A different trace sharing workload/length/seed metadata must not be
-    # served the first trace's result.
-    other = generate_trace("astar", num_accesses=300, seed=1)
-    other.seed = trace.seed
-    cache.get_or_run(engine, other, "lru")
-    assert cache.misses == 2 and cache.hits == 0
-    # And the identical content is still a hit.
-    again = generate_trace("astar", num_accesses=300, seed=0)
-    cache.get_or_run(engine, again, "lru")
-    assert cache.hits == 1
+    try:
+        reregister(first_trace)
+        first = lru_miss_rate(cache)
+        reregister(generate_trace("lbm", 300, seed=0))
+        second = lru_miss_rate(cache)
+        assert second == lru_miss_rate(SimulationCache())
+        reregister(first_trace)
+        assert lru_miss_rate(cache) == first
+    finally:
+        unregister_workload("renamed")
+    assert second != first
+    assert cache.misses == 2 and cache.hits == 1
 
 
 def test_simulation_cache_lru_bound():
-    from repro.sim.config import TINY_CONFIG
-    from repro.sim.engine import SimulationEngine
+    from repro.core.plan import PlannedJob
 
     cache = SimulationCache(max_entries=2)
-    engine = SimulationEngine(config=TINY_CONFIG)
     for seed in range(4):
-        trace, _ = cache.get_trace("astar", 200, seed)
-        cache.get_or_run(engine, trace, "lru")
+        cache.run_jobs([PlannedJob("astar", "lru", 200, seed,
+                                   TINY_CONFIG.name, "llc_only")],
+                       {TINY_CONFIG.name: TINY_CONFIG})
     # The bound holds: older entries were evicted, not accumulated.
     assert len(cache) <= 2
     assert cache.stats()["traces"] <= 2
+    assert cache.stats()["derived_entries"] <= 2
     assert cache.misses == 4
 
 

@@ -15,8 +15,6 @@ from repro.core.plan import (
     merge_jobs,
 )
 from repro.errors import UnknownNameError
-from repro.sim.engine import SimulationEngine
-from repro.workloads.generator import generate_trace
 
 from conftest import SESSION_KWARGS
 
@@ -137,14 +135,18 @@ def test_simulations_run_ignores_concurrent_cache_traffic(fresh_cache):
                         num_accesses=SESSION_KWARGS["num_accesses"],
                         config=SESSION_KWARGS["config"],
                         simulation_cache=fresh_cache)
+    foreign_session = CacheMind(workloads=["mcf"], policies=["lru"],
+                                num_accesses=300,
+                                config=SESSION_KWARGS["config"],
+                                simulation_cache=fresh_cache)
     get_trace = fresh_cache.get_trace
     foreign = []
 
     def get_trace_with_foreign_traffic(*args):
         if not foreign:
-            engine = SimulationEngine(config=SESSION_KWARGS["config"])
-            foreign.append(fresh_cache.get_or_run(
-                engine, generate_trace("mcf", 300, 0), "lru"))
+            # Marked first: the foreign simulation fetches its trace here.
+            foreign.append("mcf")
+            foreign_session.simulate("mcf", "lru")
         return get_trace(*args)
 
     fresh_cache.get_trace = get_trace_with_foreign_traffic
@@ -273,28 +275,3 @@ def test_answer_from_dict_ignores_unknown_keys():
     payload = Answer(question="q", text="a").to_dict()
     payload["added_in_a_future_version"] = 1
     assert Answer.from_dict(payload).question == "q"
-
-
-# ----------------------------------------------------------------------
-# sim-layer dedup (duplicate jobs reaching the simulator run once)
-# ----------------------------------------------------------------------
-def test_parallel_simulator_dedupes_duplicate_jobs(monkeypatch):
-    import repro.sim.parallel as parallel_module
-    from repro.sim.config import TINY_CONFIG
-    from repro.sim.parallel import ParallelSimulator, SimulationJob
-
-    calls = []
-    real_execute = parallel_module._execute_job
-
-    def counting_execute(payload):
-        calls.append(payload)
-        return real_execute(payload)
-
-    monkeypatch.setattr(parallel_module, "_execute_job", counting_execute)
-    simulator = ParallelSimulator(jobs=1, executor="serial",
-                                  config=TINY_CONFIG)
-    job = SimulationJob(workload="astar", policy="lru", num_accesses=300)
-    results = simulator.run_results([job, job, job])
-    assert len(calls) == 1
-    assert len(results) == 3
-    assert results[0] is results[1] is results[2]

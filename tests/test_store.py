@@ -13,13 +13,15 @@ import pytest
 
 from repro.cli import main
 from repro.core.pipeline import CacheMind, SimulationCache
+from repro.core.plan import PlannedJob
 from repro.errors import StoreVersionError
+from repro.sim.batch import RolloutSpec
 from repro.sim.config import TINY_CONFIG
-from repro.sim.engine import SimulationEngine
 from repro.tracedb.store import (
     STORE_SCHEMA_VERSION,
     StoreCorruptionWarning,
     TraceStore,
+    key_digest,
     simulation_key,
 )
 from repro.workloads.generator import generate_trace
@@ -110,17 +112,18 @@ def test_warm_session_answers_with_zero_simulations(tmp_path):
     assert warm_cache.misses == 0, "warm session must not simulate"
 
 
-def test_result_round_trip_via_get_or_run(tmp_path):
+def test_result_round_trip_via_run_jobs(tmp_path):
     store = TraceStore(str(tmp_path))
-    trace = generate_trace("astar", NUM_ACCESSES, seed=0)
-    engine = SimulationEngine(config=TINY_CONFIG)
+    job = PlannedJob("astar", "lru", NUM_ACCESSES, 0, TINY_CONFIG.name,
+                     "llc_only")
+    configs = {TINY_CONFIG.name: TINY_CONFIG}
 
     cold_cache = SimulationCache(store=store)
-    cold = cold_cache.get_or_run(engine, trace, "lru")
+    cold = cold_cache.run_jobs([job], configs)[0][job.key].result
     assert cold_cache.misses == 1
 
     warm_cache = SimulationCache(store=store)
-    warm = warm_cache.get_or_run(engine, trace, "lru")
+    warm = warm_cache.run_jobs([job], configs)[0][job.key].result
     assert warm_cache.misses == 0 and warm_cache.store_hits == 1
     assert warm.llc_stats.as_tuple() == cold.llc_stats.as_tuple()
     assert warm.timing.ipc == cold.timing.ipc
@@ -151,14 +154,16 @@ def test_build_database_with_store_loads_instead_of_simulating(tmp_path):
         assert _table_bytes(first.entry(key)) == _table_bytes(second.entry(key))
 
 
-def test_store_keys_follow_trace_content(tmp_path):
-    store = TraceStore(str(tmp_path))
-    engine = SimulationEngine(config=TINY_CONFIG)
+def test_store_keys_follow_trace_content():
+    spec = RolloutSpec("lru", TINY_CONFIG, detail="full")
     trace = generate_trace("astar", NUM_ACCESSES, seed=0)
     other = generate_trace("astar", NUM_ACCESSES, seed=1)
     other.seed = trace.seed  # same metadata, different content
-    assert (simulation_key(engine, trace, "lru")
-            != simulation_key(engine, other, "lru"))
+    assert simulation_key(spec, trace) != simulation_key(spec, other)
+    # The digest names the record file: pinned, so stores written by
+    # earlier builds stay warm.
+    assert (key_digest(simulation_key(spec, trace))
+            == "000bf2aa389d1c2ff5d6ab0b3d905775")
 
 
 # ----------------------------------------------------------------------
