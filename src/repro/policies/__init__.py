@@ -15,8 +15,7 @@ paper simulates or discusses:
 """
 
 from repro.policies.base import (
-    BYPASS,
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
     available_policies,
@@ -32,11 +31,10 @@ from repro.policies.hawkeye import HawkeyePolicy
 from repro.policies.mlp import MLPPolicy
 from repro.policies.parrot import ParrotPolicy
 from repro.policies.mockingjay import MockingjayPolicy
-from repro.policies.bypass import BypassPolicy, PCBypassFilter
+from repro.policies.bypass import BypassPolicy
 
 __all__ = [
-    "BYPASS",
-    "CacheLineView",
+    "CacheLine",
     "PolicyAccess",
     "ReplacementPolicy",
     "available_policies",
@@ -57,5 +55,4 @@ __all__ = [
     "ParrotPolicy",
     "MockingjayPolicy",
     "BypassPolicy",
-    "PCBypassFilter",
 ]

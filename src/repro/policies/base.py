@@ -3,28 +3,28 @@
 A policy sees the cache through two small value objects:
 
 * :class:`PolicyAccess` -- the access being serviced (PC, block address,
-  read/write, global access index and, when the engine runs in oracle mode,
-  the index of the *next* access to the same block).
-* :class:`CacheLineView` -- a read-only view of one resident line in the
-  accessed set (block address, inserting PC, insertion/last-touch times and
-  the line's own next-use index).
+  global access index and, when the engine runs in oracle mode, the index
+  of the *next* access to the same block).
+* :class:`CacheLine` -- one resident line of the accessed set (way, block
+  address, inserting PC, insertion/last-touch times and the line's own
+  next-use index), which policies treat as read-only.
 
-The simulator drives the policy with ``on_hit`` / ``on_fill`` / ``on_evict``
-notifications, asks ``should_bypass`` before allocating on a miss, and asks
-``choose_victim`` when an allocation needs a victim.  ``eviction_scores``
-exposes whatever per-line priority the policy uses so the trace database can
-store the ``cache_line_eviction_scores`` column from the paper's schema.
+The simulator drives the policy with ``on_hit`` / ``on_fill`` notifications
+and asks ``should_bypass`` before allocating on a miss.  ``eviction_scores``
+is the one scoring rule: the trace database stores it as the paper's
+``cache_line_eviction_scores`` column, and the cache evicts a line holding
+the top score.  A policy adds only a ``tie_break`` among top-scored lines
+(``None``: the first way) and the side effects of an eviction, in
+``on_evict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Type
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.errors import UnknownNameError
-
-#: Sentinel returned by ``choose_victim`` to request bypassing the fill.
-BYPASS = -1
 
 #: Next-use index meaning "this block is never accessed again".
 NEVER = 1 << 60
@@ -36,27 +36,34 @@ class PolicyAccess:
 
     pc: int
     block_address: int
-    is_write: bool
     access_index: int
     #: index of the next access to this block in the same cache's access
     #: stream, or :data:`NEVER`; only meaningful when the engine precomputes
     #: future knowledge (needed by Belady/Hawkeye training).
     next_use: int = NEVER
-    is_prefetch: bool = False
 
 
 @dataclass
-class CacheLineView:
-    """Read-only view of a resident cache line handed to policies."""
+class CacheLine:
+    """One resident cache line, handed to policies as their view of it.
 
-    way: int
+    ``way`` is fixed for the line's whole residency.
+    """
+
     block_address: int
     pc: int
     inserted_at: int
     last_access: int
     next_use: int = NEVER
-    dirty: bool = False
-    valid: bool = True
+    way: int = -1
+
+
+_last_access = attrgetter("last_access")
+
+
+def least_recently_used(lines: Sequence[CacheLine]) -> CacheLine:
+    """Tie-break that evicts the line untouched for the longest time."""
+    return min(lines, key=_last_access)
 
 
 class ReplacementPolicy:
@@ -66,6 +73,9 @@ class ReplacementPolicy:
     name = "base"
     #: whether the policy needs next-use (oracle) information.
     requires_future = False
+    #: picks the victim among the lines that share the top score; ``None``
+    #: takes the first way, as ``max`` does.
+    tie_break: Optional[Callable[[Sequence[CacheLine]], CacheLine]] = None
 
     def __init__(self, **kwargs):
         self.num_sets = 0
@@ -79,47 +89,40 @@ class ReplacementPolicy:
         self.num_sets = num_sets
         self.num_ways = num_ways
 
-    def reset(self) -> None:
-        """Reset internal state (re-initialises with the stored geometry)."""
-        if self.num_sets and self.num_ways:
-            self.initialize(self.num_sets, self.num_ways)
-
     # ------------------------------------------------------------------
     # notifications
     # ------------------------------------------------------------------
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         """The access hit ``line``."""
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         """``line`` was just filled by ``access`` (after any eviction)."""
 
-    def on_evict(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
-        """``line`` is being evicted to make room for ``access``."""
+    def on_evict(self, set_index: int, lines: Sequence[CacheLine],
+                 victim: CacheLine, access: PolicyAccess) -> None:
+        """``victim``, one of the full set's ``lines``, is being evicted to
+        make room for ``access``."""
 
     # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
-    def should_bypass(self, set_index: int, lines: Sequence[CacheLineView],
+    def should_bypass(self, set_index: int, lines: Sequence[CacheLine],
                       access: PolicyAccess) -> bool:
         """Return True to service the miss without allocating a line."""
         return False
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        """Return the way to evict (the set is full when this is called).
-
-        May return :data:`BYPASS` to skip allocation instead.  The default
-        implementation evicts the least recently used line.
-        """
-        return min(lines, key=lambda line: line.last_access).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
-        """Per-line eviction priority (higher = evicted sooner).
+        """Per-line eviction priority (higher = evicted sooner), paired with
+        ``lines`` as zip pairs them; the victim holds the top score.  The
+        access log stores each as a double, so exact integers may stay
+        ints.
 
-        The default is recency age, matching the LRU victim choice.
+        The default is recency age, which evicts the least recently used
+        line.
         """
-        return [float(access.access_index - line.last_access) for line in lines]
+        now = access.access_index
+        return [now - line.last_access for line in lines]
 
     # ------------------------------------------------------------------
     # misc

@@ -6,7 +6,7 @@ import random
 from typing import List, Sequence
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
     register_policy,
@@ -15,17 +15,10 @@ from repro.policies.base import (
 
 @register_policy
 class LRUPolicy(ReplacementPolicy):
-    """Least Recently Used: evict the line untouched for the longest time."""
+    """Least Recently Used: evict the line untouched for the longest time,
+    by the base class's recency-age scores."""
 
     name = "lru"
-
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        return min(lines, key=lambda line: line.last_access).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
-                        access: PolicyAccess) -> List[float]:
-        return [float(access.access_index - line.last_access) for line in lines]
 
     def describe(self) -> str:
         return ("LRU (Least Recently Used): evicts the line that has gone "
@@ -39,13 +32,10 @@ class FIFOPolicy(ReplacementPolicy):
 
     name = "fifo"
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        return min(lines, key=lambda line: line.inserted_at).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
-        return [float(access.access_index - line.inserted_at) for line in lines]
+        now = access.access_index
+        return [now - line.inserted_at for line in lines]
 
     def describe(self) -> str:
         return "FIFO: evicts the line that was inserted earliest."
@@ -66,13 +56,13 @@ class RandomPolicy(ReplacementPolicy):
         super().initialize(num_sets, num_ways)
         self._rng = random.Random(self.seed)
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        return self._rng.choice(list(lines)).way
+    def tie_break(self, lines: Sequence[CacheLine]) -> CacheLine:
+        # Every line ties, so this draws once per eviction over the set.
+        return self._rng.choice(lines)
 
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
-        return [1.0 for _line in lines]
+        return [1.0] * len(lines)
 
     def describe(self) -> str:
         return "Random: evicts a uniformly random resident line."
@@ -123,23 +113,13 @@ class PLRUPolicy(ReplacementPolicy):
             width = half
         return low
 
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._touch(set_index, line.way)
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._touch(set_index, line.way)
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        victim = self._victim_way(set_index)
-        valid_ways = {line.way for line in lines}
-        if victim in valid_ways:
-            return victim
-        # Tree points at an invalid way (should not happen once the set is
-        # full); fall back to LRU among the views.
-        return min(lines, key=lambda line: line.last_access).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
         victim = self._victim_way(set_index)
         return [1.0 if line.way == victim else 0.0 for line in lines]

@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.policies.base import (
-    BYPASS,
-    CacheLineView,
+    CacheLine,
     NEVER,
     PolicyAccess,
     ReplacementPolicy,
@@ -37,7 +36,7 @@ class BeladyPolicy(ReplacementPolicy):
         super().__init__(**kwargs)
         self.allow_bypass = allow_bypass
 
-    def should_bypass(self, set_index: int, lines: Sequence[CacheLineView],
+    def should_bypass(self, set_index: int, lines: Sequence[CacheLine],
                       access: PolicyAccess) -> bool:
         if not self.allow_bypass:
             return False
@@ -48,19 +47,12 @@ class BeladyPolicy(ReplacementPolicy):
         farthest_resident = max(line.next_use for line in lines)
         return access.next_use > farthest_resident
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        return max(lines, key=lambda line: line.next_use).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
-        scores = []
-        for line in lines:
-            if line.next_use >= NEVER:
-                scores.append(float(NEVER))
-            else:
-                scores.append(float(line.next_use - access.access_index))
-        return scores
+        # Accesses until the next use: the top score is the farthest.
+        now = access.access_index
+        return [NEVER if line.next_use >= NEVER else line.next_use - now
+                for line in lines]
 
     def describe(self) -> str:
         return ("Belady's optimal (OPT/MIN): an offline oracle that evicts "

@@ -10,37 +10,15 @@ it can also bypass based on a learned dead-block signature table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
     register_policy,
 )
 from repro.policies.basic import LRUPolicy
-
-
-class PCBypassFilter:
-    """A static list of PCs whose fills should bypass the cache."""
-
-    def __init__(self, pcs: Iterable[int] = ()):
-        self.pcs: Set[int] = set(pcs)
-
-    def __contains__(self, pc: int) -> bool:
-        return pc in self.pcs
-
-    def __len__(self) -> int:
-        return len(self.pcs)
-
-    def add(self, pc: int) -> None:
-        self.pcs.add(pc)
-
-    def remove(self, pc: int) -> None:
-        self.pcs.discard(pc)
-
-    def as_sorted_hex(self) -> List[str]:
-        return [f"0x{pc:x}" for pc in sorted(self.pcs)]
 
 
 @register_policy
@@ -55,18 +33,21 @@ class BypassPolicy(ReplacementPolicy):
                  dead_threshold: int = 4, **kwargs):
         super().__init__(**kwargs)
         self.inner = inner if inner is not None else LRUPolicy()
-        self.filter = PCBypassFilter(bypass_pcs)
+        self.filter = frozenset(bypass_pcs)
         self.learn_dead_blocks = learn_dead_blocks
         self.dead_threshold = dead_threshold
         # PC signature -> consecutive dead fills observed.
         self._dead_counts: Dict[int, int] = {}
         self._line_pc: List[List[int]] = []
         self._line_reused: List[List[bool]] = []
-        self.bypassed_fills = 0
 
     @property
     def requires_future(self) -> bool:  # type: ignore[override]
         return self.inner.requires_future
+
+    @property
+    def tie_break(self):  # type: ignore[override]
+        return self.inner.tie_break
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
@@ -74,7 +55,6 @@ class BypassPolicy(ReplacementPolicy):
         self._dead_counts = {}
         self._line_pc = [[0] * num_ways for _ in range(num_sets)]
         self._line_reused = [[False] * num_ways for _ in range(num_sets)]
-        self.bypassed_fills = 0
 
     # ------------------------------------------------------------------
     def _signature(self, pc: int) -> int:
@@ -86,34 +66,30 @@ class BypassPolicy(ReplacementPolicy):
         return self._dead_counts.get(self._signature(pc), 0) >= self.dead_threshold
 
     # ------------------------------------------------------------------
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._line_reused[set_index][line.way] = True
         self._dead_counts[self._signature(access.pc)] = 0
         self.inner.on_hit(set_index, line, access)
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._line_pc[set_index][line.way] = access.pc
         self._line_reused[set_index][line.way] = False
         self.inner.on_fill(set_index, line, access)
 
-    def on_evict(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
-        if self.learn_dead_blocks and not self._line_reused[set_index][line.way]:
-            signature = self._signature(self._line_pc[set_index][line.way])
+    def on_evict(self, set_index: int, lines: Sequence[CacheLine],
+                 victim: CacheLine, access: PolicyAccess) -> None:
+        if self.learn_dead_blocks and not self._line_reused[set_index][victim.way]:
+            signature = self._signature(self._line_pc[set_index][victim.way])
             self._dead_counts[signature] = self._dead_counts.get(signature, 0) + 1
-        self.inner.on_evict(set_index, line, access)
+        self.inner.on_evict(set_index, lines, victim, access)
 
-    def should_bypass(self, set_index: int, lines: Sequence[CacheLineView],
+    def should_bypass(self, set_index: int, lines: Sequence[CacheLine],
                       access: PolicyAccess) -> bool:
         if access.pc in self.filter or self._learned_dead(access.pc):
-            self.bypassed_fills += 1
             return True
         return self.inner.should_bypass(set_index, lines, access)
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        return self.inner.choose_victim(set_index, lines, access)
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
         return self.inner.eviction_scores(set_index, lines, access)
 

@@ -9,10 +9,10 @@ thrashing working sets while LRU insertion wins on recency-friendly phases.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
     register_policy,
@@ -50,10 +50,10 @@ class DIPPolicy(ReplacementPolicy):
         )
 
     # ------------------------------------------------------------------
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._stamps[set_index][line.way] = access.access_index + 1
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._dueling.record_miss(set_index)
         use_lru_insertion = self._dueling.use_primary(set_index)
         if use_lru_insertion or self._rng.random() < self.bip_probability:
@@ -64,16 +64,12 @@ class DIPPolicy(ReplacementPolicy):
             resident = [self._stamps[set_index][w] for w in range(self.num_ways)]
             self._stamps[set_index][line.way] = min(resident) - 1
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        stamps = self._stamps[set_index]
-        return min(lines, key=lambda line: stamps[line.way]).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
-        stamps = self._stamps[set_index]
-        newest = max(stamps[line.way] for line in lines) if lines else 0
-        return [float(newest - stamps[line.way]) for line in lines]
+        # The resident lines are ways 0..n-1; the oldest stamp scores top.
+        stamps = self._stamps[set_index][:len(lines)]
+        newest = max(stamps, default=0)
+        return [newest - stamp for stamp in stamps]
 
     def describe(self) -> str:
         return ("DIP: dynamic insertion policy set-dueling LRU insertion "

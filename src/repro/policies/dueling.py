@@ -8,8 +8,6 @@ by a saturating policy-selection (PSEL) counter.
 
 from __future__ import annotations
 
-from typing import List
-
 
 class SetDuelingMonitor:
     """Tracks leader sets and the PSEL counter for two competing policies.
@@ -44,15 +42,6 @@ class SetDuelingMonitor:
         self._secondary_leaders -= self._primary_leaders
 
     # ------------------------------------------------------------------
-    def is_primary_leader(self, set_index: int) -> bool:
-        return set_index in self._primary_leaders
-
-    def is_secondary_leader(self, set_index: int) -> bool:
-        return set_index in self._secondary_leaders
-
-    def leader_sets(self) -> List[int]:
-        return sorted(self._primary_leaders | self._secondary_leaders)
-
     def record_miss(self, set_index: int) -> None:
         """A miss in a leader set votes against that leader's policy."""
         if set_index in self._primary_leaders:

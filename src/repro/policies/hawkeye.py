@@ -18,9 +18,10 @@ from collections import deque
 from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
+    least_recently_used,
     register_policy,
 )
 
@@ -69,6 +70,9 @@ class HawkeyePolicy(ReplacementPolicy):
     """OPTgen-trained, PC-classified insertion and eviction."""
 
     name = "hawkeye"
+    # RRPVs are 0 or max, so the top-scored lines are the averse ones (or,
+    # with none resident, every line): evict the oldest of them.
+    tie_break = staticmethod(least_recently_used)
 
     def __init__(self, counter_bits: int = 3, rrip_bits: int = 3,
                  sample_every: int = 4, optgen_window: int = 128, **kwargs):
@@ -131,7 +135,7 @@ class HawkeyePolicy(ReplacementPolicy):
         self._last_pc_for_block[access.block_address] = access.pc
 
     # ------------------------------------------------------------------
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._observe(set_index, access)
         if self.is_friendly(access.pc):
             self._rrpv[set_index][line.way] = 0
@@ -139,7 +143,7 @@ class HawkeyePolicy(ReplacementPolicy):
             self._rrpv[set_index][line.way] = self.max_rrpv
         self._line_pc[set_index][line.way] = access.pc
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._observe(set_index, access)
         if self.is_friendly(access.pc):
             self._rrpv[set_index][line.way] = 0
@@ -147,26 +151,18 @@ class HawkeyePolicy(ReplacementPolicy):
             self._rrpv[set_index][line.way] = self.max_rrpv
         self._line_pc[set_index][line.way] = access.pc
 
-    def on_evict(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_evict(self, set_index: int, lines: Sequence[CacheLine],
+                 victim: CacheLine, access: PolicyAccess) -> None:
         # Evicting a friendly line means the predictor was too optimistic for
         # the PC that inserted it (Hawkeye's detraining on cache-averse turn).
-        inserting_pc = self._line_pc[set_index][line.way]
-        if self._rrpv[set_index][line.way] == 0:
+        inserting_pc = self._line_pc[set_index][victim.way]
+        if self._rrpv[set_index][victim.way] == 0:
             self._train(inserting_pc, opt_hit=False)
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        rrpv = self._rrpv[set_index]
-        averse = [line for line in lines if rrpv[line.way] >= self.max_rrpv]
-        if averse:
-            return min(averse, key=lambda line: line.last_access).way
-        # No averse line resident: evict the oldest friendly line.
-        return min(lines, key=lambda line: line.last_access).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
-        rrpv = self._rrpv[set_index]
-        return [float(rrpv[line.way]) for line in lines]
+        # The resident lines are ways 0..n-1.
+        return self._rrpv[set_index][:len(lines)]
 
     def describe(self) -> str:
         return ("Hawkeye: reconstructs Belady's decisions with OPTgen on "

@@ -13,8 +13,9 @@ here follows the hashed-perceptron recipe:
   were never re-referenced (reinforce no-reuse), with a margin threshold as
   in perceptron branch predictors.
 
-Victim selection evicts the line with the lowest predicted reuse score;
-insertions from strongly negative PCs may optionally be bypassed.
+Victim selection evicts the line with the lowest predicted reuse score (the
+oldest such line on ties); insertions from strongly negative PCs may
+optionally be bypassed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
+    least_recently_used,
     register_policy,
 )
 
@@ -34,6 +36,7 @@ class MLPPolicy(ReplacementPolicy):
     """Hashed-perceptron reuse predictor driving victim selection."""
 
     name = "mlp"
+    tie_break = staticmethod(least_recently_used)
 
     #: feature table sizes (entries) — kept small like hardware budgets.
     TABLE_SIZE = 2048
@@ -51,14 +54,12 @@ class MLPPolicy(ReplacementPolicy):
         # reuse flag used for training on eviction.
         self._line_features: List[List[Tuple[int, ...]]] = []
         self._line_reused: List[List[bool]] = []
-        self._line_score: List[List[float]] = []
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
         self._tables = [dict() for _ in range(4)]
         self._line_features = [[(0, 0, 0, 0)] * num_ways for _ in range(num_sets)]
         self._line_reused = [[False] * num_ways for _ in range(num_sets)]
-        self._line_score = [[0.0] * num_ways for _ in range(num_sets)]
 
     # ------------------------------------------------------------------
     # features / prediction
@@ -97,31 +98,26 @@ class MLPPolicy(ReplacementPolicy):
             return 2
         return 3
 
-    def predicted_reuse(self, pc: int, block_address: int = 0, age: int = 0) -> int:
-        """Public helper: current reuse score for a (pc, address) pair."""
-        return self._predict(self._features(pc, block_address, self._recency_bucket(age)))
-
     # ------------------------------------------------------------------
     # policy interface
     # ------------------------------------------------------------------
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._train(self._line_features[set_index][line.way], reused=True)
         self._line_reused[set_index][line.way] = True
-        features = self._features(access.pc, access.block_address, 0)
-        self._line_features[set_index][line.way] = features
-        self._line_score[set_index][line.way] = float(self._predict(features))
+        self._line_features[set_index][line.way] = self._features(
+            access.pc, access.block_address, 0)
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
-        features = self._features(access.pc, access.block_address, 0)
-        self._line_features[set_index][line.way] = features
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
+        self._line_features[set_index][line.way] = self._features(
+            access.pc, access.block_address, 0)
         self._line_reused[set_index][line.way] = False
-        self._line_score[set_index][line.way] = float(self._predict(features))
 
-    def on_evict(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
-        if not self._line_reused[set_index][line.way]:
-            self._train(self._line_features[set_index][line.way], reused=False)
+    def on_evict(self, set_index: int, lines: Sequence[CacheLine],
+                 victim: CacheLine, access: PolicyAccess) -> None:
+        if not self._line_reused[set_index][victim.way]:
+            self._train(self._line_features[set_index][victim.way], reused=False)
 
-    def should_bypass(self, set_index: int, lines: Sequence[CacheLineView],
+    def should_bypass(self, set_index: int, lines: Sequence[CacheLine],
                       access: PolicyAccess) -> bool:
         if not self.allow_bypass:
             return False
@@ -130,18 +126,7 @@ class MLPPolicy(ReplacementPolicy):
         score = self._predict(self._features(access.pc, access.block_address, 0))
         return score <= self.bypass_threshold
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        def line_score(line: CacheLineView) -> Tuple[float, int]:
-            age = access.access_index - line.last_access
-            features = self._features(line.pc, line.block_address,
-                                      self._recency_bucket(age))
-            # Lower predicted reuse first; break ties with older lines.
-            return (float(self._predict(features)), line.last_access)
-
-        return min(lines, key=line_score).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
         scores = []
         for line in lines:

@@ -9,7 +9,8 @@ follows the paper's structure:
   temporal-difference-style step from observed reuse distances (on hits) and
   from "never reused before eviction" outcomes (large penalty);
 * each resident line carries ``etr = predicted_reuse_distance - elapsed``;
-  the victim is the line with the largest ETR (most remote predicted reuse);
+  the victim is the line with the largest ETR (most remote predicted reuse),
+  the oldest such line on ties;
 * a scan/no-reuse prediction (very large predicted distance) can trigger
   bypass.
 
@@ -23,9 +24,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
+    least_recently_used,
     register_policy,
 )
 
@@ -35,6 +37,7 @@ class MockingjayPolicy(ReplacementPolicy):
     """ETR-ordered eviction driven by a PC-indexed reuse-distance predictor."""
 
     name = "mockingjay"
+    tie_break = staticmethod(least_recently_used)
 
     #: predicted distance assigned to PCs never observed to reuse.
     INFINITE_DISTANCE = 1 << 20
@@ -86,14 +89,14 @@ class MockingjayPolicy(ReplacementPolicy):
     # ------------------------------------------------------------------
     # ETR computation
     # ------------------------------------------------------------------
-    def estimated_time_remaining(self, line: CacheLineView, now: int) -> float:
+    def estimated_time_remaining(self, line: CacheLine, now: int) -> float:
         elapsed = now - line.last_access
         return self.predicted_distance(line.pc) - elapsed
 
     # ------------------------------------------------------------------
     # policy interface
     # ------------------------------------------------------------------
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         observed = access.access_index - self._line_last_touch[set_index][line.way]
         trainee = self._line_pc[set_index][line.way]
         self._train(trainee, float(observed))
@@ -101,19 +104,20 @@ class MockingjayPolicy(ReplacementPolicy):
         self._line_last_touch[set_index][line.way] = access.access_index
         self._line_reused[set_index][line.way] = True
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._line_pc[set_index][line.way] = access.pc
         self._line_last_touch[set_index][line.way] = access.access_index
         self._line_reused[set_index][line.way] = False
 
-    def on_evict(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
-        if not self._line_reused[set_index][line.way]:
+    def on_evict(self, set_index: int, lines: Sequence[CacheLine],
+                 victim: CacheLine, access: PolicyAccess) -> None:
+        if not self._line_reused[set_index][victim.way]:
             # Evicted without reuse: push the inserting PC's prediction out.
-            trainee = self._line_pc[set_index][line.way]
-            elapsed = access.access_index - self._line_last_touch[set_index][line.way]
+            trainee = self._line_pc[set_index][victim.way]
+            elapsed = access.access_index - self._line_last_touch[set_index][victim.way]
             self._train(trainee, float(max(elapsed * 4, 1024)))
 
-    def should_bypass(self, set_index: int, lines: Sequence[CacheLineView],
+    def should_bypass(self, set_index: int, lines: Sequence[CacheLine],
                       access: PolicyAccess) -> bool:
         if not self.allow_bypass:
             return False
@@ -121,13 +125,7 @@ class MockingjayPolicy(ReplacementPolicy):
             return False
         return self.predicted_distance(access.pc) >= self.bypass_distance
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        now = access.access_index
-        return max(lines, key=lambda line: (self.estimated_time_remaining(line, now),
-                                            -line.last_access)).way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
         now = access.access_index
         return [self.estimated_time_remaining(line, now) for line in lines]

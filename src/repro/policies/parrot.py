@@ -23,14 +23,18 @@ paper ("Belady vs. PARROT").
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Sequence
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
+    least_recently_used,
     register_policy,
 )
+
+_next_use = attrgetter("next_use")
 
 
 @register_policy
@@ -41,6 +45,7 @@ class ParrotPolicy(ReplacementPolicy):
     #: the trainer consumes oracle labels while replaying the trace, exactly
     #: like PARROT's offline training pipeline; decisions never use them.
     requires_future = True
+    tie_break = staticmethod(least_recently_used)
 
     WEIGHT_LIMIT = 64.0
     LEARNING_RATE = 1.0
@@ -66,42 +71,30 @@ class ParrotPolicy(ReplacementPolicy):
             return 2
         return 3
 
-    def _evict_score(self, line: CacheLineView, now: int) -> float:
+    def _evict_score(self, line: CacheLine, now: int) -> float:
         pc_component = self._pc_weight.get(line.pc, 0.0)
         age_component = self._age_weight[self._age_bucket(now - line.last_access)]
         return pc_component + age_component
 
-    def _imitation_update(self, lines: Sequence[CacheLineView],
-                          chosen_way: int, access: PolicyAccess) -> None:
-        """Perceptron step toward Belady's choice for this eviction."""
-        if not self.train:
-            return
-        oracle = max(lines, key=lambda line: line.next_use)
-        if oracle.way == chosen_way:
-            return
-        chosen = next(line for line in lines if line.way == chosen_way)
-        # Push the oracle victim's PC toward "evict me" and pull the line we
-        # wrongly evicted toward "keep me".
-        oracle_weight = self._pc_weight.get(oracle.pc, 0.0) + self.LEARNING_RATE
-        chosen_weight = self._pc_weight.get(chosen.pc, 0.0) - self.LEARNING_RATE
-        self._pc_weight[oracle.pc] = min(self.WEIGHT_LIMIT, oracle_weight)
-        self._pc_weight[chosen.pc] = max(-self.WEIGHT_LIMIT, chosen_weight)
-
     # ------------------------------------------------------------------
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        chosen = max(lines, key=lambda line: (self._evict_score(line, access.access_index),
-                                              -line.last_access))
-        self._imitation_update(lines, chosen.way, access)
-        return chosen.way
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
         return [self._evict_score(line, access.access_index) for line in lines]
 
-    def pc_eviction_bias(self, pc: int) -> float:
-        """Learned tendency of this PC's lines to be evicted (public helper)."""
-        return self._pc_weight.get(pc, 0.0)
+    def on_evict(self, set_index: int, lines: Sequence[CacheLine],
+                 victim: CacheLine, access: PolicyAccess) -> None:
+        """Perceptron step toward Belady's choice for this eviction."""
+        if not self.train:
+            return
+        oracle = max(lines, key=_next_use)
+        if oracle is victim:
+            return
+        # Push the oracle victim's PC toward "evict me" and pull the line we
+        # wrongly evicted toward "keep me".
+        oracle_weight = self._pc_weight.get(oracle.pc, 0.0) + self.LEARNING_RATE
+        victim_weight = self._pc_weight.get(victim.pc, 0.0) - self.LEARNING_RATE
+        self._pc_weight[oracle.pc] = min(self.WEIGHT_LIMIT, oracle_weight)
+        self._pc_weight[victim.pc] = max(-self.WEIGHT_LIMIT, victim_weight)
 
     def describe(self) -> str:
         return ("PARROT-style imitation learning: a compact PC-indexed scorer "

@@ -4,7 +4,8 @@ RRIP (Jaleel et al., ISCA 2010) keeps a small saturating counter (the
 re-reference prediction value, RRPV) per line:
 
 * a line with RRPV == max is predicted to be re-referenced in the distant
-  future and is the eviction victim;
+  future and is the eviction victim (when none is, every line ages until
+  one is);
 * SRRIP inserts new lines with a "long" interval (max - 1) so scans age out
   quickly;
 * BRRIP inserts with the distant interval most of the time and the long
@@ -18,7 +19,7 @@ import random
 from typing import List, Sequence
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
     ReplacementPolicy,
     register_policy,
@@ -44,27 +45,26 @@ class _RRIPBase(ReplacementPolicy):
         return self.max_rrpv - 1
 
     # policy interface ---------------------------------------------------
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._rrpv[set_index][line.way] = 0
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._rrpv[set_index][line.way] = self.insertion_rrpv(set_index, access)
 
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
+    def on_evict(self, set_index: int, lines: Sequence[CacheLine],
+                 victim: CacheLine, access: PolicyAccess) -> None:
+        # Age every way until the victim's RRPV is max: the set is full, so
+        # this is RRIP's age-and-retry loop in one step.
         rrpv = self._rrpv[set_index]
-        while True:
-            for line in lines:
-                if rrpv[line.way] >= self.max_rrpv:
-                    return line.way
-            # Age every resident line and retry (bounded by max_rrpv rounds).
-            for line in lines:
-                rrpv[line.way] = min(self.max_rrpv, rrpv[line.way] + 1)
+        age = self.max_rrpv - rrpv[victim.way]
+        if age:
+            rrpv[:] = [value + age for value in rrpv]
 
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
+    def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
-        rrpv = self._rrpv[set_index]
-        return [float(rrpv[line.way]) for line in lines]
+        # The resident lines are ways 0..n-1; the victim is the first way
+        # with the largest RRPV.
+        return self._rrpv[set_index][:len(lines)]
 
 
 @register_policy
@@ -135,7 +135,7 @@ class DRRIPPolicy(_RRIPBase):
             return self.max_rrpv - 1
         return self.max_rrpv
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         # A fill means the access missed: charge the owning leader policy.
         self._dueling.record_miss(set_index)
         super().on_fill(set_index, line, access)

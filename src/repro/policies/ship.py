@@ -13,30 +13,27 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.policies.base import (
-    CacheLineView,
+    CacheLine,
     PolicyAccess,
-    ReplacementPolicy,
     register_policy,
 )
+from repro.policies.rrip import _RRIPBase
 
 
 @register_policy
-class SHiPPolicy(ReplacementPolicy):
+class SHiPPolicy(_RRIPBase):
     """RRIP with PC-signature based re-reference prediction (SHiP-PC)."""
 
     name = "ship"
 
     def __init__(self, rrpv_bits: int = 2, signature_bits: int = 12,
                  counter_bits: int = 3, **kwargs):
-        super().__init__(**kwargs)
-        self.rrpv_bits = rrpv_bits
-        self.max_rrpv = (1 << rrpv_bits) - 1
+        super().__init__(rrpv_bits=rrpv_bits, **kwargs)
         self.signature_bits = signature_bits
         self.signature_mask = (1 << signature_bits) - 1
         self.counter_max = (1 << counter_bits) - 1
         # Signature History Counter Table (SHCT).
         self._shct: Dict[int, int] = {}
-        self._rrpv: List[List[int]] = []
         # Per (set, way): inserting signature and whether the line was reused.
         self._line_signature: List[List[int]] = []
         self._line_reused: List[List[bool]] = []
@@ -44,7 +41,6 @@ class SHiPPolicy(ReplacementPolicy):
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
         self._shct = {}
-        self._rrpv = [[self.max_rrpv] * num_ways for _ in range(num_sets)]
         self._line_signature = [[0] * num_ways for _ in range(num_sets)]
         self._line_reused = [[False] * num_ways for _ in range(num_sets)]
 
@@ -58,18 +54,22 @@ class SHiPPolicy(ReplacementPolicy):
         return self._shct.get(signature, self.counter_max // 2)
 
     # ------------------------------------------------------------------
-    def on_hit(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    # RRPVs are written here directly rather than through _RRIPBase's
+    # hooks: one call fewer per hit and two per fill.
+    def on_hit(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         self._rrpv[set_index][line.way] = 0
         self._line_reused[set_index][line.way] = True
         signature = self._line_signature[set_index][line.way]
         self._shct[signature] = min(self.counter_max, self._counter(signature) + 1)
 
-    def on_evict(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
-        if not self._line_reused[set_index][line.way]:
-            signature = self._line_signature[set_index][line.way]
+    def on_evict(self, set_index: int, lines: Sequence[CacheLine],
+                 victim: CacheLine, access: PolicyAccess) -> None:
+        if not self._line_reused[set_index][victim.way]:
+            signature = self._line_signature[set_index][victim.way]
             self._shct[signature] = max(0, self._counter(signature) - 1)
+        super().on_evict(set_index, lines, victim, access)
 
-    def on_fill(self, set_index: int, line: CacheLineView, access: PolicyAccess) -> None:
+    def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
         signature = self.signature(access.pc)
         self._line_signature[set_index][line.way] = signature
         self._line_reused[set_index][line.way] = False
@@ -77,25 +77,6 @@ class SHiPPolicy(ReplacementPolicy):
             self._rrpv[set_index][line.way] = self.max_rrpv
         else:
             self._rrpv[set_index][line.way] = self.max_rrpv - 1
-
-    def choose_victim(self, set_index: int, lines: Sequence[CacheLineView],
-                      access: PolicyAccess) -> int:
-        rrpv = self._rrpv[set_index]
-        while True:
-            for line in lines:
-                if rrpv[line.way] >= self.max_rrpv:
-                    return line.way
-            for line in lines:
-                rrpv[line.way] = min(self.max_rrpv, rrpv[line.way] + 1)
-
-    def eviction_scores(self, set_index: int, lines: Sequence[CacheLineView],
-                        access: PolicyAccess) -> List[float]:
-        rrpv = self._rrpv[set_index]
-        return [float(rrpv[line.way]) for line in lines]
-
-    def predicted_dead(self, pc: int) -> bool:
-        """Whether insertions from this PC are currently predicted dead."""
-        return self._counter(self.signature(pc)) == 0
 
     def describe(self) -> str:
         return ("SHiP: signature-based hit prediction; PCs whose lines are "

@@ -1,21 +1,23 @@
 """Set-associative cache model with pluggable replacement policies.
 
 :meth:`Cache.access` is the one policy step every generic replay takes, at
-both detail levels.  Resident :class:`CacheLine` objects double as the
-policy's views (duck-typed :class:`~repro.policies.base.CacheLineView`: same
-attributes, ``way`` pinned at fill, treated as read-only by policies), so an
-access copies no line.  Occupied ways are always a prefix of the set, since
-a fill takes the first free way and a replacement happens in place, so the
-views are one list slice.
+both detail levels.  Resident :class:`~repro.policies.base.CacheLine`
+objects are also the policy's views of them (``way`` pinned at fill,
+treated as read-only by policies), so an access copies no line.  Occupied
+ways are always a prefix of the set, since a fill takes the first free way
+and a replacement happens in place, so the views are one list slice.
 
-At ``detail="full"`` the cache owns an
+The cache, not the policy, picks each victim: a line holding the top
+score of the policy's ``eviction_scores`` (the policy's ``tie_break``
+chooses among several).  At ``detail="full"`` the cache owns an
 :class:`~repro.tracedb.schema.AccessLog` and, while ``log`` is set, each
 access first writes the only snapshots that need policy state into the
 log's flat arrays: the set's resident ``(block, pc)`` lines and the
-policy's per-line eviction scores, as they stood before the access.  A flat
-``[block, pc, ...]`` list per set, kept at fill, makes the line capture one
-``fromlist``.  The engine builds every other log column afterwards, from
-columns.
+policy's per-line eviction scores, as they stood before the access.  An
+eviction reuses those logged scores; without a log it scores the set once.
+A flat ``[block, pc, ...]`` list per set, kept at fill, makes the line
+capture one ``fromlist``.  The engine builds every other log column
+afterwards, from columns.
 
 A tag dictionary per set (block address -> way) makes residency lookups
 O(1) instead of a linear way scan.  The cache counts only what a hit column
@@ -29,7 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.policies.base import BYPASS, NEVER, PolicyAccess, ReplacementPolicy
+from repro.policies.base import (
+    CacheLine,
+    NEVER,
+    PolicyAccess,
+    ReplacementPolicy,
+)
 from repro.policies.basic import LRUPolicy
 from repro.sim.config import CacheConfig
 from repro.tracedb.schema import AccessLog
@@ -38,24 +45,6 @@ from repro.tracedb.schema import AccessLog
 DETAIL_FULL = "full"
 DETAIL_STATS = "stats"
 DETAIL_LEVELS = (DETAIL_FULL, DETAIL_STATS)
-
-
-@dataclass
-class CacheLine:
-    """One resident cache line; also the policy's view of it.
-
-    ``way`` is fixed for the line's whole residency, so the line carries
-    every attribute a :class:`~repro.policies.base.CacheLineView` does.
-    """
-
-    block_address: int
-    pc: int
-    inserted_at: int
-    last_access: int
-    next_use: int = NEVER
-    dirty: bool = False
-    way: int = -1
-    valid: bool = True
 
 
 @dataclass
@@ -113,10 +102,12 @@ class CacheStats:
 class Cache:
     """A single set-associative cache level driven by a replacement policy.
 
-    After each :meth:`access`, ``evicted`` holds the block it evicted (-1
-    for none) and, when it evicted one, ``evicted_next_use`` that block's
-    next use: a resident line is not accessed between its last access and
-    its eviction, so its ``next_use`` is still current.  At full detail,
+    A miss in a full set evicts a line holding the policy's top eviction
+    score, and the policy's ``on_evict`` sees it go.  After each
+    :meth:`access`, ``evicted`` holds the block it evicted (-1 for none)
+    and, when it evicted one, ``evicted_next_use`` that block's next use:
+    a resident line is not accessed between its last access and its
+    eviction, so its ``next_use`` is still current.  At full detail,
     ``log`` receives each access's snapshots until the engine sets it to
     ``None``.
     """
@@ -147,39 +138,8 @@ class Cache:
         self.log: Optional[AccessLog] = (AccessLog() if detail == DETAIL_FULL
                                          else None)
 
-    # ------------------------------------------------------------------
-    # address helpers
-    # ------------------------------------------------------------------
-    def block_address(self, byte_address: int) -> int:
-        return byte_address // self.block_bytes
-
-    def set_index(self, block_address: int) -> int:
-        return block_address % self.num_sets
-
-    # ------------------------------------------------------------------
-    # lookup helpers
-    # ------------------------------------------------------------------
-    def lookup(self, block_address: int) -> Tuple[Optional[int], Optional[CacheLine]]:
-        """Return (way, line) if the block is resident, else (None, None)."""
-        set_index = self.set_index(block_address)
-        way = self._tags[set_index].get(block_address)
-        if way is None:
-            return None, None
-        return way, self.sets[set_index][way]
-
-    def contains(self, byte_address: int) -> bool:
-        way, _line = self.lookup(self.block_address(byte_address))
-        return way is not None
-
-    def occupancy(self) -> int:
-        return sum(len(tags) for tags in self._tags)
-
-    # ------------------------------------------------------------------
-    # the policy step
-    # ------------------------------------------------------------------
-    def access(self, pc: int, byte_address: int, is_write: bool,
-               access_index: int, next_use: int = NEVER,
-               is_prefetch: bool = False) -> bool:
+    def access(self, pc: int, byte_address: int, access_index: int,
+               next_use: int = NEVER) -> bool:
         """Service one access; return whether it hit."""
         block_address = byte_address // self.block_bytes
         set_index = block_address % self.num_sets
@@ -187,11 +147,10 @@ class Cache:
         tags = self._tags[set_index]
         policy = self.policy
         policy_access = PolicyAccess(
-            pc=pc, block_address=block_address, is_write=is_write,
-            access_index=access_index, next_use=next_use,
-            is_prefetch=is_prefetch)
+            pc=pc, block_address=block_address, access_index=access_index,
+            next_use=next_use)
         self.evicted = -1
-        views = None
+        views = scores = None
         log = self.log
         if log is not None:
             views = cache_set[:len(tags)]
@@ -200,8 +159,9 @@ class Cache:
             log.line_offsets.append(len(log.line_pairs))
             if views:
                 # At most one score per line, as zip would pair them.
-                log.score_values.fromlist(policy.eviction_scores(
-                    set_index, views, policy_access)[:len(views)])
+                scores = policy.eviction_scores(
+                    set_index, views, policy_access)[:len(views)]
+                log.score_values.fromlist(scores)
             log.score_offsets.append(len(log.score_values))
 
         way = tags.get(block_address)
@@ -209,8 +169,6 @@ class Cache:
             line = cache_set[way]
             line.last_access = access_index
             line.next_use = next_use
-            if is_write:
-                line.dirty = True
             policy.on_hit(set_index, line, policy_access)
             return True
 
@@ -222,35 +180,33 @@ class Cache:
         if len(tags) < self.num_ways:
             way = len(tags)
         else:
-            way = policy.choose_victim(set_index, views, policy_access)
-            if way == BYPASS:
-                self.bypasses += 1
-                return False
-            victim = cache_set[way]
-            if victim is not None:  # defensive: policy pointed at a hole
-                policy.on_evict(set_index, victim, policy_access)
-                self.evictions += 1
-                self.evicted = victim.block_address
-                self.evicted_next_use = victim.next_use
-                del tags[victim.block_address]
+            if scores is None:
+                scores = policy.eviction_scores(
+                    set_index, views, policy_access)[:len(views)]
+            # Evict a top-scored line: the first, unless the policy breaks
+            # a shared top its own way.
+            tie_break = policy.tie_break
+            if tie_break is not None and scores.count(scores[0]) == len(views):
+                victim = tie_break(views)  # every line holds the top score
+            else:
+                top = max(scores)
+                victim = views[scores.index(top)]
+                if tie_break is not None and scores.count(top) > 1:
+                    victim = tie_break([line for line, score
+                                        in zip(views, scores) if score == top])
+            policy.on_evict(set_index, views, victim, policy_access)
+            self.evictions += 1
+            self.evicted = victim.block_address
+            self.evicted_next_use = victim.next_use
+            del tags[victim.block_address]
+            way = victim.way
 
         line = CacheLine(
             block_address=block_address, pc=pc, inserted_at=access_index,
-            last_access=access_index, next_use=next_use, dirty=is_write,
-            way=way)
+            last_access=access_index, next_use=next_use, way=way)
         cache_set[way] = line
         tags[block_address] = way
         # Appends for a new way, overwrites for a replaced one.
         self._lines[set_index][2 * way:2 * way + 2] = block_address, pc
         policy.on_fill(set_index, line, policy_access)
         return False
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Invalidate every line and reset policy state (keeps counters)."""
-        self.sets = [[None] * self.num_ways for _ in range(self.num_sets)]
-        self._tags = [{} for _ in range(self.num_sets)]
-        self._lines = [[] for _ in range(self.num_sets)]
-        self.policy.reset()

@@ -145,19 +145,17 @@ class LLCStream:
     """The accesses one mode sends to the LLC, as columns, with their
     policy-independent derivations memoised per geometry.
 
-    ``pcs``/``addresses``/``flags`` iterate as Python ints (the loops' and
-    the policies' inputs); ``address_array`` is the numpy form.
+    ``pcs``/``addresses`` iterate as Python ints (the loops' and the
+    policies' inputs); ``address_array`` is the numpy form.
     ``positions`` indexes the stream's accesses within the trace (a full
     slice in ``llc_only`` mode); ``levels`` holds one service-level code
     per *trace* access: L1/L2 for the upper-level hits, LLC for the rest.
     """
 
     def __init__(self, pcs: Sequence[int], addresses: Sequence[int],
-                 flags: Sequence[int], address_array: np.ndarray,
-                 positions, levels: np.ndarray):
+                 address_array: np.ndarray, positions, levels: np.ndarray):
         self.pcs = pcs
         self.addresses = addresses
-        self.flags = flags
         self.address_array = address_array
         self.positions = positions
         self.levels = levels
@@ -222,9 +220,8 @@ class ReplayCore:
                        lambda: self._filtered_stream(config))
 
     def _whole_trace_stream(self) -> LLCStream:
-        pcs, addresses, flags, _instr = self.trace.columns()
-        return LLCStream(pcs, addresses, flags, self._address_array,
-                         slice(None),
+        pcs, addresses, _flags, _instr = self.trace.columns()
+        return LLCStream(pcs, addresses, self._address_array, slice(None),
                          np.full(len(addresses), CODE_LLC, dtype=np.uint8))
 
     def _filtered_stream(self, config: HierarchyConfig) -> LLCStream:
@@ -238,7 +235,6 @@ class ReplayCore:
         stream_addresses = addresses[positions]
         return LLCStream(self._pc_array[positions].tolist(),
                          stream_addresses.tolist(),
-                         self._flag_array[positions].tolist(),
                          stream_addresses, positions, levels)
 
     def post_pass(self, stream: LLCStream, config: HierarchyConfig,
@@ -284,11 +280,10 @@ def policy_steps(cache: Cache, stream: LLCStream,
     just yielded evicted (-1 for none).
     """
     access = cache.access
-    for position, (pc, address, flag, nxt) in enumerate(zip(
-            stream.pcs, stream.addresses, stream.flags,
+    for position, (pc, address, nxt) in enumerate(zip(
+            stream.pcs, stream.addresses,
             repeat(NEVER) if next_use is None else next_use)):
-        yield access(pc, address, bool(flag & FLAG_WRITE), position, nxt,
-                     bool(flag & FLAG_PREFETCH))
+        yield access(pc, address, position, nxt)
 
 
 # Native kernels: one rollout over the stream's shared block/set columns
@@ -325,7 +320,8 @@ def _belady_kernel(blocks, sets, num_sets, num_ways,
     # set_index * num_ways + way.  Fills-only caches fill ways 0..W-1 in
     # order, so the per-set occupancy counter IS the next free way; the
     # victim scan takes the first way-order maximum (strictly-greater
-    # comparisons), matching max(lines, key=next_use).
+    # comparisons): the generic loop's first top-scored line, since
+    # Belady's score grows with the next use.
     resident_block = [-1] * (num_sets * num_ways)
     resident_next = [0] * (num_sets * num_ways)
     occupancy = [0] * num_sets
@@ -364,8 +360,9 @@ def _srrip_kernel(blocks, sets, num_sets, num_ways,
                   _next_use=None) -> Tuple[bytearray, int]:
     # Flat RRPV column (2-bit counters, the registry default): hit -> 0,
     # fill -> max-1, victim = first way at max in way order, ageing every
-    # way and retrying when none is — exactly _RRIPBase.choose_victim over
-    # a full set.
+    # way and retrying when none is — the first top-scored way that
+    # _RRIPBase's scores give and the ageing its on_evict does, over a
+    # full set.
     max_rrpv = 3
     insertion = max_rrpv - 1
     resident_block = [-1] * (num_sets * num_ways)

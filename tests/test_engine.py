@@ -1,10 +1,11 @@
 """Simulation engine determinism and trace reproducibility."""
 
 import hashlib
+from functools import lru_cache
 
 import pytest
 
-from repro.policies import LRUPolicy, available_policies
+from repro.policies import LRUPolicy, available_policies, get_policy
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.workloads.generator import available_workloads, generate_trace
@@ -32,6 +33,36 @@ PINNED_FULL_DETAIL_DIGESTS = {
     "srrip": "52b8a1d01adbd231",
 }
 DIGEST_ACCESSES = 200
+
+#: TINY with a 16-way LLC (8 sets): wide sets, where top eviction scores
+#: tie far more often than in TINY's 4 ways.
+WIDE_CONFIG = TINY_CONFIG.scaled_llc(8 * 1024, num_ways=16)
+#: Pinned stats-detail digests on :data:`WIDE_CONFIG` (see
+#: :func:`_wide_stats_digest`); they pin each policy's victim choice and
+#: tie-break, which a stats replay records only in its counters.
+PINNED_WIDE_STATS_DIGESTS = {
+    "belady": "23c782ce95aa0de2",
+    "brrip": "800422dd4d56bc01",
+    "bypass": "eaae742f187b411a",
+    "dip": "2915ca8f3d7b8caa",
+    "drrip": "2f385c1af652040f",
+    "fifo": "bd48a9a8351f9941",
+    "hawkeye": "91e1960b56859db7",
+    "lru": "eaae742f187b411a",
+    "mlp": "524c8fa78b0a1fed",
+    "mockingjay": "b55e8e09a452fa1c",
+    "parrot": "c19e0d6813f7c159",
+    "plru": "01ba91033dafa708",
+    "random": "15e564faa77c1c47",
+    "ship": "4c4a1507a28c7de0",
+    "srrip": "f8b81424e1875b6a",
+}
+WIDE_ACCESSES = 1000
+
+
+@lru_cache(maxsize=None)
+def _wide_trace(workload):
+    return generate_trace(workload, WIDE_ACCESSES)
 
 
 def _run(trace, policy_name):
@@ -118,9 +149,53 @@ class _MiscountedScores(LRUPolicy):
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_eviction_scores_pair_with_resident_lines_as_zip_does(extra):
     trace = generate_trace("astar", num_accesses=300, seed=0)
-    log = _run(trace, _MiscountedScores(extra)).log
+    full = _run(trace, _MiscountedScores(extra))
+    log = full.log
     for i in range(len(log)):
         lines = log.row_lines(i)
         assert log.row_scores(i) == list(zip(
             [block for block, _pc in lines],
             [float(k) for k in range(len(lines) + extra)]))
+    # The victim comes from the same pairing at stats detail, which logs
+    # nothing and scores only on eviction.
+    stats = SimulationEngine(config=TINY_CONFIG, detail="stats").run(
+        trace, _MiscountedScores(extra))
+    assert full.llc_stats.evictions
+    assert stats.llc_stats.as_tuple() == full.llc_stats.as_tuple()
+
+
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_evicted_block_holds_its_rows_top_eviction_score(policy_name):
+    """The paper's trace schema logs each access's eviction scores next to
+    its evicted address; the evicted line must hold the top score."""
+    evictions = 0
+    for config in (TINY_CONFIG, WIDE_CONFIG):
+        engine = SimulationEngine(config=config)
+        for workload in available_workloads():
+            log = engine.run(_wide_trace(workload), policy_name).log
+            for i, evicted in enumerate(log.evicted_blocks):
+                if evicted != -1:
+                    scores = dict(log.row_scores(i))
+                    assert scores[evicted] == max(scores.values()), (
+                        config.llc.num_ways, workload, i)
+                    evictions += 1
+    assert evictions
+
+
+def _wide_stats_digest(policy_name):
+    """sha256 (16 hex) over the LLC counters and cycles of each workload at
+    stats detail on :data:`WIDE_CONFIG`.  A policy instance takes the
+    generic loop even where a name would take a native kernel."""
+    digest = hashlib.sha256()
+    engine = SimulationEngine(config=WIDE_CONFIG, detail="stats")
+    for workload in available_workloads():
+        result = engine.run(_wide_trace(workload), get_policy(policy_name))
+        digest.update(repr((result.llc_stats.as_tuple(),
+                            result.timing.cycles)).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_wide_stats_detail_matches_pinned_digests(policy_name):
+    assert (_wide_stats_digest(policy_name)
+            == PINNED_WIDE_STATS_DIGESTS[policy_name])

@@ -292,15 +292,3 @@ def test_per_set_counters_are_preallocated_lists():
     stats.per_set_accesses[1] = 4
     stats.per_set_hits[1] = 3
     assert stats.set_hit_rates() == {1: 0.75}
-
-
-def test_cache_lookup_uses_tag_maps_consistently():
-    cache = Cache(TINY_CONFIG.llc)
-    cache.access(pc=0x400000, byte_address=0x1000, is_write=False, access_index=0)
-    assert cache.contains(0x1000)
-    way, line = cache.lookup(cache.block_address(0x1000))
-    assert way is not None and line.block_address == cache.block_address(0x1000)
-    assert cache.occupancy() == 1
-    cache.flush()
-    assert not cache.contains(0x1000)
-    assert cache.occupancy() == 0
