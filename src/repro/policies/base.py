@@ -9,6 +9,10 @@ A policy sees the cache through two small value objects:
   address, inserting PC, insertion/last-touch times and the line's own
   next-use index), which policies treat as read-only.
 
+The cache hands every hook of one access the same :class:`PolicyAccess`,
+one object per cache that it rewrites on each access.  So a policy copies
+the fields it needs and never keeps the object.
+
 The simulator drives the policy with ``on_hit`` / ``on_fill`` notifications
 and asks ``should_bypass`` before allocating on a miss.  ``eviction_scores``
 is the one scoring rule: the trace database stores it as the paper's
@@ -32,7 +36,12 @@ NEVER = 1 << 60
 
 @dataclass
 class PolicyAccess:
-    """The memory access currently being serviced by the cache."""
+    """The memory access currently being serviced by the cache.
+
+    Each cache keeps one and rewrites its fields on every access, so it is
+    valid only during the hook call that receives it: a policy copies the
+    fields it needs and never keeps the object.
+    """
 
     pc: int
     block_address: int
@@ -115,8 +124,8 @@ class ReplacementPolicy:
                         access: PolicyAccess) -> List[float]:
         """Per-line eviction priority (higher = evicted sooner), paired with
         ``lines`` as zip pairs them; the victim holds the top score.  The
-        access log stores each as a double, so exact integers may stay
-        ints.
+        lines are the set's ways 0..n-1, in order.  The access log stores
+        each score as a double, so exact integers may stay ints.
 
         The default is recency age, which evicts the least recently used
         line.

@@ -20,7 +20,7 @@ optionally be bypassed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.policies.base import (
     CacheLine,
@@ -49,17 +49,20 @@ class MLPPolicy(ReplacementPolicy):
         super().__init__(**kwargs)
         self.allow_bypass = allow_bypass
         self.bypass_threshold = bypass_threshold
-        self._tables: List[Dict[int, int]] = [dict() for _ in range(4)]
-        # Per (set, way): the feature vector captured at fill time and a
-        # reuse flag used for training on eviction.
+        self._tables: List[List[int]] = []
+        # Per (set, way): the feature vector of the line's last access and
+        # a reuse flag, both for training on eviction, and the table indices
+        # that score the line (see :meth:`on_fill`).
         self._line_features: List[List[Tuple[int, ...]]] = []
         self._line_reused: List[List[bool]] = []
+        self._line_score_keys: List[List[Tuple[int, ...]]] = []
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._tables = [dict() for _ in range(4)]
+        self._tables = [[0] * self.TABLE_SIZE for _ in range(4)]
         self._line_features = [[(0, 0, 0, 0)] * num_ways for _ in range(num_sets)]
         self._line_reused = [[False] * num_ways for _ in range(num_sets)]
+        self._line_score_keys = [[(0,) * 7] * num_ways for _ in range(num_sets)]
 
     # ------------------------------------------------------------------
     # features / prediction
@@ -74,8 +77,8 @@ class MLPPolicy(ReplacementPolicy):
 
     def _predict(self, features: Tuple[int, ...]) -> int:
         first, second, third, fourth = self._tables
-        return (first.get(features[0], 0) + second.get(features[1], 0)
-                + third.get(features[2], 0) + fourth.get(features[3], 0))
+        return (first[features[0]] + second[features[1]]
+                + third[features[2]] + fourth[features[3]])
 
     def _train(self, features: Tuple[int, ...], reused: bool) -> None:
         prediction = self._predict(features)
@@ -85,18 +88,8 @@ class MLPPolicy(ReplacementPolicy):
             return
         delta = 1 if reused else -1
         for table, index in zip(self._tables, features):
-            weight = table.get(index, 0) + delta
+            weight = table[index] + delta
             table[index] = max(self.WEIGHT_MIN, min(self.WEIGHT_MAX, weight))
-
-    @staticmethod
-    def _recency_bucket(age: int) -> int:
-        if age < 16:
-            return 0
-        if age < 128:
-            return 1
-        if age < 1024:
-            return 2
-        return 3
 
     # ------------------------------------------------------------------
     # policy interface
@@ -108,9 +101,16 @@ class MLPPolicy(ReplacementPolicy):
             access.pc, access.block_address, 0)
 
     def on_fill(self, set_index: int, line: CacheLine, access: PolicyAccess) -> None:
-        self._line_features[set_index][line.way] = self._features(
-            access.pc, access.block_address, 0)
+        features = self._features(access.pc, access.block_address, 0)
+        self._line_features[set_index][line.way] = features
         self._line_reused[set_index][line.way] = False
+        # The line's score keys hold for its whole residency, since its pc
+        # and block are the filling access's: the fill features (recency
+        # bucket 0), then the recency feature of buckets 1..3.
+        low = access.pc & 0xFF
+        size = self.TABLE_SIZE
+        self._line_score_keys[set_index][line.way] = features + (
+            (977 + low) % size, (2 * 977 + low) % size, (3 * 977 + low) % size)
 
     def on_evict(self, set_index: int, lines: Sequence[CacheLine],
                  victim: CacheLine, access: PolicyAccess) -> None:
@@ -128,13 +128,26 @@ class MLPPolicy(ReplacementPolicy):
 
     def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
+        now = access.access_index
+        first, second, third, fourth = self._tables
         scores = []
-        for line in lines:
-            age = access.access_index - line.last_access
-            features = self._features(line.pc, line.block_address,
-                                      self._recency_bucket(age))
-            # Higher score = evicted sooner, so negate the reuse prediction.
-            scores.append(-float(self._predict(features)))
+        append = scores.append
+        # The resident lines are ways 0..n-1.
+        for line, (k1, k2, k3, young, recent, old, oldest) in zip(
+                lines, self._line_score_keys[set_index]):
+            age = now - line.last_access
+            if age < 16:
+                recency = young
+            elif age < 128:
+                recency = recent
+            elif age < 1024:
+                recency = old
+            else:
+                recency = oldest
+            total = first[k1] + second[k2] + third[k3] + fourth[recency]
+            # Higher score = evicted sooner, so negate the reuse prediction
+            # (a zero prediction scores -0.0).
+            append(-float(total))
         return scores
 
     def describe(self) -> str:

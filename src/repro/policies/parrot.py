@@ -10,9 +10,10 @@ smaller hypothesis class so it runs instantly:
   annotations available to the *trainer*, every eviction decision produces an
   imitation example: the line Belady would evict is the positive class.
 * **model** — a per-PC logistic scorer plus a recency feature.  The score of
-  a resident line is ``w_pc[line.pc] + w_age * age_bucket``; the line with the
-  highest "evict me" score is chosen.  Weights are updated with a perceptron
-  step toward Belady's choice.
+  a resident line is ``w_pc[line.pc] + w_age[age_bucket]``, its age bucketed
+  at 32, 256 and 2048 accesses; the line with the highest "evict me" score
+  is chosen.  The PC weights are updated with a perceptron step toward
+  Belady's choice.
 * **deployment** — the *decision* never looks at next-use information, only
   the learned weights, mirroring offline training followed by deployment.
 
@@ -61,25 +62,25 @@ class ParrotPolicy(ReplacementPolicy):
         self._pc_weight = {}
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _age_bucket(age: int) -> int:
-        if age < 32:
-            return 0
-        if age < 256:
-            return 1
-        if age < 2048:
-            return 2
-        return 3
-
-    def _evict_score(self, line: CacheLine, now: int) -> float:
-        pc_component = self._pc_weight.get(line.pc, 0.0)
-        age_component = self._age_weight[self._age_bucket(now - line.last_access)]
-        return pc_component + age_component
-
-    # ------------------------------------------------------------------
     def eviction_scores(self, set_index: int, lines: Sequence[CacheLine],
                         access: PolicyAccess) -> List[float]:
-        return [self._evict_score(line, access.access_index) for line in lines]
+        now = access.access_index
+        pc_weight = self._pc_weight.get
+        young, recent, old, oldest = self._age_weight
+        scores = []
+        append = scores.append
+        for line in lines:
+            age = now - line.last_access
+            if age < 32:
+                age_weight = young
+            elif age < 256:
+                age_weight = recent
+            elif age < 2048:
+                age_weight = old
+            else:
+                age_weight = oldest
+            append(pc_weight(line.pc, 0.0) + age_weight)
+        return scores
 
     def on_evict(self, set_index: int, lines: Sequence[CacheLine],
                  victim: CacheLine, access: PolicyAccess) -> None:

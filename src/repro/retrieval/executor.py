@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import CodeType
 from typing import Any, Dict, Optional
 
 _ALLOWED_BUILTINS = {
@@ -50,6 +52,15 @@ _FORBIDDEN_PATTERNS = (
     re.compile(r"\beval\s*\("),
 )
 
+#: How many distinct code texts keep their compiled code.  A text is a pure
+#: function of its question, so a served question compiles once.
+COMPILED_CODE_LIMIT = 256
+
+
+@lru_cache(maxsize=COMPILED_CODE_LIMIT)
+def _compiled(code: str) -> CodeType:
+    return compile(code, "<ranger-generated>", "exec")
+
 
 @dataclass
 class CodeExecutionResult:
@@ -85,7 +96,11 @@ class SandboxExecutor:
         return None
 
     def execute(self, code: str) -> CodeExecutionResult:
-        """Run the code and capture ``result`` / ``payload``."""
+        """Run the code and capture ``result`` / ``payload``.
+
+        Every call validates the code; a text compiles once while it stays
+        among the last :data:`COMPILED_CODE_LIMIT` texts run.
+        """
         violation = self.validate(code)
         if violation is not None:
             return CodeExecutionResult(success=False, error=violation, code=code)
@@ -97,7 +112,7 @@ class SandboxExecutor:
         }
         namespace.update(self.extra_globals)
         try:
-            exec(compile(code, "<ranger-generated>", "exec"), namespace)  # noqa: S102
+            exec(_compiled(code), namespace)  # noqa: S102
         except Exception as error:  # noqa: BLE001 - report any failure upward
             return CodeExecutionResult(success=False, error=f"{type(error).__name__}: {error}",
                                        code=code)

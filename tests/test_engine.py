@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 from repro.policies import LRUPolicy, available_policies, get_policy
-from repro.sim.config import TINY_CONFIG
+from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.workloads.generator import available_workloads, generate_trace
 
@@ -58,6 +58,17 @@ PINNED_WIDE_STATS_DIGESTS = {
     "srrip": "f8b81424e1875b6a",
 }
 WIDE_ACCESSES = 1000
+
+#: Pinned full-detail digests on SMALL (see :func:`_long_age_digest`) of
+#: the policies whose scores bucket a line's age.  Neither pin above
+#: scores a line in mlp's or parrot's oldest bucket; these do, over a
+#: thousand times each (mlp's begins at age 1,024, parrot's at 2,048).
+PINNED_LONG_AGE_DIGESTS = {
+    "mlp": "fb30c92e1439bac1",
+    "parrot": "2c6c7d822169b837",
+}
+LONG_AGE_ACCESSES = 2500
+OLDEST_BUCKET_AGE = {"mlp": 1024, "parrot": 2048}
 
 
 @lru_cache(maxsize=None)
@@ -199,3 +210,43 @@ def _wide_stats_digest(policy_name):
 def test_wide_stats_detail_matches_pinned_digests(policy_name):
     assert (_wide_stats_digest(policy_name)
             == PINNED_WIDE_STATS_DIGESTS[policy_name])
+
+
+def _oldest_bucket_scores(log, oldest_age):
+    """How many of the log's line scores are of lines at least
+    ``oldest_age`` accesses old (a line's last access is the last row that
+    accessed its block)."""
+    last_access = {}
+    count = 0
+    for i in range(len(log)):
+        now = log.access_indices[i]
+        count += sum(now - last_access[block] >= oldest_age
+                     for block, _pc in log.row_lines(i))
+        last_access[log.block_addresses[i]] = now
+    return count
+
+
+def _long_age_digest(policy_name):
+    """sha256 (16 hex) over each workload's logged scores, resident lines,
+    evicted blocks and LLC counters at full detail on SMALL, and how many
+    logged scores fall in the policy's oldest age bucket."""
+    digest = hashlib.sha256()
+    oldest = 0
+    engine = SimulationEngine(config=SMALL_CONFIG)
+    for workload in available_workloads():
+        result = engine.run(generate_trace(workload, LONG_AGE_ACCESSES),
+                            policy_name)
+        log = result.log
+        digest.update(log.score_values.tobytes())
+        digest.update(log.line_pairs.tobytes())
+        digest.update(log.evicted_blocks.tobytes())
+        digest.update(repr(result.llc_stats.as_tuple()).encode())
+        oldest += _oldest_bucket_scores(log, OLDEST_BUCKET_AGE[policy_name])
+    return digest.hexdigest()[:16], oldest
+
+
+@pytest.mark.parametrize("policy_name", sorted(PINNED_LONG_AGE_DIGESTS))
+def test_long_age_scores_match_pinned_digests(policy_name):
+    digest, oldest = _long_age_digest(policy_name)
+    assert oldest > 1000
+    assert digest == PINNED_LONG_AGE_DIGESTS[policy_name]

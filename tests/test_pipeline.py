@@ -5,6 +5,8 @@ import pytest
 from repro import CacheMind, ExperimentSpec, TINY_CONFIG
 from repro.core.experiment import ExperimentRunner
 from repro.core.pipeline import SimulationCache
+from repro.retrieval import executor as executor_module
+from repro.retrieval.executor import SandboxExecutor
 from repro.tracedb.schema import AccessLog
 from repro.tracedb.store import TraceStore
 
@@ -409,3 +411,20 @@ def test_first_ranger_question_builds_one_table(fresh_cache, monkeypatch):
     answer = session.ask("How many accesses are there in astar under lru?")
     assert answer.retriever == "ranger"
     assert built == [session.database.get("astar", "lru").result.log]
+
+
+def test_sandbox_compiles_a_code_text_once_and_validates_every_call(
+        monkeypatch):
+    compiled = []
+    monkeypatch.setattr(executor_module, "compile",
+                        lambda *args: compiled.append(args[0]) or compile(*args),
+                        raising=False)
+    sandbox = SandboxExecutor({"astar_evictions_lru": {}})
+    code = "result = 'tables: %d' % len(loaded_data)  # compiled once"
+    assert [sandbox.execute(code).result for _ in range(2)] == ["tables: 1"] * 2
+    assert compiled == [code]
+    # A refused text is refused on every call, never compiled.
+    for _ in range(2):
+        refused = sandbox.execute("import os\nresult = 'never run'")
+        assert not refused.success and "forbidden" in refused.error
+    assert compiled == [code]
