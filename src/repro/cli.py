@@ -45,6 +45,7 @@ from repro.llm.backend import available_backend_names
 from repro.policies.base import available_policies
 from repro.retrieval.base import available_retrievers
 from repro.sim.config import NAMED_CONFIGS as CONFIGS
+from repro.sim.parallel import ParallelSimulator
 from repro.tracedb.database import DEFAULT_POLICIES, DEFAULT_WORKLOADS
 from repro.tracedb.objstore import TEMP_MAX_AGE_SECONDS
 from repro.workloads.generator import available_workload_info
@@ -945,17 +946,31 @@ def _cmd_store(args: argparse.Namespace) -> int:
     cache = SimulationCache(store=store)
     session = _make_session(args, simulation_cache=cache,
                             jobs=getattr(args, "jobs", 1))
-    start = time.perf_counter()
-    _ = session.database
-    seconds = time.perf_counter() - start
-    stats = cache.stats()
     pairs = len(session.workloads) * len(session.policies)
+    start = time.perf_counter()
     if args.store_command == "save":
+        _values, tally = cache.run_jobs(
+            session.planner.matrix_jobs(),
+            {session.config.name: session.config}, jobs=session.jobs,
+            max_records=session.max_records)
+        seconds = time.perf_counter() - start
+        stats = cache.stats()
+        # A clean build prints no recovery counts; a recovered one names
+        # them all.
+        recovery = {name: tally[name]
+                    for name in ParallelSimulator.RECOVERY_COUNTERS}
+        recovered = ("; pool recovery: " + ", ".join(
+            f"{name}={count}" for name, count in recovery.items())
+            if any(recovery.values()) else "")
         print(f"saved {pairs} (workload, policy) pairs to {args.dir} "
               f"in {seconds:.3f}s "
               f"({stats['misses']} simulated, {stats['hits']} cached, "
-              f"{store.saves} record(s) written)")
+              f"{store.saves} record(s) written{recovered})")
         return 0
+
+    _ = session.database
+    seconds = time.perf_counter() - start
+    stats = cache.stats()
 
     print(f"loaded {pairs} entries from {args.dir} in {seconds:.3f}s "
           f"({stats['store_hits']} from store, {stats['misses']} simulated)")

@@ -595,12 +595,17 @@ class ExperimentResult:
 
     def save(self, store) -> str:
         """Persist into a :class:`~repro.tracedb.store.TraceStore` under the
-        spec fingerprint; returns the record path."""
-        return store.save_experiment(self.fingerprint, self.to_dict())
+        spec fingerprint; returns the record path.  The record leaves out
+        the wall-clock ``timings``, so identical runs write identical
+        bytes."""
+        payload = self.to_dict()
+        del payload["timings"]
+        return store.save_experiment(self.fingerprint, payload)
 
     @classmethod
     def load(cls, store, fingerprint: str) -> Optional["ExperimentResult"]:
-        """Load a stored result by fingerprint, or ``None``."""
+        """Load a stored result by fingerprint, or ``None`` (its
+        ``timings`` are empty: records leave them out)."""
         payload = store.load_experiment(fingerprint)
         return cls.from_dict(payload) if payload is not None else None
 
@@ -615,8 +620,9 @@ class ExperimentResult:
                 f"({counters.get('duplicate_jobs', 0)} duplicates merged); "
                 f"{counters.get('simulations_run', 0)} simulated, "
                 f"{counters.get('cache_hits', 0)} cache hits "
-                f"({counters.get('store_hits', 0)} from store) "
-                f"in {self.timings.get('total', 0.0):.3f}s")
+                f"({counters.get('store_hits', 0)} from store)"
+                + (f" in {self.timings['total']:.3f}s"
+                   if "total" in self.timings else ""))
 
     def format_table(self, metric: Optional[str] = None) -> str:
         """Workload x policy grids, one block per remaining axis group."""

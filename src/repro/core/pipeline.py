@@ -272,7 +272,8 @@ class SimulationCache:
                 f"persistence for this record",
                 StoreCorruptionWarning, stacklevel=3)
 
-    def _lookup(self, key: tuple, description: Optional[str] = None):
+    def _lookup(self, key: tuple, trace: MemoryTrace,
+                description: Optional[str] = None):
         """``(value, origin)`` without simulating: origin is ``"memory"``,
         ``"store"`` or ``"miss"``, and value is ``None`` only for a miss.
         A found value counts as a hit (an avoided simulation), a store load
@@ -281,7 +282,10 @@ class SimulationCache:
         ``description=None`` looks up the result under the simulation
         ``key``.  A string looks up the entry memoised under ``key +
         (description,)``; failing that, it derives the entry from a
-        memoised or stored result and memoises it.
+        memoised or stored result and memoises it.  A stored result
+        carries no binary image: it gets ``trace``'s, which is the image
+        it was simulated with, because ``key`` names the trace's content
+        and seed.
         """
         with self._lock:
             if description is not None:
@@ -298,6 +302,7 @@ class SimulationCache:
                       if self.store is not None else None)
             if result is None:
                 return None, "miss"
+            result.binary = trace.binary
             with self._lock:
                 self._put(self._results, key, result)
                 self._hits += 1
@@ -340,7 +345,9 @@ class SimulationCache:
         ``tally`` counts this call's own ``simulations_run``,
         ``cache_hits``, ``store_hits``, ``batch_groups`` and
         ``batch_cells``, which stay honest while other threads share the
-        cache (a delta of the global counters does not).  ``configs`` maps
+        cache (a delta of the global counters does not), and the worker
+        pool's recovery (``retried_jobs``, ``pools_replaced``,
+        ``serial_jobs``; all 0 on a serial call).  ``configs`` maps
         each job's ``config_name`` to its hierarchy.
 
         Duplicate keys run once.  Every job is looked up first (in memory,
@@ -359,7 +366,8 @@ class SimulationCache:
         unique = {job.key: job for job in planned}
         values: Dict[tuple, object] = {}
         tally = dict.fromkeys(("simulations_run", "cache_hits", "store_hits",
-                               "batch_groups", "batch_cells"), 0)
+                               "batch_groups", "batch_cells",
+                               *ParallelSimulator.RECOVERY_COUNTERS), 0)
         misses: Dict[Optional[tuple], List[_Miss]] = {}
 
         def finish(job: PlannedJob, value) -> None:
@@ -381,7 +389,7 @@ class SimulationCache:
             miss = _Miss(job, spec, trace,
                          description if job.detail == "full" else None,
                          simulation_key(spec, trace))
-            value, origin = self._lookup(miss.key, miss.description)
+            value, origin = self._lookup(miss.key, trace, miss.description)
             if value is None:
                 # Serially one batch per trace; with jobs > 1 one pool for
                 # the whole call, whatever its configs and details.
@@ -394,8 +402,11 @@ class SimulationCache:
             finish(job, value)
         for group in misses.values():
             if jobs > 1:
-                produced = ParallelSimulator(jobs).run_results(
+                simulator = ParallelSimulator(jobs)
+                produced = simulator.run_results(
                     [(miss.trace, miss.spec) for miss in group])
+                for name, count in simulator.recovery.items():
+                    tally[name] += count
             else:
                 if len(group) >= 2:
                     tally["batch_groups"] += 1

@@ -309,13 +309,10 @@ class SimulationEngine:
         # resolved once per unique PC instead of once per access.
         binary = trace.binary
         annotate = self.annotate_context and binary is not None
-        context = {pc: (binary.function_name(pc), binary.source_snippet(pc),
-                        binary.assembly_context(pc)) if annotate
-                   else ("", "", "") for pc in dict.fromkeys(log.pcs)}
-        by_row = [context[pc] for pc in log.pcs]
-        log.function_names = [row[0] for row in by_row]
-        log.function_codes = [row[1] for row in by_row]
-        log.assembly_codes = [row[2] for row in by_row]
+        log.set_pc_context({
+            pc: (binary.function_name(pc), binary.source_snippet(pc),
+                 binary.assembly_context(pc)) if annotate else ("", "", "")
+            for pc in dict.fromkeys(log.pcs)})
         return hits, log, wrong_evictions
 
 

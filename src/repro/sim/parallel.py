@@ -55,15 +55,17 @@ def _execute_task(task: Task) -> SimulationResult:
 class ParallelSimulator:
     """Replay tasks over at most ``jobs`` worker processes."""
 
+    #: The keys of :attr:`recovery`.
+    RECOVERY_COUNTERS = ("retried_jobs", "pools_replaced", "serial_jobs")
+
     def __init__(self, jobs: int):
         self.jobs = jobs
         #: Recovery telemetry for the last :meth:`run_results` call: how
         #: many tasks were re-dispatched after a pool failure, how many
         #: fresh pools were spun up, and how many tasks fell back to
         #: serial execution.
-        self.recovery: Dict[str, int] = {"retried_jobs": 0,
-                                         "pools_replaced": 0,
-                                         "serial_jobs": 0}
+        self.recovery: Dict[str, int] = dict.fromkeys(self.RECOVERY_COUNTERS,
+                                                      0)
 
     def run_results(self, tasks: Sequence[Task]) -> List[SimulationResult]:
         """Replay every task; results in submission order.
@@ -71,8 +73,7 @@ class ParallelSimulator:
         A single task, ``jobs=1`` or a single-core host runs serially in
         the caller: pool dispatch and pickling cannot be repaid there.
         """
-        self.recovery = {"retried_jobs": 0, "pools_replaced": 0,
-                         "serial_jobs": 0}
+        self.recovery = dict.fromkeys(self.RECOVERY_COUNTERS, 0)
         workers = min(self.jobs, len(tasks))
         if workers <= 1 or (os.cpu_count() or 1) <= 1:
             return [_execute_task(task) for task in tasks]

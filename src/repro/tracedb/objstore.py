@@ -12,33 +12,46 @@ keys or simulation payloads — only about two things:
   lets maintenance (verify, backup, rsync) operate per-shard.  The
   filename names the record's kind, so a listing of one kind opens only
   that kind's records.
-* **The record container codec**: magic + length-prefixed pickled header
-  + zlib-compressed pickled payload.  The header block is small and
-  uncompressed so header-only scans never decompress payloads.
+* **The record container codec**: magic, a ``<II`` prefix (header length,
+  header CRC-32), a canonical JSON header (sorted keys), then the
+  sections the header names, back to back.  Each section is one zlib
+  stream holding a JSON document or raw ``array`` buffers (little-endian),
+  and the header's section table gives its name, compressed size and
+  CRC-32 — plus the typecode and item count of every column of a buffer
+  section.  A reader checks every byte of a record without decompressing
+  it and then decompresses only the sections it needs; header-only scans
+  never touch a section.  Nothing in a record is pickled, so a read never
+  runs code from disk, and a record's bytes are a function of its content.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import re
 import struct
+import sys
 import tempfile
 import time
 import zlib
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreReadOnlyError
 
 #: Subdirectory holding the sharded immutable objects.
 OBJECTS_DIR = "objects"
 
-#: Magic prefix of every record file (schema v1: pickled header block +
-#: zlib-compressed pickled payload).
-RECORD_MAGIC = b"CMST1\n"
+#: Magic prefix of every record file: the JSON-header section container.
+RECORD_MAGIC = b"CMST2\n"
 
-#: Header-length prefix layout (little-endian uint32 after the magic).
-_HEADER_LEN = struct.Struct("<I")
+#: Magic of the pickled container that builds up to store schema 3 wrote.
+#: Such a record is another build's, judged from these bytes alone: no
+#: byte after them is ever read.
+PICKLED_RECORD_MAGIC = b"CMST1\n"
+
+#: After the magic: the header's length and CRC-32 (little-endian uint32s).
+_HEADER_PREFIX = struct.Struct("<II")
 
 #: ``<kind>-<digest>.pkl`` — kinds are lowercase words, digests 32 hex
 #: chars (a SHA-256 prefix of the key's canonical repr).
@@ -50,6 +63,10 @@ SHARD_PREFIX_LEN = 2
 #: Age (seconds) below which ``.tmp`` files are presumed to belong to a
 #: concurrent writer's in-progress atomic write and must not be swept.
 TEMP_MAX_AGE_SECONDS = 600.0
+
+#: One section to encode: its name, its uncompressed bytes and the extra
+#: fields of its section-table entry.
+Section = Tuple[str, bytes, Dict[str, Any]]
 
 
 def parse_object_name(name: str) -> Optional[Tuple[str, str]]:
@@ -76,24 +93,150 @@ def object_relpath(name: str) -> Optional[str]:
 # ----------------------------------------------------------------------
 # record container codec
 # ----------------------------------------------------------------------
-def encode_record(header: Dict[str, Any], payload: Any) -> bytes:
-    """Serialise one record: magic, length-prefixed header, zlib payload."""
-    header_bytes = pickle.dumps(header, protocol=4)
-    return (RECORD_MAGIC + _HEADER_LEN.pack(len(header_bytes))
-            + header_bytes
-            + zlib.compress(pickle.dumps(payload, protocol=4), 1))
+def canonical_json(value: Any) -> bytes:
+    """``value`` as compact JSON with sorted keys: equal values, equal
+    bytes."""
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def json_section(name: str, value: Any) -> Section:
+    """A section holding one JSON document."""
+    return name, canonical_json(value), {}
+
+
+def column_section(name: str,
+                   columns: Sequence[Tuple[str, str, Any]]) -> Section:
+    """A section holding ``(column name, typecode, buffer)`` columns back
+    to back as little-endian items; its table entry lists each column's
+    name, typecode and item count, and their total ``bytes``."""
+    layout = []
+    chunks = []
+    for column_name, typecode, column in columns:
+        data = bytes(memoryview(column))
+        if sys.byteorder == "big":
+            swapped = array(typecode, data)
+            swapped.byteswap()
+            data = swapped.tobytes()
+        layout.append([column_name, typecode, len(column)])
+        chunks.append(data)
+    data = b"".join(chunks)
+    return name, data, {"columns": layout, "bytes": len(data)}
+
+
+def encode_record(header: Dict[str, Any], sections: Sequence[Section]
+                  ) -> bytes:
+    """Serialise one record: magic, the length and CRC-32 of the canonical
+    header, the header (``header`` plus a ``sections`` table), then each
+    section as a zlib stream."""
+    table = []
+    blobs = []
+    for name, data, extra in sections:
+        blob = zlib.compress(data, 1)
+        table.append({"name": name, "size": len(blob),
+                      "crc32": zlib.crc32(blob), **extra})
+        blobs.append(blob)
+    header_bytes = canonical_json({**header, "sections": table})
+    return b"".join((RECORD_MAGIC,
+                     _HEADER_PREFIX.pack(len(header_bytes),
+                                         zlib.crc32(header_bytes)),
+                     header_bytes, *blobs))
 
 
 def decode_header(handle) -> Dict[str, Any]:
-    """Read just the small header block from an open record file."""
+    """Read just the header from an open record file (checked against its
+    CRC-32).
+
+    A record in the pickled container of schema 3 and older decodes as the
+    header ``{"schema": "pickled"}``, read from its magic alone: every
+    schema check then reads it as foreign.
+    """
     magic = handle.read(len(RECORD_MAGIC))
+    if magic == PICKLED_RECORD_MAGIC:
+        return {"schema": "pickled"}
     if magic != RECORD_MAGIC:
         raise ValueError("missing record magic")
-    (header_len,) = _HEADER_LEN.unpack(handle.read(_HEADER_LEN.size))
-    header = pickle.loads(handle.read(header_len))
+    length, crc = _HEADER_PREFIX.unpack(handle.read(_HEADER_PREFIX.size))
+    header_bytes = handle.read(length)
+    if len(header_bytes) != length or zlib.crc32(header_bytes) != crc:
+        raise ValueError("record header fails its length/CRC-32 check")
+    header = json.loads(header_bytes)
     if not isinstance(header, dict):
         raise ValueError("malformed record header")
     return header
+
+
+def read_sections(handle, header: Dict[str, Any]) -> Dict[str, bytes]:
+    """Read the rest of a record after :func:`decode_header`: each section
+    of the header's table, still compressed, by name.
+
+    Every section is checked against its size and CRC-32, and nothing may
+    follow the last one, so damage anywhere in a record raises here and
+    no decompressed section is ever wrong.
+    """
+    data = handle.read()
+    sections: Dict[str, bytes] = {}
+    offset = 0
+    for entry in header["sections"]:
+        size = entry["size"]
+        if not isinstance(size, int) or size < 0:
+            raise ValueError(f"malformed section size {size!r}")
+        blob = data[offset:offset + size]
+        offset += size
+        if len(blob) != size or zlib.crc32(blob) != entry["crc32"]:
+            raise ValueError(f"section {entry['name']!r} fails its "
+                             f"size/CRC-32 check")
+        sections[entry["name"]] = blob
+    if offset != len(data):
+        raise ValueError("trailing bytes after the last section")
+    return sections
+
+
+def column_layout(header: Dict[str, Any], name: str) -> List[List[Any]]:
+    """The ``[name, typecode, count]`` columns of column section ``name``,
+    checked against the section's size without decompressing it."""
+    for entry in header["sections"]:
+        if entry["name"] == name:
+            break
+    else:
+        raise KeyError(f"record has no {name!r} section")
+    layout = entry["columns"]
+    size = 0
+    for _column, typecode, count in layout:
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"malformed column count {count!r}")
+        size += count * array(typecode).itemsize
+    if size != entry["bytes"]:
+        raise ValueError(f"the columns of section {name!r} do not add up "
+                         f"to its size")
+    return layout
+
+
+def load_json(blob: bytes) -> Any:
+    """Decode a JSON section."""
+    return json.loads(zlib.decompress(blob))
+
+
+def unpack_columns(blob: bytes, layout: Sequence[Sequence[Any]]
+                   ) -> Dict[str, array]:
+    """Decode a column section into one ``array`` per column, by name;
+    ``layout`` is its table entry's ``columns``."""
+    data = memoryview(zlib.decompress(blob))
+    columns: Dict[str, array] = {}
+    offset = 0
+    for name, typecode, count in layout:
+        column = array(typecode)
+        stop = offset + count * column.itemsize
+        if count < 0 or stop > len(data):
+            raise ValueError(f"column {name!r} overruns its section")
+        column.frombytes(data[offset:stop])
+        if sys.byteorder == "big":
+            column.byteswap()
+        columns[name] = column
+        offset = stop
+    if offset != len(data):
+        raise ValueError("column sizes do not add up to their section")
+    return columns
 
 
 def atomic_write(path: str, data: bytes) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.tracedb.table import LazyColumn, Table
 
@@ -202,6 +202,15 @@ class AccessRecord:
         }
 
 
+#: The log columns held in typed arrays, in the order a store record's log
+#: section holds them.
+LOG_ARRAYS: Tuple[str, ...] = (
+    "access_indices", "pcs", "block_addresses", "set_ids", "hit_flags",
+    "miss_type_codes", "evicted_blocks", "accessed_reuse", "evicted_reuse",
+    "recencies", "line_pairs", "line_offsets", "score_values",
+    "score_offsets")
+
+
 class AccessLog:
     """Columnar per-access annotations (the engine's output).
 
@@ -212,9 +221,10 @@ class AccessLog:
     owns the flat span ``offsets[i]:offsets[i+1]``): ``line_pairs`` holds
     the set's resident ``(block, pc)`` lines, interleaved, and
     ``score_values`` the policy's eviction score of each of those lines, in
-    the same order.  So the whole log pickles/unpickles at buffer speed: no
-    per-tuple object cost, which is what makes the persistent store's warm
-    starts fast.  The rest is derived on read from these columns:
+    the same order.  So the whole log is raw buffers (:data:`LOG_ARRAYS`)
+    plus per-PC text: no per-tuple object cost, and a store record holds
+    the buffers as they are.  The rest is derived on read from these
+    columns:
 
     * a row's score blocks are the leading blocks of its ``line_pairs``
       span (:meth:`row_scores`);
@@ -222,11 +232,16 @@ class AccessLog:
       ``history_window`` rows (:meth:`row_history`), because row ``i`` is
       stream position ``i``.
 
-    Per-PC source context stays as string lists (pickle deduplicates the
-    shared per-PC string objects).  ``to_table`` builds the canonical data
+    Source context is a pure function of the PC (:meth:`pc_context`); the
+    per-row string lists share one string object per distinct text
+    (:meth:`set_pc_context`).  ``to_table`` builds the canonical data
     frame directly from these columns — no intermediate row dictionaries,
     snapshot cells only when read — and its values equal
     ``records_to_table(log.to_records())``.
+
+    A log loaded from a store is *deferred* (:meth:`deferred`): its length
+    is known, and the first read of any column decodes them all
+    (:meth:`decode`).
     """
 
     __slots__ = ("access_indices", "pcs", "block_addresses", "set_ids",
@@ -234,7 +249,10 @@ class AccessLog:
                  "accessed_reuse", "evicted_reuse", "recencies",
                  "function_names", "function_codes", "assembly_codes",
                  "line_pairs", "line_offsets", "score_values",
-                 "score_offsets", "history_window")
+                 "score_offsets", "history_window", "_pending")
+
+    #: What a log pickles and copies: every slot but the pending decode.
+    _STATE = __slots__[:-1]
 
     def __init__(self) -> None:
         self.access_indices = array("Q")
@@ -257,18 +275,80 @@ class AccessLog:
         self.score_values = array("d")
         self.score_offsets = array("Q", [0])
         self.history_window = 0  # the engine's, set with the other columns
+        self._pending = None
+
+    @classmethod
+    def deferred(cls, rows: int, history_window: int,
+                 context: Dict[int, Tuple[str, str, str]],
+                 decode: Callable[[], Dict[str, array]]) -> "AccessLog":
+        """A log of ``rows`` rows whose :data:`LOG_ARRAYS` come from
+        ``decode()``, called on the first read of any column; ``context``
+        is its :meth:`pc_context`.  Until then ``len`` answers from
+        ``rows`` and nothing is decoded."""
+        log = cls.__new__(cls)
+        log.history_window = history_window
+        log._pending = (rows, context, decode)
+        return log
+
+    def decode(self) -> None:
+        """Publish a deferred log's columns now (a no-op on any other
+        log).  Every column is set before the pending decode is dropped,
+        so two racing first readers at worst decode twice."""
+        pending = self._pending
+        if pending is None:
+            return
+        _rows, context, decode = pending
+        for name, column in decode().items():
+            setattr(self, name, column)
+        self.set_pc_context(context)
+        self._pending = None
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an unset slot: a deferred log's columns.
+        if name in AccessLog._STATE:
+            self.decode()
+        return object.__getattribute__(self, name)
 
     def __len__(self) -> int:
+        pending = self._pending
+        if pending is not None:
+            return pending[0]
         return len(self.access_indices)
 
-    # Pickle support: __slots__ classes have no __dict__, and the arrays
-    # themselves serialise as raw buffers.
+    # Pickle and copy support: __slots__ classes have no __dict__, and the
+    # arrays themselves serialise as raw buffers.  A deferred log decodes
+    # first, so it pickles exactly as the log it decodes to.
     def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._STATE)
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
+        for name, value in zip(self._STATE, state):
             setattr(self, name, value)
+        self._pending = None
+
+    # ------------------------------------------------------------------
+    # source context
+    # ------------------------------------------------------------------
+    def pc_context(self) -> Dict[int, Tuple[str, str, str]]:
+        """Each PC's ``(function name, source, assembly)``, in first-seen
+        order (context is a pure function of the PC)."""
+        return dict(zip(self.pcs, zip(self.function_names,
+                                      self.function_codes,
+                                      self.assembly_codes)))
+
+    def set_pc_context(self,
+                       context: Dict[int, Tuple[str, str, str]]) -> None:
+        """Fill the per-row context columns from a per-PC map.  Each
+        distinct text becomes one shared string object, so two logs with
+        equal content pickle to equal bytes however their text was
+        built."""
+        shared: Dict[str, str] = {}
+        by_pc = {pc: tuple(shared.setdefault(text, text) for text in texts)
+                 for pc, texts in context.items()}
+        by_row = [by_pc[pc] for pc in self.pcs]
+        self.function_names = [row[0] for row in by_row]
+        self.function_codes = [row[1] for row in by_row]
+        self.assembly_codes = [row[2] for row in by_row]
 
     # ------------------------------------------------------------------
     # ragged-row decoding

@@ -10,7 +10,7 @@ memory from its result (whose statistics the replay already computed), and
 its table is built on first read.  Besides results, the store keeps
 experiment results and ingested traces.
 
-Layout (sharded, schema v3) — one directory per store:
+Layout (sharded, schema v4) — one directory per store:
 
 * ``manifest.json`` — ``{"schema": N, "layout": "sharded", ...}``.  Opening
   a store whose manifest declares a different :data:`STORE_SCHEMA_VERSION`
@@ -20,14 +20,32 @@ Layout (sharded, schema v3) — one directory per store:
   sharded layout (schema-1 records at the top level) is one such store:
   it is refused, and ``gc`` deletes its top-level records.
 * ``objects/<ab>/<kind>-<digest>.pkl`` — one immutable content-addressed
-  record per cached object, sharded by the digest's hex prefix: a small
-  uncompressed header block (``{"schema", "kind", "key_repr"}``) followed
-  by the zlib-compressed pickled payload.  ``digest`` is a SHA-256 prefix
-  of the key's canonical ``repr``; the stored ``key_repr`` is verified on
-  load, so a (vanishingly unlikely) digest collision degrades to a miss,
-  never a wrong answer.  Objects are written atomically (temp file +
-  ``os.replace`` inside the shard) and never modified, so concurrent
-  writer processes can share a store without locks.
+  record per cached object, sharded by the digest's hex prefix, in the
+  pickle-free container of :mod:`repro.tracedb.objstore`: a canonical JSON
+  header (``schema``, ``kind``, ``key_repr``, kind extras and the section
+  table with every section's size and CRC-32) followed by zlib sections.
+  ``digest`` is a SHA-256 prefix of the key's canonical ``repr``; the
+  stored ``key_repr`` is verified on load, so a (vanishingly unlikely)
+  digest collision degrades to a miss, never a wrong answer.  Objects are
+  written atomically (temp file + ``os.replace`` inside the shard) and
+  never modified, so concurrent writer processes can share a store
+  without locks.
+
+Each kind has one codec, and a record's bytes are a function of its
+content alone (not of the process that wrote it, nor of the clock):
+
+* ``result`` — a ``result`` JSON section (workload, policy, config, mode,
+  detail, counters, timing, wrong evictions, statistics, and the log's
+  history window and per-PC source context) and, at full detail, a ``log``
+  section with the access log's typed columns.  A load checks both
+  sections but decompresses only the JSON: the returned log is deferred
+  and decodes its columns when something first reads one.  The binary
+  image stays out of the record: the key names the trace, and the loader
+  re-attaches the image of the trace it holds.
+* ``experiment`` — the experiment's ``to_dict`` payload as JSON.
+* ``trace`` — JSON metadata (workload, description, seed, binary image)
+  and a section with the trace's four columns; its manifest metadata rides
+  in the header.
 
 A save is that one atomic object write; there is no second structure to
 keep in step.  Listings read record headers: the filename names the
@@ -41,9 +59,10 @@ mutation with :class:`~repro.errors.StoreReadOnlyError` (and never
 creates directories, stamps manifests or quarantines files), which is how
 the serve layer fronts one shared warm corpus from many replicas while a
 single writer keeps adding records — atomic object writes make
-concurrent reads race-safe.  Inspection commands (``store info``,
-``trace list``/``info``, ``experiment report``, ``simulate --list``)
-open their store this way, so they never write into what they inspect.
+concurrent reads race-safe, and no read runs code from the shared disk.
+Inspection commands (``store info``, ``trace list``/``info``,
+``experiment report``, ``simulate --list``) open their store this way, so
+they never write into what they inspect.
 
 Keys cover everything that determines a simulation's output — the trace
 content fingerprint, hierarchy config, policy, rollout mode/detail and the
@@ -51,17 +70,18 @@ record cap (see :func:`simulation_key`) — mirroring the in-memory memoiser,
 so the two layers always agree on identity.
 
 Robustness: the store self-heals.  A corrupt or truncated record file of any
-kind is **quarantined** (renamed into ``quarantine/`` so it is never
-re-read-crashed) and treated as a cache miss — the caller rebuilds and
-overwrites — with a :class:`StoreCorruptionWarning` so the degradation is
-visible.  A corrupt manifest is quarantined and rebuilt from the surviving
-record headers (a *readable* manifest declaring a foreign schema still
-raises :class:`~repro.errors.StoreVersionError` — that is a real version
-mismatch, not damage).  :meth:`TraceStore.verify` deep-checks every record
-(magic+header+zlib+pickle+filename digest+shard placement); ``repair=True``
-quarantines what is broken and sweeps *stale* temp files (age-gated: a
-concurrent writer's fresh ``.tmp`` is never touched) — exposed as
-``python -m repro store verify [--repair]``.
+kind — a byte flipped anywhere in it fails the header's or a section's
+CRC-32 at load — is **quarantined** (renamed into ``quarantine/`` so it is
+never re-read-crashed) and treated as a cache miss — the caller rebuilds
+and overwrites — with a :class:`StoreCorruptionWarning` so the degradation
+is visible.  A corrupt manifest is quarantined and rebuilt from the
+surviving record headers (a *readable* manifest declaring a foreign schema
+still raises :class:`~repro.errors.StoreVersionError` — that is a real
+version mismatch, not damage).  :meth:`TraceStore.verify` deep-checks every
+record (magic, header, every section decoded, filename digest, shard
+placement); ``repair=True`` quarantines what is broken and sweeps *stale*
+temp files (age-gated: a concurrent writer's fresh ``.tmp`` is never
+touched) — exposed as ``python -m repro store verify [--repair]``.
 """
 
 from __future__ import annotations
@@ -69,12 +89,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import struct
 import time
 import warnings
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import fields
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreReadOnlyError, StoreVersionError
 from repro.faults import fault_point
@@ -82,12 +102,23 @@ from repro.tracedb.objstore import (
     OBJECTS_DIR,
     TEMP_MAX_AGE_SECONDS,
     ObjectStore,
+    Section,
     atomic_write,
+    column_layout,
+    column_section,
     decode_header,
     encode_record,
+    json_section,
+    load_json,
     parse_object_name,
+    read_sections,
     shard_of,
+    unpack_columns,
 )
+from repro.tracedb.schema import LOG_ARRAYS, AccessLog
+from repro.tracedb.stats import WorkloadStatistics
+from repro.workloads.symbols import BinaryImage
+from repro.workloads.trace import COLUMN_TYPECODES, MemoryTrace
 
 #: Bump when the on-disk record layout changes incompatibly.  2: the
 #: pickled :class:`~repro.tracedb.schema.AccessLog` no longer stores the
@@ -95,8 +126,12 @@ from repro.tracedb.objstore import (
 #: records its history window, so a version-1 log would unpickle its arrays
 #: into the wrong slots.  3: a simulation is one ``result`` record whose
 #: result carries its ``statistics`` (entry records are gone), so a
-#: version-2 result would unpickle without them.
-STORE_SCHEMA_VERSION = 3
+#: version-2 result would unpickle without them.  4: records are
+#: pickle-free — a JSON header whose section table sizes and checksums
+#: every zlib section (JSON documents or raw typed columns) — so this
+#: build cannot read a schema-3 pickled record, and judges one foreign
+#: from its magic alone.
+STORE_SCHEMA_VERSION = 4
 
 #: Subdirectory corrupt files are renamed into instead of deleted, so a
 #: damaged record can never crash a reader twice and forensics stay
@@ -159,6 +194,140 @@ def _experiment_key_from_repr(key_repr: str) -> tuple:
             or not isinstance(key[0], str)):
         raise ValueError(f"malformed experiment key repr {key_repr!r}")
     return key
+
+
+# ----------------------------------------------------------------------
+# record codecs, one per kind
+# ----------------------------------------------------------------------
+#: Names of a stored trace's columns (typecodes: ``COLUMN_TYPECODES``).
+TRACE_COLUMNS = ("pc", "address", "flags", "instructions_since_last")
+
+
+def _fields(value) -> Dict[str, Any]:
+    """A dataclass instance's fields, by name, in declaration order."""
+    return {field.name: getattr(value, field.name) for field in fields(value)}
+
+
+def _encode_result(result) -> List[Section]:
+    """A result's ``result`` JSON section and, at full detail, its ``log``
+    column section; the binary image is left out."""
+    log = result.log
+    timing = _fields(result.timing)
+    # Level order is meaningful and JSON objects are key-sorted: pairs.
+    for name in ("stalls_by_level", "accesses_by_level"):
+        timing[name] = list(timing[name].items())
+    document = {
+        "workload": result.workload,
+        "policy_name": result.policy_name,
+        "policy_description": result.policy_description,
+        "config": result.config.to_dict(),
+        "mode": result.mode,
+        "detail": result.detail,
+        "llc_stats": _fields(result.llc_stats),
+        "level_stats": [[level, _fields(stats)]
+                        for level, stats in result.level_stats.items()],
+        "timing": timing,
+        "wrong_evictions": result.wrong_evictions,
+        "statistics": (None if result.statistics is None
+                       else _fields(result.statistics)),
+        "log": None if log is None else {
+            "history_window": log.history_window,
+            "context": [[pc, *texts]
+                        for pc, texts in log.pc_context().items()],
+        },
+    }
+    sections = [json_section(KIND_RESULT, document)]
+    if log is not None:
+        columns = [(name, getattr(log, name)) for name in LOG_ARRAYS]
+        sections.append(column_section("log", [
+            (name, column.typecode, column) for name, column in columns]))
+    return sections
+
+
+def _decode_result(header: Dict[str, Any], sections: Dict[str, bytes]):
+    """Rebuild a result: its JSON now, its log deferred until read."""
+    # Lazy: repro.sim imports this package while it initialises.
+    from repro.sim.cache import CacheStats
+    from repro.sim.config import HierarchyConfig
+    from repro.sim.cpu import TimingResult
+    from repro.sim.engine import SimulationResult
+
+    document = load_json(sections[KIND_RESULT])
+    timing = dict(document["timing"])
+    for name in ("stalls_by_level", "accesses_by_level"):
+        timing[name] = dict(timing[name])
+    meta = document["log"]
+    log = None
+    if meta is not None:
+        layout = column_layout(header, "log")
+        if [column[0] for column in layout] != list(LOG_ARRAYS):
+            raise ValueError("log section does not hold the log's columns")
+        blob = sections["log"]
+        log = AccessLog.deferred(
+            rows=layout[0][2], history_window=meta["history_window"],
+            context={pc: (name, code, assembly)
+                     for pc, name, code, assembly in meta["context"]},
+            decode=lambda: unpack_columns(blob, layout))
+    statistics = document["statistics"]
+    return SimulationResult(
+        workload=document["workload"],
+        policy_name=document["policy_name"],
+        policy_description=document["policy_description"],
+        config=HierarchyConfig.from_dict(document["config"]),
+        mode=document["mode"],
+        detail=document["detail"],
+        log=log,
+        llc_stats=CacheStats(**document["llc_stats"]),
+        level_stats={level: CacheStats(**stats)
+                     for level, stats in document["level_stats"]},
+        timing=TimingResult(**timing),
+        wrong_evictions=document["wrong_evictions"],
+        statistics=(None if statistics is None
+                    else WorkloadStatistics(**statistics)))
+
+
+def _encode_experiment(payload: Dict[str, Any]) -> List[Section]:
+    return [json_section(KIND_EXPERIMENT, payload)]
+
+
+def _decode_experiment(header: Dict[str, Any],
+                       sections: Dict[str, bytes]) -> Dict[str, Any]:
+    payload = load_json(sections[KIND_EXPERIMENT])
+    if not isinstance(payload, dict):
+        raise ValueError("experiment payload is not a JSON object")
+    return payload
+
+
+def _encode_trace(trace: MemoryTrace) -> List[Section]:
+    binary = trace.binary
+    return [json_section(KIND_TRACE, {
+                "workload": trace.workload,
+                "description": trace.description,
+                "seed": trace.seed,
+                "binary": None if binary is None else binary.to_dict()}),
+            column_section("columns", list(zip(
+                TRACE_COLUMNS, COLUMN_TYPECODES, trace.columns())))]
+
+
+def _decode_trace(header: Dict[str, Any],
+                  sections: Dict[str, bytes]) -> MemoryTrace:
+    document = load_json(sections[KIND_TRACE])
+    columns = unpack_columns(sections["columns"],
+                             column_layout(header, "columns"))
+    binary = document["binary"]
+    return MemoryTrace(
+        document["workload"],
+        binary=None if binary is None else BinaryImage.from_dict(binary),
+        description=document["description"], seed=document["seed"],
+        columns=tuple(columns[name] for name in TRACE_COLUMNS))
+
+
+#: ``kind -> (encode(payload) -> sections, decode(header, sections))``.
+_CODECS: Dict[str, Tuple[Callable, Callable]] = {
+    KIND_RESULT: (_encode_result, _decode_result),
+    KIND_EXPERIMENT: (_encode_experiment, _decode_experiment),
+    KIND_TRACE: (_encode_trace, _decode_trace),
+}
 
 
 class TraceStore:
@@ -304,11 +473,11 @@ class TraceStore:
         return f"{kind}-{key_digest(key)}.pkl"
 
     #: Failures decoding a record's *content*: the file on disk is damaged
-    #: (torn write, bit rot), so the reader quarantines it.  Transient I/O
-    #: failures (``OSError``) are deliberately excluded — a healthy file
-    #: must never be quarantined because one read syscall failed.
-    _CONTENT_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
-                       ImportError, IndexError, KeyError, ValueError,
+    #: (torn write, bit rot) or malformed, so the reader quarantines it.
+    #: Transient I/O failures (``OSError``) are deliberately excluded — a
+    #: healthy file must never be quarantined because one read syscall
+    #: failed.
+    _CONTENT_ERRORS = (IndexError, KeyError, TypeError, ValueError,
                        struct.error, zlib.error)
 
     #: Exceptions that mean "this record is unreadable" rather than a bug.
@@ -318,12 +487,16 @@ class TraceStore:
              extra_header: Optional[Dict[str, Any]] = None) -> str:
         """Persist one record atomically; returns the path written.
 
-        Payloads are zlib-compressed pickles (the columnar logs are highly
-        repetitive, so this shrinks the store several-fold at negligible
-        load cost) preceded by a small uncompressed header block, so
-        ``info``/``gc`` never decompress payloads.  ``extra_header`` keys
-        ride in that block — used by trace records to expose their manifest
-        metadata without decompressing the trace itself.
+        ``payload`` is encoded by its kind's codec: a
+        :class:`~repro.sim.engine.SimulationResult` for ``result``, a JSON
+        object for ``experiment``, a
+        :class:`~repro.workloads.trace.MemoryTrace` for ``trace``.  Its
+        zlib sections (the columnar logs are highly repetitive, so this
+        shrinks the store several-fold) follow a small uncompressed
+        header, so ``info``/``gc`` never decompress a section.
+        ``extra_header`` keys ride in that header — used by trace records
+        to expose their manifest metadata without decompressing the trace
+        itself.
         """
         if self.read_only:
             raise StoreReadOnlyError(
@@ -337,7 +510,7 @@ class TraceStore:
             "key_repr": repr(key),
         }
         if extra_header:
-            for reserved in ("schema", "kind", "key_repr"):
+            for reserved in ("schema", "kind", "key_repr", "sections"):
                 if reserved in extra_header:
                     raise ValueError(
                         f"extra_header may not override {reserved!r}")
@@ -346,7 +519,8 @@ class TraceStore:
         # The fault point sits here (not in write_object) so chaos plans
         # count record writes, not manifest re-stamps, and a "truncate"
         # rule models a torn write of this record's bytes.
-        data = fault_point("store.write", encode_record(header, payload))
+        data = fault_point("store.write", encode_record(
+            header, _CODECS[kind][0](payload)))
         path = self._objects.write_object(name, data)
         self.saves += 1
         return path
@@ -354,8 +528,11 @@ class TraceStore:
     def load(self, kind: str, key: tuple) -> Optional[Any]:
         """Load one record, or ``None`` (with a warning if it was corrupt).
 
-        Any failure mode — missing file, truncated pickle, foreign schema,
-        digest collision — degrades to a miss so callers simply rebuild.
+        Any failure mode — missing file, a section failing its size or
+        CRC-32, a malformed document, foreign schema, digest collision —
+        degrades to a miss so callers simply rebuild.  Every section is
+        checked before the payload is returned, but only what the payload
+        needs now is decompressed: a result's log decodes on first read.
         The object path is a pure function of the key, so a load opens
         exactly one file.  Damaged files are quarantined so they can never
         crash a second read (except on read-only mounts, which may not
@@ -370,8 +547,8 @@ class TraceStore:
                 mismatched = (header.get("schema") != self.schema_version
                               or header.get("kind") != kind
                               or header.get("key_repr") != repr(key))
-                payload = (None if mismatched else
-                           pickle.loads(zlib.decompress(handle.read())))
+                payload = (None if mismatched else _CODECS[kind][1](
+                    header, read_sections(handle, header)))
         except FileNotFoundError:
             self.load_misses += 1
             return None
@@ -621,17 +798,19 @@ class TraceStore:
                temp_max_age: float = TEMP_MAX_AGE_SECONDS) -> Dict[str, Any]:
         """Deep-check every record; optionally heal.
 
-        Unlike the header-only listings, this decompresses and unpickles
-        every payload and checks that each filename's digest matches the
-        key stored in its header *and* that the file sits in its digest's
-        shard, so silent bit rot anywhere in a record is caught.
+        Unlike the header-only listings, this checks and decodes every
+        section of every record (a result's log included) and checks that
+        each filename's digest matches the key stored in its header *and*
+        that the file sits in its digest's shard, so silent bit rot
+        anywhere in a record is caught.
         ``shards`` restricts the deep check to those shard prefixes.  With
         ``repair=True``: corrupt and misplaced records are quarantined,
         *stale* ``.tmp`` files (older than ``temp_max_age`` — a concurrent
         writer's fresh temp is never touched) are deleted, and a corrupt
         manifest is quarantined and re-stamped.  Foreign-schema records
-        are *reported* from their header alone — their payload is never
-        unpickled, since its kind and layout are another build's — and
+        are *reported* from their header alone — a schema-3 pickled
+        record from its magic, and no section of theirs is decoded, since
+        their layout is another build's — and
         left for ``gc``: verify never destroys data that another build
         could still read.  A readable foreign manifest means the whole
         store is another build's, so ``repair=True`` then changes no file
@@ -686,12 +865,15 @@ class TraceStore:
                         # Reported but left for gc.
                         report["foreign"].append(name)
                         continue
-                    pickle.loads(zlib.decompress(handle.read()))
-                key_repr = header.get("key_repr")
-                kind = header.get("kind")
-                if (not isinstance(key_repr, str)
-                        or kind not in KINDS):
-                    raise ValueError("malformed header fields")
+                    key_repr = header.get("key_repr")
+                    kind = header.get("kind")
+                    if (not isinstance(key_repr, str)
+                            or kind not in KINDS):
+                        raise ValueError("malformed header fields")
+                    payload = _CODECS[kind][1](
+                        header, read_sections(handle, header))
+                if kind == KIND_RESULT and payload.log is not None:
+                    payload.log.decode()
                 digest = hashlib.sha256(
                     key_repr.encode("utf-8")).hexdigest()[:32]
                 if (name != f"{kind}-{digest}.pkl"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: A tiny pool of x86-64 instruction templates used to synthesise assembly.
 _ASM_TEMPLATES = (
@@ -221,6 +221,35 @@ class BinaryImage:
             marker = " <=" if ins.pc == pc else ""
             lines.append(f"{ins.pc:x}: {ins.mnemonic}{marker}")
         return "\n".join(lines)
+
+    # ------------------------------------------------------------------
+    # wire format (a stored trace carries its image as JSON)
+    # ------------------------------------------------------------------
+    def to_dict(self) -> Dict[str, Any]:
+        """A JSON-serialisable dictionary of the whole image."""
+        return {
+            "program_name": self.program_name,
+            "functions": [{
+                "name": function.name,
+                "base_pc": function.base_pc,
+                "description": function.description,
+                "instructions": [[ins.pc, ins.mnemonic, ins.is_memory,
+                                  ins.kind, ins.source_line]
+                                 for ins in function.instructions],
+            } for function in self.functions],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "BinaryImage":
+        """Rebuild an image from :meth:`to_dict` output."""
+        image = cls(payload["program_name"])
+        for function in payload["functions"]:
+            image.adopt_function(FunctionImage(
+                name=function["name"], base_pc=function["base_pc"],
+                description=function["description"],
+                instructions=[Instruction(*fields)
+                              for fields in function["instructions"]]))
+        return image
 
     def all_memory_pcs(self) -> List[int]:
         return [pc for pc, ins in self._pc_to_instruction.items() if ins.is_memory]

@@ -2,6 +2,7 @@
 equivalence with single-config sessions, persistence, serving and CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -350,13 +351,45 @@ def test_result_persisted_under_spec_fingerprint(tmp_path):
     store = TraceStore(store_dir)
     loaded = ExperimentResult.load(store, spec.fingerprint())
     assert loaded is not None
-    assert loaded.to_dict() == result.to_dict()
+    # The record leaves out the wall-clock timings, and nothing else.
+    assert loaded.to_dict() == {**result.to_dict(), "timings": {}}
     summaries = store.list_experiments()
     assert [summary["fingerprint"] for summary in summaries] == [
         spec.fingerprint()]
     assert summaries[0]["cells"] == len(result)
     assert store.info()["experiments"] == 1
     assert ExperimentResult.load(store, "0" * 32) is None
+    # A loaded record has no time to report.
+    assert result.summary().endswith("s")
+    assert loaded.summary() == result.summary().rsplit(" in ", 1)[0]
+
+
+def _objects(root):
+    """Every file under a store's ``objects/`` tree, with its bytes."""
+    tree = {}
+    for directory, _dirs, files in os.walk(os.path.join(root, "objects")):
+        for name in files:
+            with open(os.path.join(directory, name), "rb") as handle:
+                tree[os.path.relpath(os.path.join(directory, name),
+                                     root)] = handle.read()
+    return tree
+
+
+def test_identical_runs_write_identical_records(tmp_path):
+    """No wall clock reaches a record: two identical grids run into fresh
+    stores write the same files with the same bytes, the experiment record
+    included."""
+    spec = small_spec(workloads=["astar"])
+    trees = []
+    for name in ("first", "second"):
+        root = str(tmp_path / name)
+        result = ExperimentRunner(
+            simulation_cache=SimulationCache(store=root)).run(spec)
+        assert set(result.timings) == {"compile", "execute", "total"}
+        trees.append(_objects(root))
+    assert trees[0] == trees[1]
+    # One result record per cell and the experiment record.
+    assert len(trees[0]) == len(spec.compile().jobs) + 1
 
 
 # ----------------------------------------------------------------------

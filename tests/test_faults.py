@@ -19,6 +19,7 @@ import pytest
 
 import repro.sim.parallel as parallel_module
 from repro.core.pipeline import CacheMind, SimulationCache
+from repro.core.plan import PlannedJob
 from repro.errors import UnknownNameError
 from repro.faults import (
     ENV_PLAN_VAR,
@@ -44,6 +45,7 @@ from repro.sim.batch import RolloutSpec
 from repro.sim.config import TINY_CONFIG
 from repro.sim.parallel import ParallelSimulator
 from repro.tracedb.database import make_entry
+from repro.tracedb.objstore import decode_header
 from repro.tracedb.store import StoreCorruptionWarning, TraceStore
 from repro.workloads.generator import generate_trace
 
@@ -304,6 +306,15 @@ def test_transient_read_error_is_a_miss_without_quarantine(tmp_path):
     assert warm_cache.store.quarantined_files() == []
 
 
+def _last_section_span(path: str):
+    """``(start, stop)`` byte offsets of a record's last section (a
+    result's log, a trace's columns, an experiment's JSON)."""
+    with open(path, "rb") as handle:
+        sizes = [entry["size"] for entry in decode_header(handle)["sections"]]
+        stop = handle.tell() + sum(sizes)
+    return stop - sizes[-1], stop
+
+
 def _damage(path: str, mode: str) -> None:
     with open(path, "rb") as handle:
         data = handle.read()
@@ -311,14 +322,38 @@ def _damage(path: str, mode: str) -> None:
         data = data[: len(data) // 2]
     elif mode == "zero-byte":
         data = b""
-    else:  # bit-flipped
-        middle = len(data) // 2
+    else:  # a flipped byte: mid-file, or mid-way through the last section
+        start, stop = ((0, len(data)) if mode == "bit-flipped"
+                       else _last_section_span(path))
+        middle = (start + stop) // 2
         data = data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1:]
     with open(path, "wb") as handle:
         handle.write(data)
 
 
-@pytest.mark.parametrize("mode", ["truncated", "zero-byte", "bit-flipped"])
+def test_a_byte_flipped_in_the_log_section_is_quarantined_at_load(tmp_path):
+    """The load checks the log section it does not decompress, so damage
+    there is a miss at load, never an error inside a later answer."""
+    reference_session, _ = _session()
+    reference = _table_bytes(reference_session.database.entry(
+        "astar_evictions_lru"))
+    cold_session, cold_cache = _session(tmp_path)
+    _ = cold_session.database
+    objects = os.path.join(str(tmp_path), "objects")
+    (shard,) = os.listdir(objects)
+    (name,) = os.listdir(os.path.join(objects, shard))
+    _damage(os.path.join(objects, shard, name), "last-section-flipped")
+
+    warm_session, warm_cache = _session(tmp_path)
+    with pytest.warns(StoreCorruptionWarning, match="corrupt"):
+        entry = warm_session.database.entry("astar_evictions_lru")
+    assert warm_cache.misses == 1 and warm_cache.store_hits == 0
+    assert warm_cache.store.quarantined_files() == [name]
+    assert _table_bytes(entry) == reference
+
+
+@pytest.mark.parametrize("mode", ["truncated", "zero-byte", "bit-flipped",
+                                  "last-section-flipped"])
 def test_corruption_matrix_across_all_record_kinds(tmp_path, mode):
     """Satellite: every record kind survives every corruption mode."""
     reference_session, _ = _session()
@@ -416,6 +451,44 @@ def test_killed_process_workers_converge_via_serial_fallback(process_pools):
     assert len(process_pools) == 2
     assert simulator.recovery["pools_replaced"] == 1
     assert simulator.recovery["serial_jobs"] == len(PARALLEL_TASKS)
+
+
+def test_run_jobs_tally_carries_the_pool_recovery(process_pools, tmp_path,
+                                                  capsys):
+    """The executor keeps its pool's recovery counters in the call's tally,
+    and ``store save`` names them when a build recovered."""
+    from repro.cli import main
+
+    planned = [PlannedJob(workload, policy, NUM_ACCESSES, 0,
+                          TINY_CONFIG.name, "llc_only")
+               for workload in ("astar", "lbm") for policy in ("lru", "belady")]
+    configs = {TINY_CONFIG.name: TINY_CONFIG}
+    _values, serial = SimulationCache().run_jobs(planned, configs)
+    assert {name: serial[name]
+            for name in ParallelSimulator.RECOVERY_COUNTERS} == {
+        "retried_jobs": 0, "pools_replaced": 0, "serial_jobs": 0}
+    # Every pool worker dies on its first task: both pools break and all
+    # four tasks finish serially in this process.
+    plan = FaultPlan([FaultRule("worker.simulate", action="exit",
+                                scope="worker", nth=1)])
+    with env_scope(plan):
+        _values, tally = SimulationCache().run_jobs(planned, configs,
+                                                    jobs=2)
+    assert tally["simulations_run"] == len(planned)
+    assert tally["pools_replaced"] == 1
+    assert tally["retried_jobs"] == tally["serial_jobs"] == len(planned)
+    assert len(process_pools) == 2
+
+    base = ["--workloads", "astar,lbm", "--policies", "lru,belady",
+            "--accesses", str(NUM_ACCESSES), "--config", "tiny"]
+    assert main(["store", "save", "--dir", str(tmp_path / "clean")]
+                + base) == 0
+    assert "pool recovery" not in capsys.readouterr().out
+    with env_scope(plan):
+        assert main(["store", "save", "--dir", str(tmp_path / "chaos"),
+                     "--jobs", "2"] + base) == 0
+    assert ("4 record(s) written; pool recovery: retried_jobs=4, "
+            "pools_replaced=1, serial_jobs=4)") in capsys.readouterr().out
 
 
 def test_genuine_simulation_errors_propagate_not_retried(process_pools):
@@ -594,7 +667,8 @@ def test_store_verify_cli_flags_then_repairs(tmp_path, capsys):
     from repro.cli import main
 
     store = TraceStore(str(tmp_path / "store"))
-    path = store.save_result(("astar", "lru", NUM_ACCESSES), {"ipc": 1.0})
+    result = ParallelSimulator(jobs=1).run_results(PARALLEL_TASKS[:1])[0]
+    path = store.save_result(("astar", "lru", NUM_ACCESSES), result)
     _damage(path, "truncated")
     argv = ["store", "verify", "--dir", str(tmp_path / "store")]
 

@@ -10,12 +10,16 @@ older build left beside its records is ignored until ``store gc`` deletes
 it.
 """
 
+import functools
 import json
 import os
+import pickle
+import struct
 import subprocess
 import sys
 import time
 import warnings
+import zlib
 
 import pytest
 
@@ -23,10 +27,11 @@ from repro.cli import main
 from repro.core.pipeline import CacheMind, SimulationCache
 from repro.errors import StoreReadOnlyError, StoreVersionError
 from repro.sim.config import TINY_CONFIG
+from repro.sim.engine import simulate
 from repro.tracedb.objstore import (
+    PICKLED_RECORD_MAGIC,
     TEMP_MAX_AGE_SECONDS,
     decode_header,
-    encode_record,
     parse_object_name,
     shard_of,
 )
@@ -47,11 +52,32 @@ SESSION_KWARGS = dict(workloads=["astar"], policies=["lru"],
                       num_accesses=300, config=TINY_CONFIG, seed=0)
 
 
+@functools.lru_cache(maxsize=None)
+def _result(seed):
+    """A small real simulation result: what a ``result`` record holds."""
+    return simulate(generate_trace("astar", 64, seed=seed), "lru",
+                    config=TINY_CONFIG, detail="stats")
+
+
+def _counters(result):
+    """What tells two of these results apart."""
+    return (result.workload, result.policy_name,
+            result.llc_stats.as_tuple(), result.timing.cycles)
+
+
+def _pickled_record(header, payload):
+    """A record in the pickled container every build up to store schema 3
+    wrote: magic, length-prefixed pickled header, zlib pickled payload."""
+    header_bytes = pickle.dumps(header, protocol=4)
+    return (PICKLED_RECORD_MAGIC + struct.pack("<I", len(header_bytes))
+            + header_bytes + zlib.compress(pickle.dumps(payload, protocol=4)))
+
+
 def _populate(store, count=6):
     """A small mixed corpus: results, an experiment, a trace."""
     for i in range(count):
-        store.save("result", ("k", i), {"i": i})
-        store.save("result", ("r", i), [i, i + 1])
+        store.save("result", ("k", i), _result(i))
+        store.save("result", ("r", i), _result(count + i))
     store.save_experiment("cafe0123", {"cells": [1, 2, 3]})
     store.save_trace(generate_trace("astar", 200, seed=1), source="unit")
 
@@ -87,9 +113,9 @@ def test_objects_land_in_their_digest_shard(tmp_path):
 
 def test_a_save_writes_one_object_file(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("result", ("k", 0), {"i": 0})
+    store.save("result", ("k", 0), _result(0))
     before = _tree(str(tmp_path))
-    path = store.save("result", ("k", 1), {"i": 1})
+    path = store.save("result", ("k", 1), _result(1))
     after = _tree(str(tmp_path))
     added = {name for name in after if name not in before}
     relpath = os.path.relpath(path, str(tmp_path))
@@ -101,7 +127,14 @@ def test_a_save_writes_one_object_file(tmp_path):
 def test_round_trip_and_per_shard_info(tmp_path):
     store = TraceStore(str(tmp_path))
     _populate(store)
-    assert store.load("result", ("k", 0)) == {"i": 0}
+    assert _counters(store.load("result", ("k", 0))) == _counters(_result(0))
+    # A stored trace comes back whole, its binary image included.
+    trace = generate_trace("astar", 200, seed=1)
+    loaded = store.load_trace(f"{trace.fingerprint():08x}")
+    assert loaded == trace
+    assert loaded.binary.describe() == trace.binary.describe()
+    assert ([loaded.binary.assembly_context(pc) for pc in trace.unique_pcs]
+            == [trace.binary.assembly_context(pc) for pc in trace.unique_pcs])
     info = store.info()
     assert info["layout"] == "sharded"
     assert info["results"] == 12
@@ -128,7 +161,7 @@ def test_listings_open_only_the_records_of_their_kind(tmp_path):
     # any, that opens nothing.
     results_only = TraceStore(str(tmp_path / "results"))
     for i in range(12):
-        results_only.save("result", ("k", i), {"i": i})
+        results_only.save("result", ("k", i), _result(i))
     fresh = TraceStore(str(tmp_path / "results"))
     assert fresh.trace_manifest() == []
     assert ensure_store_traces_registered(fresh) == []
@@ -152,7 +185,7 @@ def test_verify_can_be_scoped_to_shards(tmp_path):
 
 def test_gc_never_sweeps_a_fresh_temp_file(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("result", ("k",), {"x": 1})
+    store.save("result", ("k",), _result(0))
     shard = next(iter(_object_paths(tmp_path)))[0]
     fresh_tmp = os.path.join(str(tmp_path), "objects", shard, "inflight.tmp")
     with open(fresh_tmp, "wb") as handle:
@@ -181,7 +214,7 @@ def test_gc_never_sweeps_a_fresh_temp_file(tmp_path):
 def test_read_only_mount_serves_warm_and_refuses_writes(tmp_path):
     _populate(TraceStore(str(tmp_path)), count=2)
     mount = TraceStore(str(tmp_path), read_only=True)
-    assert mount.load("result", ("k", 0)) == {"i": 0}
+    assert _counters(mount.load("result", ("k", 0))) == _counters(_result(0))
     assert mount.experiment_fingerprints() == ["cafe0123"]
     for mutate in (lambda: mount.save("result", ("z",), {}),
                    mount.gc, mount.clear,
@@ -194,7 +227,7 @@ def test_read_only_mount_never_creates_or_mutates_anything(tmp_path):
     with pytest.raises(FileNotFoundError):
         TraceStore(str(tmp_path / "nope"), read_only=True)
     store = TraceStore(str(tmp_path))
-    store.save("result", ("k",), {"x": 1})
+    store.save("result", ("k",), _result(0))
     # Corrupt the record: a read-only reader warns and misses but must NOT
     # quarantine (that would mutate a store it does not own).
     path = next(iter(_object_paths(tmp_path)))[1]
@@ -278,7 +311,7 @@ def _pre_sharding_store(root):
         names.append(f"entry-{key_digest(key)}.pkl")
         header = {"schema": 1, "kind": "entry", "key_repr": repr(key)}
         with open(os.path.join(root, names[-1]), "wb") as handle:
-            handle.write(encode_record(header, {"i": i}))
+            handle.write(_pickled_record(header, {"i": i}))
     return names
 
 
@@ -345,7 +378,7 @@ def _schema_2_store(root):
             digest = key_digest(key)
             name = f"{kind}-{digest}.pkl"
             header = {"schema": 2, "kind": kind, "key_repr": repr(key)}
-            data = encode_record(header, {"i": i})
+            data = _pickled_record(header, {"i": i})
             shard_dir = os.path.join(root, "objects", shard_of(digest))
             os.makedirs(shard_dir, exist_ok=True)
             with open(os.path.join(shard_dir, name), "wb") as handle:
@@ -361,8 +394,8 @@ def test_schema_2_store_is_foreign_until_gc(tmp_path, capsys):
     for read_only in (False, True):
         with pytest.raises(StoreVersionError, match="store gc"):
             TraceStore(root, read_only=read_only)
-    # Every record is another build's: foreign by its header schema,
-    # whatever its kind, and never corrupt.
+    # Every record is another build's: foreign by its pickled container's
+    # magic, whatever its kind, and never corrupt.
     report = TraceStore(root, strict=False).verify()
     assert sorted(report["foreign"]) == names
     assert report["corrupt"] == [] and report["ok"] == 0
@@ -431,7 +464,7 @@ def test_a_store_with_an_older_index_stays_warm_until_gc_drops_it(
 
 def test_gc_deletes_only_what_an_older_index_left(tmp_path):
     root = str(tmp_path)
-    TraceStore(root).save("result", ("k",), {"x": 1})
+    TraceStore(root).save("result", ("k",), _result(0))
     _index_left_by_an_older_build(root)
     foreign = os.path.join(root, "index", "notes.txt")
     with open(foreign, "w") as handle:
@@ -454,8 +487,8 @@ def test_verify_repair_leaves_a_foreign_store_untouched(tmp_path, capsys):
     ``store gc`` is the only path that rewrites such a store."""
     root = str(tmp_path)
     store = TraceStore(root)
-    store.save("result", ("k", 0), {"i": 0})
-    broken = store.save("result", ("k", 1), {"i": 1})
+    store.save("result", ("k", 0), _result(0))
+    broken = store.save("result", ("k", 1), _result(1))
     with open(broken, "wb") as handle:
         handle.write(b"junk")
     stale_tmp = os.path.join(os.path.dirname(broken), "stranded.tmp")
@@ -483,7 +516,7 @@ from repro.tracedb.store import TraceStore
 root, writer, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 store = TraceStore(root)
 for i in range(count):
-    store.save("result", ("w", writer, i), {"writer": writer, "i": i})
+    store.save("experiment", ("w", writer, i), {"writer": writer, "i": i})
 print(store.saves)
 """
 
@@ -519,7 +552,7 @@ def test_concurrent_writer_processes_lose_no_records(tmp_path):
     assert len(store) == writers * per_writer
     for writer in range(writers):
         for i in range(per_writer):
-            assert store.load("result", ("w", writer, i)) \
+            assert store.load("experiment", ("w", writer, i)) \
                 == {"writer": writer, "i": i}
     # Snapshots only ever grew (objects are immutable, writes atomic).
     assert snapshots == sorted(snapshots)

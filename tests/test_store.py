@@ -7,16 +7,29 @@ rebuild) when a record file is corrupt or truncated.
 
 import json
 import os
+import pickle
+import struct
+import sys
+import threading
 import warnings
+import zlib
 
 import pytest
 
+import repro.tracedb.store as store_module
 from repro.cli import main
+from repro.core.experiment import ExperimentResult
 from repro.core.pipeline import CacheMind, SimulationCache
 from repro.core.plan import PlannedJob
 from repro.errors import StoreVersionError
 from repro.sim.batch import RolloutSpec
 from repro.sim.config import TINY_CONFIG
+from repro.tracedb.objstore import (
+    PICKLED_RECORD_MAGIC,
+    decode_header,
+    encode_record,
+    read_sections,
+)
 from repro.tracedb.store import (
     STORE_SCHEMA_VERSION,
     StoreCorruptionWarning,
@@ -24,7 +37,8 @@ from repro.tracedb.store import (
     key_digest,
     simulation_key,
 )
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import generate_trace, unregister_workload
+from repro.workloads.ingest import import_trace_file, write_text_trace
 
 WORKLOADS = ["astar", "lbm"]
 POLICIES = ["lru", "belady"]
@@ -34,8 +48,8 @@ SESSION_KWARGS = dict(workloads=WORKLOADS, policies=POLICIES,
                       num_accesses=NUM_ACCESSES, config=TINY_CONFIG, seed=0)
 
 
-def _raise_on_unpickle():
-    raise AssertionError("payload was unpickled by a header-only path")
+def _raise_on_decompress(*_args):
+    raise AssertionError("a section was decompressed by a header-only path")
 
 
 def _session(store_dir):
@@ -179,14 +193,14 @@ def test_foreign_schema_version_is_refused(tmp_path):
 
 def test_corrupt_manifest_is_quarantined_and_rebuilt(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("result", ("k",), {"x": 1})
+    store.save("experiment", ("k",), {"x": 1})
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.warns(StoreCorruptionWarning):
         healed = TraceStore(str(tmp_path))
     # The bad manifest is preserved aside, a fresh one is stamped, and the
     # surviving record is still readable.
     assert "manifest.json" in healed.quarantined_files()
-    assert healed.load("result", ("k",)) == {"x": 1}
+    assert healed.load("experiment", ("k",)) == {"x": 1}
     assert json.loads((tmp_path / "manifest.json").read_text())["schema"] \
         == STORE_SCHEMA_VERSION
 
@@ -194,12 +208,12 @@ def test_corrupt_manifest_is_quarantined_and_rebuilt(tmp_path):
 def test_corrupt_manifest_over_foreign_records_is_refused(tmp_path):
     """Manifest self-healing must not adopt another build's records."""
     store = TraceStore(str(tmp_path))
-    store.save("result", ("k",), {"x": 1})
+    store.save("experiment", ("k",), {"x": 1})
     # Re-open pretending to be a future build whose records use a bumped
     # schema (the manifest still matches at open time).
     future = TraceStore(str(tmp_path))
     future.schema_version = STORE_SCHEMA_VERSION + 1
-    future.save("result", ("other",), {"x": 2})
+    future.save("experiment", ("other",), {"x": 2})
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(StoreVersionError):
         TraceStore(str(tmp_path))
@@ -207,13 +221,13 @@ def test_corrupt_manifest_over_foreign_records_is_refused(tmp_path):
 
 def test_foreign_record_schema_is_a_miss(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("result", ("k",), {"x": 1})
+    store.save("experiment", ("k",), {"x": 1})
     # Re-open pretending to be a future version that kept the manifest
     # format but bumped record layouts.
     future = TraceStore(str(tmp_path))
     future.schema_version = STORE_SCHEMA_VERSION + 1
     with pytest.warns(StoreCorruptionWarning):
-        assert future.load("result", ("k",)) is None
+        assert future.load("experiment", ("k",)) is None
 
 
 # ----------------------------------------------------------------------
@@ -290,18 +304,18 @@ def test_fully_corrupt_store_warns_and_resimulates(tmp_path):
 
 def test_garbage_bytes_record_is_a_miss(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("result", ("k",), {"x": 1})
+    store.save("experiment", ("k",), {"x": 1})
     path = _first_record_path(str(tmp_path))
     with open(path, "wb") as handle:
         handle.write(b"definitely not a store record")
     with pytest.warns(StoreCorruptionWarning):
-        assert store.load("result", ("k",)) is None
+        assert store.load("experiment", ("k",)) is None
 
 
 def test_gc_removes_corrupt_and_prunes(tmp_path):
     store = TraceStore(str(tmp_path))
     for i in range(4):
-        store.save("result", (i,), {"i": i})
+        store.save("experiment", (i,), {"i": i})
     # Corrupt one record, and strand a fake interrupted atomic write.
     path = _first_record_path(str(tmp_path))
     with open(path, "wb") as handle:
@@ -320,7 +334,7 @@ def test_gc_removes_corrupt_and_prunes(tmp_path):
 
 def test_gc_recovers_a_foreign_schema_store(tmp_path):
     store = TraceStore(str(tmp_path))
-    store.save("result", ("k",), {"x": 1})
+    store.save("experiment", ("k",), {"x": 1})
     (tmp_path / "manifest.json").write_text(
         json.dumps({"schema": STORE_SCHEMA_VERSION + 1}))
     # Strict opening refuses...
@@ -332,29 +346,29 @@ def test_gc_recovers_a_foreign_schema_store(tmp_path):
     removed = TraceStore(str(tmp_path), strict=False).gc()
     assert removed["schema"] == []
     reopened = TraceStore(str(tmp_path))
-    assert reopened.load("result", ("k",)) == {"x": 1}
+    assert reopened.load("experiment", ("k",)) == {"x": 1}
 
 
 def test_store_verify_hints_gc_for_foreign_records(tmp_path, capsys):
     # --repair leaves foreign records alone, so it is not the remedy.
     future = TraceStore(str(tmp_path))
     future.schema_version = STORE_SCHEMA_VERSION + 1
-    future.save("result", ("k",), {"x": 1})
+    future.save("experiment", ("k",), {"x": 1})
     for repair in ([], ["--repair"]):
         assert main(["store", "verify", "--dir", str(tmp_path)]
                     + repair) == 1
         assert "store gc --dir" in capsys.readouterr().err
 
 
-def test_info_is_header_only(tmp_path):
-    """``info`` must not unpickle payloads (maintenance stays cheap)."""
+def test_info_is_header_only(tmp_path, monkeypatch):
+    """``info`` must not decompress sections (maintenance stays cheap)."""
     store = TraceStore(str(tmp_path))
-
-    class Unloadable:
-        def __reduce__(self):
-            return (_raise_on_unpickle, ())
-
-    store.save("result", ("k",), Unloadable())
+    job = PlannedJob("astar", "lru", NUM_ACCESSES, 0, TINY_CONFIG.name,
+                     "llc_only")
+    result = SimulationCache().run_jobs(
+        [job], {TINY_CONFIG.name: TINY_CONFIG})[0][job.key].result
+    store.save("result", ("k",), result)
+    monkeypatch.setattr(zlib, "decompress", _raise_on_decompress)
     info = store.info()
     assert info["results"] == 1 and info["unreadable"] == 0
 
@@ -421,3 +435,284 @@ def test_conflicting_store_dir_is_rejected(tmp_path):
     with pytest.raises(ValueError):
         CacheMind(simulation_cache=cache, store_dir=str(tmp_path / "b"),
                   **SESSION_KWARGS)
+
+
+# ----------------------------------------------------------------------
+# the pickle-free record codec
+# ----------------------------------------------------------------------
+def _refuse_unpickling(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a store read path unpickled bytes from disk")
+
+    for name in ("loads", "load", "Unpickler"):
+        monkeypatch.setattr(pickle, name, refuse)
+
+
+def _explode():
+    raise AssertionError("a byte after the pickled record's magic was "
+                         "unpickled")
+
+
+class _Bomb:
+    """Unpickling this calls :func:`_explode`."""
+
+    def __reduce__(self):
+        return (_explode, ())
+
+
+def _objects_tree(root):
+    """Every file under a store's ``objects/`` tree, with its bytes."""
+    tree = {}
+    for directory, _dirs, files in os.walk(os.path.join(str(root),
+                                                        "objects")):
+        for name in files:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                tree[os.path.relpath(path, str(root))] = handle.read()
+    return tree
+
+
+def test_no_store_read_path_unpickles(tmp_path, monkeypatch, capsys):
+    root = str(tmp_path / "store")
+    cold_session, _ = _session(root)
+    cold_db = cold_session.database
+    experiment = cold_session.run_experiment(cold_session.experiment_spec())
+    trace = generate_trace("mcf", 200, seed=1)
+    source = write_text_trace(trace, str(tmp_path / "inspected.csv"))
+    try:
+        _name, meta = import_trace_file(TraceStore(root), source,
+                                        name="inspected")
+        _refuse_unpickling(monkeypatch)
+        # load of each kind
+        warm_session, warm_cache = _session(root)
+        for key in cold_db.keys():
+            assert (_table_bytes(warm_session.database.entry(key))
+                    == _table_bytes(cold_db.entry(key)))
+        assert warm_cache.store_hits == len(WORKLOADS) * len(POLICIES)
+        store = TraceStore(root)
+        loaded = ExperimentResult.load(store, experiment.fingerprint)
+        assert loaded.columns == experiment.columns
+        stored_trace = store.load_trace(meta["fingerprint"])
+        assert stored_trace.columns() == trace.columns()
+        assert [summary["fingerprint"] for summary in
+                store.list_experiments()] == [experiment.fingerprint]
+        # the inspection and maintenance paths
+        assert store.info()["unreadable"] == 0
+        assert store.verify()["clean"]
+        for command in (["trace", "list", "--dir", root],
+                        ["trace", "info", "inspected", "--dir", root],
+                        ["experiment", "report", "--store-dir", root]):
+            assert main(command) == 0, command
+        capsys.readouterr()
+        assert not any(store.gc().values())
+    finally:
+        unregister_workload("inspected")
+
+
+def test_a_loaded_log_stays_compressed_until_read(tmp_path, monkeypatch):
+    cold_session, _ = _session(tmp_path)
+    cold_db = cold_session.database
+    decoded = []
+    unpack = store_module.unpack_columns
+    monkeypatch.setattr(store_module, "unpack_columns",
+                        lambda *args: decoded.append(args) or unpack(*args))
+
+    # A warm grid reads each cell's counters: it decodes no log.
+    warm_session, warm_cache = _session(tmp_path)
+    grid = warm_session.run_experiment(warm_session.experiment_spec())
+    assert grid.counters["simulations_run"] == 0
+    assert grid.counters["store_hits"] == len(WORKLOADS) * len(POLICIES)
+    assert decoded == []
+    # Deriving entries, their lengths and row counts decode nothing either.
+    warm_db = warm_session.database
+    for key in cold_db.keys():
+        warm, cold = warm_db.entry(key).result, cold_db.entry(key).result
+        assert len(warm.log) == len(cold.log) == NUM_ACCESSES
+        assert warm.num_records == cold.num_records
+        assert warm_db.entry(key).metadata == cold_db.entry(key).metadata
+    assert decoded == []
+
+    # The first read of any column decodes them all, once.
+    entry = warm_db.entry("astar_evictions_lru")
+    assert len(entry.result.log.recencies) == NUM_ACCESSES
+    assert len(decoded) == 1
+    assert _table_bytes(entry) == _table_bytes(
+        cold_db.entry("astar_evictions_lru"))
+    assert len(decoded) == 1
+    # Pickling a deferred log decodes it first: it pickles as the fresh
+    # log the replay wrote.
+    key = "lbm_evictions_belady"
+    assert (pickle.dumps(warm_db.entry(key).result.log)
+            == pickle.dumps(cold_db.entry(key).result.log))
+    assert len(decoded) == 2
+    # A loaded result has the image of the trace it was simulated with.
+    assert (entry.result.binary.describe()
+            == cold_db.entry("astar_evictions_lru").result.binary.describe())
+
+
+def _schema_3_store(root):
+    """A store as the schema-3 build left it: a schema-3 manifest and one
+    pickled result record, whose header unpickles into a call to
+    :func:`_explode`.  Returns the record name."""
+    with open(os.path.join(root, "manifest.json"), "w") as handle:
+        json.dump({"schema": 3, "layout": "sharded"}, handle)
+    key = ("k",)
+    digest = key_digest(key)
+    header = pickle.dumps({"schema": 3, "kind": "result",
+                           "key_repr": repr(key), "bomb": _Bomb()})
+    shard_dir = os.path.join(root, "objects", digest[:2])
+    os.makedirs(shard_dir)
+    name = f"result-{digest}.pkl"
+    with open(os.path.join(shard_dir, name), "wb") as handle:
+        handle.write(PICKLED_RECORD_MAGIC + struct.pack("<I", len(header))
+                     + header + zlib.compress(pickle.dumps(_Bomb())))
+    return name
+
+
+def test_a_schema_3_store_is_foreign_by_magic_until_gc(tmp_path, capsys):
+    root = str(tmp_path)
+    name = _schema_3_store(root)
+    with pytest.raises(StoreVersionError, match="store gc"):
+        TraceStore(root)
+    # Judged from the record's magic alone: nothing is unpickled.
+    store = TraceStore(root, strict=False)
+    report = store.verify()
+    assert report["foreign"] == [name]
+    assert report["corrupt"] == [] and report["ok"] == 0
+    with pytest.warns(StoreCorruptionWarning, match="does not match"):
+        assert store.load("result", ("k",)) is None
+    assert store.info()["unreadable"] == 0
+    assert store.quarantined_files() == []
+    assert main(["store", "gc", "--dir", root]) == 0
+    assert f"removed (schema): {name}" in capsys.readouterr().out
+    # gc converts it: the store opens, and a session over it is cold once.
+    assert len(TraceStore(root)) == 0
+    cold, warm = SimulationCache(), SimulationCache()
+    for cache in (cold, warm):
+        _ = CacheMind(store_dir=root, simulation_cache=cache,
+                      **SESSION_KWARGS).database
+    assert cold.misses > 0 and warm.misses == 0
+
+
+def test_store_save_writes_identical_records_under_any_jobs(tmp_path,
+                                                            process_pools):
+    base = ["--workloads", "astar,lbm", "--policies", "lru,belady",
+            "--accesses", "400", "--config", "tiny"]
+    for jobs in ("1", "2"):
+        assert main(["store", "save", "--dir", str(tmp_path / jobs),
+                     "--jobs", jobs] + base) == 0
+    assert len(process_pools) == 1  # the --jobs 2 build used workers
+    serial = _objects_tree(tmp_path / "1")
+    assert len(serial) == 4
+    assert _objects_tree(tmp_path / "2") == serial
+
+
+def _rewrite_record(path, edit):
+    """Re-encode the record at ``path`` with valid checksums after
+    ``edit(header, sections)`` changed its decoded parts: ``header`` without
+    its section table, ``sections`` as ``[name, bytes, table extras]``."""
+    with open(path, "rb") as handle:
+        header = decode_header(handle)
+        blobs = read_sections(handle, header)
+    sections = [[entry["name"], zlib.decompress(blobs[entry["name"]]),
+                 {key: value for key, value in entry.items()
+                  if key not in ("name", "size", "crc32")}]
+                for entry in header.pop("sections")]
+    edit(header, sections)
+    with open(path, "wb") as handle:
+        handle.write(encode_record(header, sections))
+
+
+def _edit_result_json(change):
+    def edit(_header, sections):
+        document = json.loads(sections[0][1])
+        sections[0][1] = json.dumps(change(document)).encode("utf-8")
+    return edit
+
+
+def _edit_log_layout(change):
+    def edit(_header, sections):
+        change(sections[1][2]["columns"])
+    return edit
+
+
+MALFORMED = {
+    "json-field-missing": _edit_result_json(
+        lambda document: {key: value for key, value in document.items()
+                          if key != "timing"}),
+    "json-not-an-object": _edit_result_json(lambda document: [document]),
+    "json-field-mistyped": _edit_result_json(
+        lambda document: {**document, "llc_stats": [1, 2, 3]}),
+    "column-count": _edit_log_layout(
+        lambda columns: columns[1].__setitem__(2, columns[1][2] + 1)),
+    "column-typecode": _edit_log_layout(
+        lambda columns: columns[0].__setitem__(1, "?")),
+    "column-missing": _edit_log_layout(lambda columns: columns.pop()),
+    "section-missing": lambda _header, sections: sections.pop(),
+    # Table extras land after the real size, so this writes a bad one.
+    "section-size-malformed": lambda _header, sections: (
+        sections[1][2].__setitem__("size", -1)),
+}
+
+
+@pytest.mark.parametrize("malformation", sorted(MALFORMED))
+def test_a_malformed_record_is_quarantined_at_load(tmp_path, malformation):
+    """Well-checksummed but malformed content is a content error: verify
+    lists the record as corrupt, and a load quarantines it instead of
+    raising in a later answer."""
+    cold_session, _ = _session(tmp_path)
+    reference = _table_bytes(cold_session.database.entry(
+        "astar_evictions_lru"))
+    key = simulation_key(RolloutSpec("lru", TINY_CONFIG, detail="full"),
+                         generate_trace("astar", NUM_ACCESSES, seed=0))
+    name = f"result-{key_digest(key)}.pkl"
+    path = os.path.join(str(tmp_path), "objects", name[7:9], name)
+    _rewrite_record(path, MALFORMED[malformation])
+    report = TraceStore(str(tmp_path)).verify()
+    assert report["corrupt"] == [name], report
+
+    warm_session, warm_cache = _session(tmp_path)
+    with pytest.warns(StoreCorruptionWarning, match="corrupt"):
+        entry = warm_session.database.entry("astar_evictions_lru")
+    assert warm_cache.misses == 1
+    assert warm_cache.store.quarantined_files() == [name]
+    assert _table_bytes(entry) == reference
+
+
+def test_racing_first_readers_of_a_deferred_log_see_whole_columns(tmp_path):
+    """Serving threads share loaded results: whichever thread decodes a
+    log, every reader sees every column whole and equal to the replay's."""
+    job = PlannedJob("astar", "lru", NUM_ACCESSES, 0, TINY_CONFIG.name,
+                     "llc_only")
+    configs = {TINY_CONFIG.name: TINY_CONFIG}
+    cold = SimulationCache(store=str(tmp_path)).run_jobs(
+        [job], configs)[0][job.key].result.log
+
+    def view(log):
+        last = len(log) - 1
+        return (list(log.pcs), list(log.recencies), list(log.function_names),
+                log.row_scores(last), log.row_lines(last))
+
+    expected = view(cold)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(5):
+            warm = SimulationCache(store=str(tmp_path)).run_jobs(
+                [job], configs)[0][job.key].result.log
+            barrier = threading.Barrier(8)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=30)
+                seen.append(view(warm))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert seen == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
