@@ -30,8 +30,8 @@ Layer stack (each importable as ``repro.<layer>``):
   :class:`FaultPlan` rules fired at named :func:`fault_point` hooks) for
   chaos-testing the store, parallel builds and the serving stack.
 
-``python -m repro`` exposes the ``simulate``, ``ask``, ``bench``,
-``experiment``, ``store`` and ``serve`` subcommands over the same facade.
+``python -m repro`` exposes the ``simulate``, ``ask``, ``experiment``,
+``store``, ``serve`` and ``trace`` subcommands over the same facade.
 """
 
 from repro.analytics import (

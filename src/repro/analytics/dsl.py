@@ -94,10 +94,6 @@ class _Tokens:
         if kind != "punct" or value != symbol:
             raise QuerySyntaxError(f"expected {symbol!r}, got {value!r}")
 
-    def at_clause_boundary(self) -> bool:
-        item = self.peek()
-        return item is None or (item[0] == "word" and item[1].lower() in _CLAUSE_WORDS)
-
 
 def _unquote(text: str) -> str:
     body = text[1:-1]

@@ -1,5 +1,5 @@
 """Command-line interface:
-``python -m repro {simulate,ask,bench,experiment,store,serve,trace}``.
+``python -m repro {simulate,ask,experiment,store,serve,trace}``.
 
 All subcommands drive the same :class:`~repro.core.pipeline.CacheMind`
 facade (and therefore share the process-wide simulation memoiser):
@@ -11,10 +11,6 @@ facade (and therefore share the process-wide simulation memoiser):
   (answer, provenance, plan/dedup counts, timings) instead of prose;
   ``--remote HOST:PORT`` sends the batch to a running ``repro serve``
   instance instead of answering in-process,
-* ``bench``    -- build the database once (``--jobs N`` parallelises it) and
-  print the per-workload, per-policy metric table with the winner per row,
-  plus build timings and simulation-cache hit/miss counts (the end-to-end
-  benchmark is ``perfbench/``, outside the package),
 * ``experiment`` -- declarative sweep grids (``run``/``report``): compile a
   workloads x policies x configs x details x lengths x seeds grid into one
   merged job plan, execute it (in-process, or server-side with
@@ -192,14 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     ask.add_argument("--store-read-only", action="store_true",
                      help="mount --store-dir without write access "
                           "(serve warm results, persist nothing)")
-
-    bench = subparsers.add_parser(
-        "bench", help="benchmark every policy on every workload")
-    _add_session_arguments(bench)
-    bench.add_argument("--metric", choices=["miss_rate", "hit_rate", "ipc"],
-                       default="miss_rate")
-    bench.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel simulation workers (default: 1)")
 
     experiment = subparsers.add_parser(
         "experiment",
@@ -601,39 +589,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    session = _make_session(args, jobs=args.jobs)
-    cache_before = dict(session.simulation_cache.stats())
-    build_start = time.perf_counter()
-    table = session.compare_policies(metric=args.metric)
-    build_seconds = time.perf_counter() - build_start
-    percent = args.metric in ("miss_rate", "hit_rate")
-    name_width = max(len(name) for name in table)
-    print(f"{args.metric} per (workload, policy) — config '{args.config}', "
-          f"{args.accesses} accesses")
-    for workload, row in table.items():
-        best, _rate = session.best_policy(workload, metric=args.metric)
-        cells = []
-        for policy, value in sorted(row.items()):
-            rendered = f"{value * 100:.2f}%" if percent else f"{value:.4f}"
-            marker = "*" if policy == best else " "
-            cells.append(f"{policy}={rendered}{marker}")
-        print(f"  {workload:<{name_width}}  " + "  ".join(cells))
-    print("  (* = best policy per workload)")
-    cache_after = session.simulation_cache.stats()
-    simulations = len(args.workloads) * len(args.policies)
-    new_hits = cache_after["hits"] - cache_before["hits"]
-    new_misses = cache_after["misses"] - cache_before["misses"]
-    per_simulation = build_seconds / simulations if simulations else 0.0
-    print(f"  built in {build_seconds:.3f}s "
-          f"({per_simulation * 1000:.1f} ms/simulation, "
-          f"{simulations} simulations, jobs={args.jobs})")
-    print(f"  simulation cache: {new_hits} hits, {new_misses} misses this "
-          f"build ({cache_after['hits']} hits / {cache_after['misses']} "
-          f"misses process-wide)")
-    return 0
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.experiment_command == "run":
         return _cmd_experiment_run(args)
@@ -951,8 +906,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "save":
         _values, tally = cache.run_jobs(
             session.planner.matrix_jobs(),
-            {session.config.name: session.config}, jobs=session.jobs,
-            max_records=session.max_records)
+            {session.config.name: session.config}, jobs=session.jobs)
         seconds = time.perf_counter() - start
         stats = cache.stats()
         # A clean build prints no recovery counts; a recovered one names
@@ -1057,7 +1011,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = {
         "simulate": _cmd_simulate,
         "ask": _cmd_ask,
-        "bench": _cmd_bench,
         "experiment": _cmd_experiment,
         "store": _cmd_store,
         "serve": _cmd_serve,

@@ -346,10 +346,6 @@ class ExperimentResult:
     def __len__(self) -> int:
         return len(self.columns["workload"])
 
-    @property
-    def num_cells(self) -> int:
-        return len(self)
-
     def row(self, index: int) -> Dict[str, Any]:
         return {name: self.columns[name][index] for name in COLUMNS}
 
@@ -676,11 +672,9 @@ class ExperimentRunner:
     takes its counters from the executor's tally.
     """
 
-    def __init__(self, simulation_cache=None, jobs: int = 1,
-                 max_records: Optional[int] = None):
+    def __init__(self, simulation_cache=None, jobs: int = 1):
         self.simulation_cache = simulation_cache
         self.jobs = max(1, int(jobs))
-        self.max_records = max_records
 
     # ------------------------------------------------------------------
     def _cache(self):
@@ -696,7 +690,8 @@ class ExperimentRunner:
 
         With a store-backed cache the result is also persisted under the
         spec fingerprint, so ``experiment report`` (and warm re-runs) can
-        find it later.
+        find it later.  A run that simulated nothing and finds that record
+        leaves it as it is.
         """
         started = time.perf_counter()
         spec = as_experiment_spec(spec)
@@ -720,8 +715,7 @@ class ExperimentRunner:
         # which the CLI's --expect-warm assertion and the stored record
         # rely on.
         values, tally = cache.run_jobs(
-            plan.jobs, spec.config_map, jobs=self.jobs,
-            max_records=self.max_records, progress=progress)
+            plan.jobs, spec.config_map, jobs=self.jobs, progress=progress)
         execute_seconds = time.perf_counter() - execute_started
 
         columns: Dict[str, List[Any]] = {name: [] for name in COLUMNS}
@@ -742,7 +736,11 @@ class ExperimentRunner:
             timings={"compile": compile_seconds,
                      "execute": execute_seconds,
                      "total": total_seconds})
-        if cache.store is not None:
+        # A run that simulated nothing has the cells its stored record
+        # holds, so a readable record stays as it is.
+        if cache.store is not None and (
+                tally["simulations_run"]
+                or cache.store.load_experiment(result.fingerprint) is None):
             # The store is an accelerator: a failed persist must not lose
             # the freshly computed in-memory result.  A read-only mount is
             # the deliberate "serve warm, don't persist" configuration, so
@@ -811,10 +809,8 @@ class ExperimentRunner:
 
 def run_experiment(spec: Union[ExperimentSpec, Dict[str, Any]],
                    simulation_cache=None, jobs: int = 1,
-                   max_records: Optional[int] = None,
                    progress: Optional[ProgressCallback] = None
                    ) -> ExperimentResult:
     """Module-level convenience: compile and execute one spec."""
-    runner = ExperimentRunner(simulation_cache=simulation_cache, jobs=jobs,
-                              max_records=max_records)
+    runner = ExperimentRunner(simulation_cache=simulation_cache, jobs=jobs)
     return runner.run(spec, progress=progress)

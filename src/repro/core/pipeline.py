@@ -146,7 +146,7 @@ class SimulationCache:
     :class:`~repro.sim.batch.RolloutSpec` and its trace) cover everything
     that determines a run's output: the trace's workload, length, seed and
     content fingerprint, and the rollout's policy, (hashable, frozen)
-    hierarchy config, mode, detail and record cap.  ``hits``/``misses``
+    hierarchy config, mode and detail.  ``hits``/``misses``
     are exposed so callers and tests can verify that repeated sessions
     reuse prior work; the counters and :meth:`stats` read under the cache
     lock, so concurrent serving threads never observe a torn snapshot.
@@ -272,8 +272,7 @@ class SimulationCache:
                 f"persistence for this record",
                 StoreCorruptionWarning, stacklevel=3)
 
-    def _lookup(self, key: tuple, trace: MemoryTrace,
-                description: Optional[str] = None):
+    def _lookup(self, key: tuple, description: Optional[str] = None):
         """``(value, origin)`` without simulating: origin is ``"memory"``,
         ``"store"`` or ``"miss"``, and value is ``None`` only for a miss.
         A found value counts as a hit (an avoided simulation), a store load
@@ -282,10 +281,7 @@ class SimulationCache:
         ``description=None`` looks up the result under the simulation
         ``key``.  A string looks up the entry memoised under ``key +
         (description,)``; failing that, it derives the entry from a
-        memoised or stored result and memoises it.  A stored result
-        carries no binary image: it gets ``trace``'s, which is the image
-        it was simulated with, because ``key`` names the trace's content
-        and seed.
+        memoised or stored result and memoises it.
         """
         with self._lock:
             if description is not None:
@@ -302,7 +298,6 @@ class SimulationCache:
                       if self.store is not None else None)
             if result is None:
                 return None, "miss"
-            result.binary = trace.binary
             with self._lock:
                 self._put(self._results, key, result)
                 self._hits += 1
@@ -333,7 +328,6 @@ class SimulationCache:
 
     def run_jobs(self, planned: Sequence[PlannedJob],
                  configs: Dict[str, HierarchyConfig], jobs: int = 1,
-                 max_records: Optional[int] = None,
                  progress: Optional[ProgressCallback] = None
                  ) -> Tuple[Dict[tuple, object], Dict[str, int]]:
         """Turn planned jobs into memoised values: where every simulation
@@ -382,14 +376,13 @@ class SimulationCache:
         for job in unique.values():
             spec = RolloutSpec(policy=job.policy,
                                config=configs[job.config_name],
-                               mode=job.mode, detail=job.detail,
-                               max_records=max_records)
+                               mode=job.mode, detail=job.detail)
             trace, description = self.get_trace(job.workload,
                                                 job.num_accesses, job.seed)
             miss = _Miss(job, spec, trace,
                          description if job.detail == "full" else None,
                          simulation_key(spec, trace))
-            value, origin = self._lookup(miss.key, trace, miss.description)
+            value, origin = self._lookup(miss.key, miss.description)
             if value is None:
                 # Serially one batch per trace; with jobs > 1 one pool for
                 # the whole call, whatever its configs and details.
@@ -472,7 +465,6 @@ class CacheMind:
                  backend: Union[str, LLMBackend] = "gpt-4o",
                  prompting: str = "zero_shot",
                  retriever: Union[str, Retriever, None] = None,
-                 max_records: Optional[int] = None,
                  simulation_cache: Optional[SimulationCache] = None,
                  jobs: int = 1,
                  store_dir: Optional[str] = None,
@@ -488,7 +480,6 @@ class CacheMind:
         self.mode = mode
         self.seed = seed
         self.prompting = prompting
-        self.max_records = max_records
         # jobs > 1 fans the cache misses of asks and experiment grids out
         # over worker processes (see SimulationCache.run_jobs).
         self.jobs = max(1, int(jobs))
@@ -578,7 +569,7 @@ class CacheMind:
         entries, simulations = self._execute_planned_jobs(planned)
         database = TraceDatabase(config=self.config)
         for entry in entries:
-            database.install_entry(entry)
+            database.add_entry(entry)
         self.database_builds += 1
         return database, simulations
 
@@ -600,8 +591,7 @@ class CacheMind:
                     f"this session runs ({self.config.name!r}, "
                     f"{self.mode!r}, 'full')")
         values, tally = self.simulation_cache.run_jobs(
-            planned, {self.config.name: self.config}, jobs=self.jobs,
-            max_records=self.max_records)
+            planned, {self.config.name: self.config}, jobs=self.jobs)
         return [values[job.key] for job in planned], tally["simulations_run"]
 
     def simulate(self, workload: str, policy: str) -> SimulationResult:
@@ -825,7 +815,7 @@ class CacheMind:
         """
         spec = as_experiment_spec(spec)
         runner = ExperimentRunner(simulation_cache=self.simulation_cache,
-                                  jobs=self.jobs, max_records=self.max_records)
+                                  jobs=self.jobs)
         result = runner.run(spec, progress=progress)
         with self._experiment_state_lock:
             # The planner's merge counter doubles as the dedup probe for

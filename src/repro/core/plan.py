@@ -32,7 +32,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -147,9 +146,6 @@ class QueryPlan:
     def question(self) -> str:
         return self.request.question
 
-    def job_keys(self) -> List[Tuple]:
-        return [job.key for job in self.jobs]
-
     def describe(self) -> str:
         return (f"plan[{self.route}] {self.intent.describe()} "
                 f"({len(self.jobs)} jobs)")
@@ -229,11 +225,6 @@ class QueryPlanner:
         return QueryPlan(request=request, intent=intent, route=route,
                          jobs=self.matrix_jobs(),
                          retriever_instance=instance)
-
-    def plan_many(self, requests: Sequence[Union[str, AskRequest]]
-                  ) -> List[QueryPlan]:
-        """Plan a batch (one plan per request, in order)."""
-        return [self.plan(request) for request in requests]
 
     # ------------------------------------------------------------------
     def merge_jobs(self, plans: Sequence[QueryPlan]

@@ -111,9 +111,6 @@ class QueryIntent:
     def policy(self) -> Optional[str]:
         return self.policies[0] if self.policies else None
 
-    def is_trace_grounded(self) -> bool:
-        return self.question_type in TRACE_GROUNDED_TYPES
-
     def describe(self) -> str:
         parts = [f"type={self.question_type}"]
         if self.pcs:

@@ -23,7 +23,7 @@ hard-coded — they emerge from running CacheMindBench against the backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List
 
 
@@ -71,11 +71,6 @@ class CapabilityProfile:
         if not isinstance(value, (int, float)):
             raise KeyError(f"{skill_name!r} is not a numeric skill")
         return float(value)
-
-    def adjusted(self, **overrides: float) -> "CapabilityProfile":
-        """Return a copy with some skills overridden (clamped to [0, 1])."""
-        clamped = {key: max(0.0, min(1.0, value)) for key, value in overrides.items()}
-        return replace(self, **clamped)
 
 
 #: Profiles for the five backends evaluated in the paper.

@@ -23,7 +23,7 @@ bundle — reproducing the Sieve/Ranger trade-off in the paper's abstract.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.query import QueryIntent
 from repro.llm.backend import LLMBackend
@@ -64,10 +64,6 @@ class RangerRetriever(Retriever):
         skill_ok = self.code_llm.check("code_generation", key)
         pipeline_ok = self.code_llm.draw("pipeline|" + key) < self.reliability
         return skill_ok and pipeline_ok
-
-    def generate_code(self, intent: QueryIntent) -> str:
-        """Expose the generated code (used by code-generation questions)."""
-        return self.code_generator.generate(intent, flawed=False)
 
     # ------------------------------------------------------------------
     def retrieve(self, intent: QueryIntent) -> RetrievedContext:

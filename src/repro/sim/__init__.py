@@ -38,12 +38,7 @@ from repro.sim.cache import (
 from repro.sim.cpu import TimingResult
 from repro.sim.replay import ReplayCore, TraceReuse
 from repro.sim.engine import SimulationEngine, SimulationResult, simulate
-from repro.sim.batch import (
-    BatchSimulator,
-    NATIVE_POLICIES,
-    RolloutSpec,
-    rollout_strategy,
-)
+from repro.sim.batch import BatchSimulator, NATIVE_POLICIES, RolloutSpec
 from repro.sim.parallel import ParallelSimulator
 
 __all__ = [
@@ -69,6 +64,5 @@ __all__ = [
     "BatchSimulator",
     "NATIVE_POLICIES",
     "RolloutSpec",
-    "rollout_strategy",
     "ParallelSimulator",
 ]

@@ -224,13 +224,6 @@ def available_configs() -> List[str]:
     return sorted(NAMED_CONFIGS)
 
 
-def register_config(config: HierarchyConfig) -> HierarchyConfig:
-    """Register a configuration under its own name (mirrors the policy /
-    retriever / backend registries); returns it so the call chains."""
-    NAMED_CONFIGS[config.name] = config
-    return config
-
-
 def get_config(name: str) -> HierarchyConfig:
     """The registered configuration for ``name``."""
     if name not in NAMED_CONFIGS:

@@ -63,12 +63,6 @@ class TimingResult:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles > 0 else 0.0
 
-    def speedup_over(self, baseline: "TimingResult") -> float:
-        """Relative IPC improvement over a baseline run (1.0 = no change)."""
-        if baseline.ipc == 0:
-            return 0.0
-        return self.ipc / baseline.ipc
-
 
 def _sequential_sum(column: np.ndarray) -> float:
     """Left-to-right float sum, as a Python loop of ``+=`` would give it."""

@@ -6,9 +6,7 @@ its raw typed columns, not per-access objects — through the replay core
 access in a columnar :class:`~repro.tracedb.schema.AccessLog`, annotated
 with forward reuse distances, recency, eviction victims, resident lines,
 policy eviction scores and source/assembly context — exactly the columns the
-trace database stores (paper section 4.3).  Row views
-(:class:`~repro.tracedb.schema.AccessRecord`) are materialised lazily via
-``SimulationResult.records``.
+trace database stores (paper section 4.3).
 
 A full-detail rollout writes each fact once.  The policy loop records only
 what needs policy state: the hit column, a victim column with each
@@ -35,10 +33,9 @@ Two modes are supported:
 
 Two detail levels are supported:
 
-* ``"full"`` (default) — one access-log row per LLC access (up to
-  ``max_records``), with resident-line and eviction-score snapshots,
-  source context and the wrong-eviction count.  This is what the trace
-  database consumes.
+* ``"full"`` (default) — one access-log row per LLC access, with
+  resident-line and eviction-score snapshots, source context and the
+  wrong-eviction count.  This is what the trace database consumes.
 * ``"stats"`` — aggregate statistics and timing only: no records, context
   or snapshots, and — unless the policy declares ``requires_future`` — no
   reuse-distance precomputation.  A policy given by name runs its native
@@ -51,8 +48,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -72,7 +68,7 @@ from repro.sim.replay import (
     native_kernel,
     policy_steps,
 )
-from repro.tracedb.schema import AccessLog, AccessRecord, NEVER_REUSED
+from repro.tracedb.schema import AccessLog, NEVER_REUSED
 from repro.tracedb.stats import WorkloadStatistics, log_statistics
 from repro.workloads.trace import MemoryTrace
 
@@ -81,10 +77,9 @@ from repro.workloads.trace import MemoryTrace
 class SimulationResult:
     """Everything produced by one (workload, policy) simulation.
 
-    Per-access data lives in the columnar ``log``; the ``records`` row view
-    is materialised (and cached) only when someone asks for it.
-    ``statistics`` summarises the log's rows (``None`` at stats detail,
-    which keeps no log).
+    Per-access data lives in the columnar ``log``; ``statistics``
+    summarises its rows (both ``None`` at stats detail, which keeps no
+    log).
     """
 
     workload: str
@@ -98,53 +93,17 @@ class SimulationResult:
     level_stats: Dict[str, CacheStats] = field(default_factory=dict)
     timing: TimingResult = field(default_factory=TimingResult)
     wrong_evictions: int = 0
-    binary: Optional[object] = field(default=None, repr=False)
     statistics: Optional[WorkloadStatistics] = field(default=None,
                                                      repr=False)
 
     @property
     def num_records(self) -> int:
-        """Row count of the access log (without materialising records)."""
+        """Row count of the access log (0 at stats detail)."""
         return len(self.log) if self.log is not None else 0
-
-    @cached_property
-    def records(self) -> List[AccessRecord]:
-        """Lazily materialised row views over the columnar access log."""
-        return self.log.to_records() if self.log is not None else []
-
-    def __getstate__(self) -> dict:
-        # Drop lazily materialised caches: the row views rebuild from the
-        # (compact) log, and pickling them would explode the payload the
-        # persistent store and parallel workers ship around.
-        state = dict(self.__dict__)
-        state.pop("records", None)
-        state.pop("set_hit_rates", None)
-        return state
-
-    @property
-    def llc_accesses(self) -> int:
-        return self.llc_stats.accesses
-
-    @property
-    def llc_hit_rate(self) -> float:
-        return self.llc_stats.hit_rate
-
-    @property
-    def llc_miss_rate(self) -> float:
-        return self.llc_stats.miss_rate
 
     @property
     def ipc(self) -> float:
         return self.timing.ipc
-
-    @cached_property
-    def set_hit_rates(self) -> Dict[int, float]:
-        """Per-set hit rates, derived lazily from the LLC counters.
-
-        Computed (and cached) on first read, so stats-only replay does no
-        per-set post-processing unless a caller actually asks for it.
-        """
-        return self.llc_stats.set_hit_rates()
 
     def summary(self) -> str:
         return (f"{self.workload} under {self.policy_name}: "
@@ -157,19 +116,13 @@ class SimulationEngine:
     """Replays memory traces and produces annotated LLC access records."""
 
     def __init__(self, config: HierarchyConfig = SMALL_CONFIG,
-                 mode: str = "llc_only", history_window: int = 8,
-                 annotate_context: bool = True,
-                 max_records: Optional[int] = None,
-                 detail: str = DETAIL_FULL):
+                 mode: str = "llc_only", detail: str = DETAIL_FULL):
         if mode not in ("llc_only", "hierarchy"):
             raise ValueError("mode must be 'llc_only' or 'hierarchy'")
         if detail not in DETAIL_LEVELS:
             raise ValueError(f"detail must be one of {DETAIL_LEVELS}")
         self.config = config
         self.mode = mode
-        self.history_window = history_window
-        self.annotate_context = annotate_context
-        self.max_records = max_records
         self.detail = detail
 
     # ------------------------------------------------------------------
@@ -236,7 +189,6 @@ class SimulationEngine:
             level_stats={"llc": llc_stats},
             timing=timing,
             wrong_evictions=wrong_evictions,
-            binary=core.trace.binary,
             statistics=log_statistics(log) if log is not None else None,
         )
 
@@ -248,16 +200,12 @@ class SimulationEngine:
                   ) -> Tuple[bytearray, AccessLog, int]:
         """Consume the policy steps into the hit and victim columns (and
         each victim's next use, from its line) while the cache captures its
-        snapshots for the first ``max_records`` rows, then build the log's
-        other columns and the count of wrong evictions (victims reused
-        before the accessed block) from columns.
+        snapshots, then build the log's other columns and the count of
+        wrong evictions (victims reused before the accessed block) from
+        columns.
         """
         size = len(stream)
-        rows = size if self.max_records is None else max(
-            0, min(self.max_records, size))
         log = cache.log
-        if not rows:
-            cache.log = None
         hits = bytearray(size)
         victims = array("q", [-1]) * size
         evicted_next_use: Dict[int, int] = {}
@@ -267,8 +215,6 @@ class SimulationEngine:
             if victim >= 0:
                 victims[position] = victim
                 evicted_next_use[position] = cache.evicted_next_use
-            if position + 1 == rows:
-                cache.log = None
 
         # The columnar post-pass.
         llc = self.config.llc
@@ -277,30 +223,28 @@ class SimulationEngine:
         prev_use = np.array(reuse.prev_use, dtype=np.int64)
         accessed_reuse = np.where(next_use >= NEVER, NEVER_REUSED,
                                   next_use - now)
-        log.history_window = self.history_window
-        log.access_indices = _typed("Q", now[:rows])
-        log.pcs = array("Q", stream.pcs[:rows])
-        log.block_addresses = array("Q", stream.blocks(llc.block_bytes)[:rows])
-        log.set_ids = _typed("Q", stream.set_array(llc)[:rows])
-        log.hit_flags = array("B", hits[:rows])
+        log.access_indices = _typed("Q", now)
+        log.pcs = array("Q", stream.pcs)
+        log.block_addresses = array("Q", stream.blocks(llc.block_bytes))
+        log.set_ids = _typed("Q", stream.set_array(llc))
+        log.hit_flags = array("B", hits)
         log.miss_type_codes = _typed("B", np.where(
-            np.frombuffer(hits, dtype=np.bool_)[:rows], 0,
-            np.frombuffer(stream.miss_classes(llc), dtype=np.uint8)[:rows]))
-        log.evicted_blocks = victims[:rows]
-        log.accessed_reuse = _typed("q", accessed_reuse[:rows])
+            np.frombuffer(hits, dtype=np.bool_), 0,
+            np.frombuffer(stream.miss_classes(llc), dtype=np.uint8)))
+        log.evicted_blocks = victims
+        log.accessed_reuse = _typed("q", accessed_reuse)
         log.recencies = _typed("q", np.where(
-            prev_use < 0, NEVER_REUSED, now - prev_use)[:rows])
+            prev_use < 0, NEVER_REUSED, now - prev_use))
 
         # Only evicting positions can have an evicted reuse distance or a
         # wrong eviction.
-        log.evicted_reuse = array("q", [NEVER_REUSED]) * rows
+        log.evicted_reuse = array("q", [NEVER_REUSED]) * size
         accessed = accessed_reuse.tolist()
         wrong_evictions = 0
         for position, evicted_next in evicted_next_use.items():
             if evicted_next < NEVER:
                 evicted_rd = evicted_next - position
-                if position < rows:
-                    log.evicted_reuse[position] = evicted_rd
+                log.evicted_reuse[position] = evicted_rd
                 if (accessed[position] == NEVER_REUSED
                         or evicted_rd < accessed[position]):
                     wrong_evictions += 1
@@ -308,10 +252,10 @@ class SimulationEngine:
         # Source/assembly context is a pure function of the PC, so it is
         # resolved once per unique PC instead of once per access.
         binary = trace.binary
-        annotate = self.annotate_context and binary is not None
         log.set_pc_context({
             pc: (binary.function_name(pc), binary.source_snippet(pc),
-                 binary.assembly_context(pc)) if annotate else ("", "", "")
+                 binary.assembly_context(pc)) if binary is not None
+            else ("", "", "")
             for pc in dict.fromkeys(log.pcs)})
         return hits, log, wrong_evictions
 

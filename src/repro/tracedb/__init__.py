@@ -23,13 +23,7 @@ This package provides the external store that CacheMind retrievers query:
 """
 
 from repro.tracedb.table import Table, Column
-from repro.tracedb.schema import (
-    ACCESS_COLUMNS,
-    AccessLog,
-    AccessRecord,
-    records_to_table,
-    table_to_records,
-)
+from repro.tracedb.schema import ACCESS_COLUMNS, AccessLog
 from repro.tracedb.store import (
     STORE_SCHEMA_VERSION,
     TraceStore,
@@ -54,9 +48,6 @@ __all__ = [
     "Column",
     "ACCESS_COLUMNS",
     "AccessLog",
-    "AccessRecord",
-    "records_to_table",
-    "table_to_records",
     "STORE_SCHEMA_VERSION",
     "TraceStore",
     "simulation_key",

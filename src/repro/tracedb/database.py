@@ -9,12 +9,11 @@ The store is organised exactly as in the paper (section 4.3): a dictionary
 * ``description``  -- a short human-readable workload + policy description.
 
 :func:`make_entry` derives one :class:`TraceEntry` (which also keeps the
-simulation statistics and the synthetic binary image around for insight
-analyses) from a full-detail simulation result, in memory: an entry is
-never stored, its result is.  :class:`TraceDatabase` holds the entries.
-Building a database is a session's job: a
-:class:`~repro.core.pipeline.CacheMind` session's ``database`` runs its
-``workloads x policies`` matrix through
+simulation statistics around for insight analyses) from a full-detail
+simulation result, in memory: an entry is never stored, its result is.
+:class:`TraceDatabase` holds the entries.  Building a database is a
+session's job: a :class:`~repro.core.pipeline.CacheMind` session's
+``database`` runs its ``workloads x policies`` matrix through
 :meth:`~repro.core.pipeline.SimulationCache.run_jobs` (memoised, persisted,
 batched per trace and optionally parallel) and installs the entries here.
 """
@@ -151,17 +150,10 @@ class TraceDatabase:
     def __init__(self, config: HierarchyConfig = SMALL_CONFIG):
         self.config = config
         self.entries: Dict[str, TraceEntry] = {}
-        self.binaries: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     def add_entry(self, entry: TraceEntry) -> None:
         self.entries[entry.key] = entry
-
-    def install_entry(self, entry: TraceEntry) -> None:
-        """Store a (possibly shared/memoised) entry plus its binary image."""
-        self.add_entry(entry)
-        if entry.result.binary is not None:
-            self.binaries[entry.workload] = entry.result.binary
 
     # ------------------------------------------------------------------
     # lookups
@@ -200,17 +192,11 @@ class TraceDatabase:
         return [entry for entry in self.entries.values()
                 if entry.workload == workload]
 
-    def entries_for_policy(self, policy: str) -> List[TraceEntry]:
-        return [entry for entry in self.entries.values() if entry.policy == policy]
-
     def loaded_data(self) -> Dict[str, Mapping[str, object]]:
         """The exact dictionary layout Ranger-generated code queries; an
         entry's table is built when its ``data_frame`` is first read."""
         return {key: entry.as_loaded_data_value()
                 for key, entry in self.entries.items()}
-
-    def binary_for(self, workload: str):
-        return self.binaries.get(workload)
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

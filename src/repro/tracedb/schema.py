@@ -6,23 +6,20 @@ in-memory representation the simulation engine writes (typed arrays plus
 ragged object columns).  It stores the scalar columns and the two snapshots
 that depend on policy state — each row's resident ``(block, pc)`` lines
 and their eviction scores — and derives the rest on read: a row's recent
-access history from the PC and block columns, and its score blocks from
-its resident lines.  :meth:`AccessLog.to_table` builds the canonical
+access history (the :data:`HISTORY_WINDOW` rows before it) from the PC and
+block columns, and its score blocks from its resident lines.
+:meth:`AccessLog.to_table` builds the canonical
 :class:`~repro.tracedb.table.Table` column-by-column, which is what Sieve
 filters and Ranger-generated code query.  Its 17 scalar columns are built
 eagerly; the four policy-snapshot columns are
 :class:`~repro.tracedb.table.LazyColumn` views over the log's flat arrays,
-each cell formatted on first read.  :class:`AccessRecord` remains the
-per-access *row view* — ``AccessLog.to_records`` materialises it on demand,
-and ``records_to_table`` still converts row lists for hand-built inputs; both
-paths produce identical table values.
+each cell formatted on first read.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.tracedb.table import LazyColumn, Table
 
@@ -64,6 +61,9 @@ MISS_TYPE_CONFLICT = "Conflict"
 
 #: Sentinel reuse distance for "never reused again".
 NEVER_REUSED = -1
+
+#: Rows before an access that its ``recent_access_history`` cell lists.
+HISTORY_WINDOW = 8
 
 #: Miss-type labels indexed by the byte code stored in ``AccessLog``.
 MISS_TYPE_LABELS = (MISS_TYPE_NONE, MISS_TYPE_COMPULSORY, MISS_TYPE_CAPACITY,
@@ -115,93 +115,6 @@ def describe_reuse_distance(distance: Optional[int]) -> str:
     return f"reused far in the future (in {distance} accesses)"
 
 
-@dataclass
-class AccessRecord:
-    """One LLC access with its eviction / reuse / source-context annotations."""
-
-    access_index: int
-    program_counter: int
-    memory_address: int
-    cache_set_id: int
-    is_hit: bool
-    miss_type: str = MISS_TYPE_NONE
-    evicted_address: Optional[int] = None
-    accessed_reuse_distance: Optional[int] = None
-    evicted_reuse_distance: Optional[int] = None
-    accessed_recency: Optional[int] = None
-    function_name: str = ""
-    function_code: str = ""
-    assembly_code: str = ""
-    current_cache_lines: List[Tuple[str, str]] = field(default_factory=list)
-    recent_access_history: List[Tuple[str, str]] = field(default_factory=list)
-    cache_line_eviction_scores: List[Tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def is_miss(self) -> bool:
-        return not self.is_hit
-
-    @property
-    def outcome_label(self) -> str:
-        return HIT_LABEL if self.is_hit else MISS_LABEL
-
-    def to_row(self) -> Dict[str, Any]:
-        """Convert this record to a row matching :data:`ACCESS_COLUMNS`."""
-        accessed_rd = (
-            self.accessed_reuse_distance
-            if self.accessed_reuse_distance is not None
-            else NEVER_REUSED
-        )
-        evicted_rd = (
-            self.evicted_reuse_distance
-            if self.evicted_reuse_distance is not None
-            else NEVER_REUSED
-        )
-        recency = (
-            self.accessed_recency if self.accessed_recency is not None else NEVER_REUSED
-        )
-        current_lines = [
-            (format_address(addr) if isinstance(addr, int) else str(addr),
-             format_pc(pc) if isinstance(pc, int) else str(pc))
-            for addr, pc in self.current_cache_lines
-        ]
-        history = [
-            (format_address(addr) if isinstance(addr, int) else str(addr),
-             format_pc(pc) if isinstance(pc, int) else str(pc))
-            for addr, pc in self.recent_access_history
-        ]
-        return {
-            "access_index": self.access_index,
-            "program_counter": format_pc(self.program_counter),
-            "memory_address": format_address(self.memory_address),
-            "cache_set_id": self.cache_set_id,
-            "evict": self.outcome_label,
-            "miss_type": self.miss_type,
-            "evicted_address": (
-                format_address(self.evicted_address)
-                if self.evicted_address is not None
-                else ""
-            ),
-            "accessed_address_recency": describe_recency(self.accessed_recency),
-            "accessed_address_reuse_distance": describe_reuse_distance(
-                self.accessed_reuse_distance
-            ),
-            "evicted_address_reuse_distance": describe_reuse_distance(
-                self.evicted_reuse_distance
-            ),
-            "function_name": self.function_name,
-            "function_code": self.function_code,
-            "assembly_code": self.assembly_code,
-            "current_cache_lines": current_lines,
-            "recent_access_history": history,
-            "cache_line_eviction_scores": list(self.cache_line_eviction_scores),
-            "current_cache_line_addresses": [addr for addr, _pc in current_lines],
-            "evicted_address_reuse_distance_numeric": evicted_rd,
-            "accessed_address_reuse_distance_numeric": accessed_rd,
-            "accessed_address_recency_numeric": recency,
-            "is_miss": 0 if self.is_hit else 1,
-        }
-
-
 #: The log columns held in typed arrays, in the order a store record's log
 #: section holds them.
 LOG_ARRAYS: Tuple[str, ...] = (
@@ -229,15 +142,14 @@ class AccessLog:
     * a row's score blocks are the leading blocks of its ``line_pairs``
       span (:meth:`row_scores`);
     * its recent access history is the ``(block, pc)`` of the previous
-      ``history_window`` rows (:meth:`row_history`), because row ``i`` is
-      stream position ``i``.
+      :data:`HISTORY_WINDOW` rows (:meth:`row_history`), because row ``i``
+      is stream position ``i``.
 
     Source context is a pure function of the PC (:meth:`pc_context`); the
     per-row string lists share one string object per distinct text
     (:meth:`set_pc_context`).  ``to_table`` builds the canonical data
     frame directly from these columns — no intermediate row dictionaries,
-    snapshot cells only when read — and its values equal
-    ``records_to_table(log.to_records())``.
+    snapshot cells only when read.
 
     A log loaded from a store is *deferred* (:meth:`deferred`): its length
     is known, and the first read of any column decodes them all
@@ -249,7 +161,7 @@ class AccessLog:
                  "accessed_reuse", "evicted_reuse", "recencies",
                  "function_names", "function_codes", "assembly_codes",
                  "line_pairs", "line_offsets", "score_values",
-                 "score_offsets", "history_window", "_pending")
+                 "score_offsets", "_pending")
 
     #: What a log pickles and copies: every slot but the pending decode.
     _STATE = __slots__[:-1]
@@ -274,19 +186,16 @@ class AccessLog:
         self.line_offsets = array("Q", [0])
         self.score_values = array("d")
         self.score_offsets = array("Q", [0])
-        self.history_window = 0  # the engine's, set with the other columns
         self._pending = None
 
     @classmethod
-    def deferred(cls, rows: int, history_window: int,
-                 context: Dict[int, Tuple[str, str, str]],
+    def deferred(cls, rows: int, context: Dict[int, Tuple[str, str, str]],
                  decode: Callable[[], Dict[str, array]]) -> "AccessLog":
         """A log of ``rows`` rows whose :data:`LOG_ARRAYS` come from
         ``decode()``, called on the first read of any column; ``context``
         is its :meth:`pc_context`.  Until then ``len`` answers from
         ``rows`` and nothing is decoded."""
         log = cls.__new__(cls)
-        log.history_window = history_window
         log._pending = (rows, context, decode)
         return log
 
@@ -360,9 +269,9 @@ class AccessLog:
         return [(flat[j], flat[j + 1]) for j in range(start, stop, 2)]
 
     def row_history(self, i: int) -> List[Tuple[int, int]]:
-        """``(block, pc)`` of the up to ``history_window`` rows before
+        """``(block, pc)`` of the up to :data:`HISTORY_WINDOW` rows before
         row ``i``, oldest first."""
-        start = max(0, i - self.history_window)
+        start = max(0, i - HISTORY_WINDOW)
         return list(zip(self.block_addresses[start:i], self.pcs[start:i]))
 
     def row_scores(self, i: int) -> List[Tuple[int, float]]:
@@ -380,9 +289,7 @@ class AccessLog:
         The scalar columns are built now.  The four snapshot columns are
         :class:`LazyColumn` views over the flat arrays: a cell is formatted
         when first read, so a table whose snapshots nobody reads costs no
-        snapshot formatting.  Every value matches :meth:`AccessRecord.to_row`
-        exactly, so tables from this path equal the row-materialised
-        ``records_to_table`` output.
+        snapshot formatting.
         """
         size = len(self)
         lines = LazyColumn(lambda i: _formatted(self.row_lines(i)), size)
@@ -431,78 +338,3 @@ class AccessLog:
         }
         return Table.from_columns({name: columns[name]
                                    for name in ACCESS_COLUMNS})
-
-    def to_records(self) -> List[AccessRecord]:
-        """Materialise the row view (compatibility / inspection path)."""
-        records = []
-        for i in range(len(self)):
-            evicted = self.evicted_blocks[i]
-            accessed_rd = self.accessed_reuse[i]
-            evicted_rd = self.evicted_reuse[i]
-            recency = self.recencies[i]
-            records.append(AccessRecord(
-                access_index=self.access_indices[i],
-                program_counter=self.pcs[i],
-                memory_address=self.block_addresses[i],
-                cache_set_id=self.set_ids[i],
-                is_hit=bool(self.hit_flags[i]),
-                miss_type=MISS_TYPE_LABELS[self.miss_type_codes[i]],
-                evicted_address=None if evicted < 0 else evicted,
-                accessed_reuse_distance=(None if accessed_rd == NEVER_REUSED
-                                         else accessed_rd),
-                evicted_reuse_distance=(None if evicted_rd == NEVER_REUSED
-                                        else evicted_rd),
-                accessed_recency=None if recency == NEVER_REUSED else recency,
-                function_name=self.function_names[i],
-                function_code=self.function_codes[i],
-                assembly_code=self.assembly_codes[i],
-                current_cache_lines=self.row_lines(i),
-                recent_access_history=self.row_history(i),
-                cache_line_eviction_scores=self.row_scores(i),
-            ))
-        return records
-
-
-def records_to_table(records: Sequence[AccessRecord]) -> Table:
-    """Materialise access records into the canonical data-frame layout."""
-    return Table.from_rows([record.to_row() for record in records],
-                           columns=ACCESS_COLUMNS)
-
-
-def table_to_records(table: Table) -> List[AccessRecord]:
-    """Best-effort inverse of :func:`records_to_table` (used in tests)."""
-    records = []
-    for row in table.iter_rows():
-        accessed_rd = row.get("accessed_address_reuse_distance_numeric", NEVER_REUSED)
-        evicted_rd = row.get("evicted_address_reuse_distance_numeric", NEVER_REUSED)
-        recency = row.get("accessed_address_recency_numeric", NEVER_REUSED)
-        evicted_address = row.get("evicted_address") or None
-        records.append(
-            AccessRecord(
-                access_index=row.get("access_index", 0),
-                program_counter=int(row["program_counter"], 16),
-                memory_address=int(row["memory_address"], 16),
-                cache_set_id=row["cache_set_id"],
-                is_hit=row["evict"] == HIT_LABEL,
-                miss_type=row.get("miss_type", MISS_TYPE_NONE),
-                evicted_address=(
-                    int(evicted_address, 16) if evicted_address else None
-                ),
-                accessed_reuse_distance=(
-                    None if accessed_rd == NEVER_REUSED else accessed_rd
-                ),
-                evicted_reuse_distance=(
-                    None if evicted_rd == NEVER_REUSED else evicted_rd
-                ),
-                accessed_recency=None if recency == NEVER_REUSED else recency,
-                function_name=row.get("function_name", ""),
-                function_code=row.get("function_code", ""),
-                assembly_code=row.get("assembly_code", ""),
-            )
-        )
-    return records
-
-
-def record_field_names() -> List[str]:
-    """Field names of :class:`AccessRecord` (useful for tests/docs)."""
-    return [f.name for f in fields(AccessRecord)]

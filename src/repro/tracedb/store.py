@@ -10,7 +10,7 @@ memory from its result (whose statistics the replay already computed), and
 its table is built on first read.  Besides results, the store keeps
 experiment results and ingested traces.
 
-Layout (sharded, schema v4) — one directory per store:
+Layout (sharded, schema v5) — one directory per store:
 
 * ``manifest.json`` — ``{"schema": N, "layout": "sharded", ...}``.  Opening
   a store whose manifest declares a different :data:`STORE_SCHEMA_VERSION`
@@ -36,12 +36,11 @@ content alone (not of the process that wrote it, nor of the clock):
 
 * ``result`` — a ``result`` JSON section (workload, policy, config, mode,
   detail, counters, timing, wrong evictions, statistics, and the log's
-  history window and per-PC source context) and, at full detail, a ``log``
-  section with the access log's typed columns.  A load checks both
-  sections but decompresses only the JSON: the returned log is deferred
-  and decodes its columns when something first reads one.  The binary
-  image stays out of the record: the key names the trace, and the loader
-  re-attaches the image of the trace it holds.
+  per-PC source context) and, at full detail, a ``log`` section with the
+  access log's typed columns.  A load checks both sections but
+  decompresses only the JSON: the returned log is deferred and decodes its
+  columns when something first reads one.  The binary image stays out of
+  the record: the log's source context is all a reader needs of it.
 * ``experiment`` — the experiment's ``to_dict`` payload as JSON.
 * ``trace`` — JSON metadata (workload, description, seed, binary image)
   and a section with the trace's four columns; its manifest metadata rides
@@ -65,9 +64,9 @@ Inspection commands (``store info``, ``trace list``/``info``,
 they never write into what they inspect.
 
 Keys cover everything that determines a simulation's output — the trace
-content fingerprint, hierarchy config, policy, rollout mode/detail and the
-record cap (see :func:`simulation_key`) — mirroring the in-memory memoiser,
-so the two layers always agree on identity.
+content fingerprint, hierarchy config, policy and rollout mode/detail (see
+:func:`simulation_key`) — mirroring the in-memory memoiser, so the two
+layers always agree on identity.
 
 Robustness: the store self-heals.  A corrupt or truncated record file of any
 kind — a byte flipped anywhere in it fails the header's or a section's
@@ -130,8 +129,11 @@ from repro.workloads.trace import COLUMN_TYPECODES, MemoryTrace
 #: pickle-free — a JSON header whose section table sizes and checksums
 #: every zlib section (JSON documents or raw typed columns) — so this
 #: build cannot read a schema-3 pickled record, and judges one foreign
-#: from its magic alone.
-STORE_SCHEMA_VERSION = 4
+#: from its magic alone.  5: a result key is (workload, policy, config,
+#: mode, detail, length, seed, fingerprint) without the record cap,
+#: history window and context flag, and a result's log keeps no history
+#: window, so a schema-4 record sits under a digest no lookup computes.
+STORE_SCHEMA_VERSION = 5
 
 #: Subdirectory corrupt files are renamed into instead of deleted, so a
 #: damaged record can never crash a reader twice and forensics stay
@@ -168,8 +170,7 @@ def simulation_key(spec, trace) -> tuple:
     its fields and their order fix every stored record's digest.
     """
     return (trace.workload, spec.policy, spec.config, spec.mode,
-            spec.detail, len(trace), trace.seed, trace.fingerprint(),
-            spec.max_records, spec.history_window, spec.annotate_context)
+            spec.detail, len(trace), trace.seed, trace.fingerprint())
 
 
 def key_digest(key: tuple) -> str:
@@ -210,7 +211,7 @@ def _fields(value) -> Dict[str, Any]:
 
 def _encode_result(result) -> List[Section]:
     """A result's ``result`` JSON section and, at full detail, its ``log``
-    column section; the binary image is left out."""
+    column section."""
     log = result.log
     timing = _fields(result.timing)
     # Level order is meaningful and JSON objects are key-sorted: pairs.
@@ -231,7 +232,6 @@ def _encode_result(result) -> List[Section]:
         "statistics": (None if result.statistics is None
                        else _fields(result.statistics)),
         "log": None if log is None else {
-            "history_window": log.history_window,
             "context": [[pc, *texts]
                         for pc, texts in log.pc_context().items()],
         },
@@ -264,7 +264,7 @@ def _decode_result(header: Dict[str, Any], sections: Dict[str, bytes]):
             raise ValueError("log section does not hold the log's columns")
         blob = sections["log"]
         log = AccessLog.deferred(
-            rows=layout[0][2], history_window=meta["history_window"],
+            rows=layout[0][2],
             context={pc: (name, code, assembly)
                      for pc, name, code, assembly in meta["context"]},
             decode=lambda: unpack_columns(blob, layout))

@@ -359,10 +359,6 @@ class Table:
     def columns(self) -> List[str]:
         return list(self._columns)
 
-    @property
-    def num_rows(self) -> int:
-        return self._length
-
     def column(self, name: str) -> List[Any]:
         """Return the raw list of values for a column."""
         return list(self[name].values)
@@ -480,12 +476,6 @@ class Table:
     def filter_rows(self, predicate: Callable[[Dict[str, Any]], bool]) -> "Table":
         """Filter rows by an arbitrary predicate over row dictionaries."""
         indices = [i for i, row in enumerate(self.iter_rows()) if predicate(row)]
-        return self.take(indices)
-
-    def filter_column(self, name: str, predicate: Callable[[Any], bool]) -> "Table":
-        """Filter rows by a predicate applied to a single column's values."""
-        values = self[name].values
-        indices = [i for i, value in enumerate(values) if predicate(value)]
         return self.take(indices)
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 from repro.workloads.generator import WorkloadGenerator, register_workload
 from repro.workloads.symbols import BinaryImage
-from repro.workloads.trace import MemoryTrace, TraceAccess, insert_prefetches
+from repro.workloads.trace import MemoryTrace, TraceAccess
 
 
 @register_workload
@@ -129,10 +129,3 @@ class PointerChaseMicrobenchmark(WorkloadGenerator):
             future_address = trace.accesses[positions[future]].address
             plan.append((position, future_address))
         return plan
-
-    def generate_with_prefetch(self, num_accesses: int = 20000,
-                               lookahead: int = 8) -> MemoryTrace:
-        """Generate the trace of the prefetch-augmented ("fixed") binary."""
-        base = self.generate(num_accesses)
-        plan = self.prefetch_plan(base, self.chase_pc, lookahead=lookahead)
-        return insert_prefetches(base, plan, prefetch_pc=self.PREFETCH_PC)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 #: A tiny pool of x86-64 instruction templates used to synthesise assembly.
 _ASM_TEMPLATES = (
@@ -70,12 +70,6 @@ class FunctionImage:
     base_pc: int
     instructions: List[Instruction] = field(default_factory=list)
     description: str = ""
-
-    @property
-    def end_pc(self) -> int:
-        if not self.instructions:
-            return self.base_pc
-        return self.instructions[-1].pc
 
     @property
     def memory_pcs(self) -> List[int]:
@@ -250,9 +244,6 @@ class BinaryImage:
                 instructions=[Instruction(*fields)
                               for fields in function["instructions"]]))
         return image
-
-    def all_memory_pcs(self) -> List[int]:
-        return [pc for pc, ins in self._pc_to_instruction.items() if ins.is_memory]
 
     def describe(self) -> str:
         lines = [f"binary image for {self.program_name}:"]

@@ -20,15 +20,11 @@ import repro.sim.parallel as parallel_module
 from repro.core.experiment import ExperimentRunner, ExperimentSpec
 from repro.core.pipeline import CacheMind, SimulationCache
 from repro.policies import available_policies, get_policy
-from repro.sim.batch import (
-    BatchSimulator,
-    NATIVE_POLICIES,
-    RolloutSpec,
-    rollout_strategy,
-)
+from repro.sim.batch import BatchSimulator, NATIVE_POLICIES, RolloutSpec
 from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import ParallelSimulator
+from repro.sim.replay import native_kernel
 from repro.workloads.generator import generate_trace, get_workload
 
 NUM_ACCESSES = 600
@@ -46,8 +42,7 @@ def _trace(workload, seed=7):
 
 def _single(trace, spec):
     engine = SimulationEngine(config=spec.config, mode=spec.mode,
-                              detail=spec.detail,
-                              max_records=spec.max_records)
+                              detail=spec.detail)
     return engine.run(trace, get_policy(spec.policy))
 
 
@@ -94,7 +89,7 @@ def test_mixed_specs_in_one_batch():
         RolloutSpec("belady", SMALL_CONFIG),
         RolloutSpec("srrip", TINY_CONFIG, detail="full"),
         RolloutSpec("hawkeye", TINY_CONFIG),
-        RolloutSpec("fifo", SMALL_CONFIG, detail="full", max_records=50),
+        RolloutSpec("fifo", SMALL_CONFIG, detail="full"),
     ]
     results = BatchSimulator(trace).run(specs)
     assert len(results) == len(specs)
@@ -105,16 +100,19 @@ def test_mixed_specs_in_one_batch():
 # ----------------------------------------------------------------------
 # strategy selection
 # ----------------------------------------------------------------------
+def _takes_native_kernel(spec):
+    return native_kernel(spec.policy, spec.detail) is not None
+
+
 def test_rollout_strategy_native_coverage():
     for policy in NATIVE_POLICIES:
         for mode in ("llc_only", "hierarchy"):
-            assert (rollout_strategy(RolloutSpec(policy, TINY_CONFIG,
-                                                 mode=mode))
-                    == f"native:{policy}")
+            assert _takes_native_kernel(RolloutSpec(policy, TINY_CONFIG,
+                                                    mode=mode))
     # Everything outside the native envelope takes the generic loop.
-    assert rollout_strategy(RolloutSpec("hawkeye", TINY_CONFIG)) == "engine"
-    assert (rollout_strategy(RolloutSpec("lru", TINY_CONFIG, detail="full"))
-            == "engine")
+    assert not _takes_native_kernel(RolloutSpec("hawkeye", TINY_CONFIG))
+    assert not _takes_native_kernel(RolloutSpec("lru", TINY_CONFIG,
+                                                detail="full"))
 
 
 def test_native_kernels_match_engine_on_tiny_and_small_geometry():
@@ -126,9 +124,8 @@ def test_native_kernels_match_engine_on_tiny_and_small_geometry():
              for policy in NATIVE_POLICIES
              for mode in ("llc_only", "hierarchy")
              for config in (TINY_CONFIG, SMALL_CONFIG)]
-    simulator = BatchSimulator(trace)
-    results = simulator.run(specs)
-    assert simulator.strategies == [f"native:{spec.policy}" for spec in specs]
+    assert all(_takes_native_kernel(spec) for spec in specs)
+    results = BatchSimulator(trace).run(specs)
     for spec, batched in zip(specs, results):
         _assert_identical(batched, _single(trace, spec))
         if spec.config is SMALL_CONFIG:
@@ -146,18 +143,19 @@ def test_non_pow2_geometry_runs_native_kernel():
     for mode in ("llc_only", "hierarchy"):
         specs = [RolloutSpec(policy, odd_config, mode=mode)
                  for policy in NATIVE_POLICIES]
-        assert all(rollout_strategy(spec).startswith("native:")
-                   for spec in specs)
+        assert all(_takes_native_kernel(spec) for spec in specs)
         for spec, batched in zip(specs, BatchSimulator(trace).run(specs)):
             _assert_identical(batched, _single(trace, spec))
 
 
 def test_run_records_strategies():
+    """One batch mixing a native-kernel spec and a generic-loop spec: each
+    takes its own route and matches its single-engine replay."""
     trace = _trace("astar")
-    simulator = BatchSimulator(trace)
-    simulator.run([RolloutSpec("lru", TINY_CONFIG),
-                   RolloutSpec("mlp", TINY_CONFIG)])
-    assert simulator.strategies == ["native:lru", "engine"]
+    specs = [RolloutSpec("lru", TINY_CONFIG), RolloutSpec("mlp", TINY_CONFIG)]
+    assert [_takes_native_kernel(spec) for spec in specs] == [True, False]
+    for spec, batched in zip(specs, BatchSimulator(trace).run(specs)):
+        _assert_identical(batched, _single(trace, spec))
 
 
 def test_rollout_spec_validation():

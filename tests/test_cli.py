@@ -57,44 +57,27 @@ def test_ask_remote_unreachable_fails_cleanly(capsys):
     assert "remote ask failed" in capsys.readouterr().err
 
 
-def test_bench_runs(capsys):
-    code = main(["bench", *COMMON])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "miss_rate per (workload, policy)" in out
-    assert "astar" in out
-    assert "*" in out
-
-
-def test_bench_cli_prints_timings_and_cache_stats(capsys):
-    code = main(["bench", *COMMON])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "built in" in out and "ms/simulation" in out
-    assert "simulation cache:" in out
-
-
-def test_bench_default_matrix_and_length(capsys):
-    # Omitted --workloads/--policies build the default 3 x 4 matrix...
-    assert main(["bench", "--accesses", "400", "--config", "tiny"]) == 0
-    out = capsys.readouterr().out
-    assert "400 accesses" in out
-    assert "12 simulations" in out
-    # ...and an omitted --accesses is the default trace length.
-    assert main(["bench", "--workloads", "astar", "--policies", "lru",
-                 "--config", "tiny"]) == 0
-    assert "20000 accesses" in capsys.readouterr().out
-    # experiment run sweeps the same default matrix.
+def test_experiment_run_default_matrix_and_length(capsys):
+    # Omitted --workloads/--policies sweep the default 3 x 4 matrix...
     assert main(["experiment", "run", "--configs", "tiny", "--accesses",
                  "400", "--details", "stats", "--json"]) == 0
-    spec = json.loads(capsys.readouterr().out)["spec"]
+    payload = json.loads(capsys.readouterr().out)
+    spec = payload["spec"]
     assert (spec["workloads"], spec["policies"]) == (
         list(DEFAULT_WORKLOADS), list(DEFAULT_POLICIES))
+    assert spec["num_accesses"] == [400]
+    assert len(payload["columns"]["workload"]) == 12
+    # ...and an omitted --accesses is the default trace length.
+    assert main(["experiment", "run", "--workloads", "astar", "--policies",
+                 "lru", "--configs", "tiny", "--details", "stats",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spec"]["num_accesses"] == [20000]
+    assert payload["columns"]["accesses"] == [20000]
 
 
 @pytest.mark.parametrize("command", [
-    ["bench"], ["serve"], ["store", "save", "--dir", "unused"],
-    ["experiment", "run"]])
+    ["serve"], ["store", "save", "--dir", "unused"], ["experiment", "run"]])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_must_be_a_positive_count(command, jobs, capsys):
     # Refused while parsing: nothing runs, nothing serves.

@@ -9,6 +9,7 @@ from repro.policies import LRUPolicy, available_policies, get_policy
 from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.workloads.generator import available_workloads, generate_trace
+from row_oracle import to_records
 
 #: Pinned digests of every full-detail result a policy produces over the
 #: bundled workloads (see :func:`_full_detail_digest`).  Access logs become
@@ -105,8 +106,9 @@ def test_engine_is_deterministic_for_same_trace_and_policy():
     assert first.llc_stats.misses == second.llc_stats.misses
     assert first.wrong_evictions == second.wrong_evictions
     assert first.timing.ipc == second.timing.ipc
-    assert len(first.records) == len(second.records)
-    for a, b in zip(first.records, second.records):
+    first_records, second_records = to_records(first.log), to_records(second.log)
+    assert len(first_records) == len(second_records)
+    for a, b in zip(first_records, second_records):
         assert a.program_counter == b.program_counter
         assert a.memory_address == b.memory_address
         assert a.is_hit == b.is_hit
@@ -123,19 +125,23 @@ def test_policies_actually_differ():
 
 def _full_detail_digest(policy_name):
     """sha256 (16 hex) over the whole table, wrong evictions, LLC counters
-    and cycles of each workload in llc_only and hierarchy mode and with a
-    ``max_records`` cut, on TINY (whose 64-line LLC evicts early)."""
+    and cycles of each workload in llc_only and hierarchy mode, then over
+    the llc_only table's first ``DIGEST_ACCESSES // 3`` rows with the same
+    counters, on TINY (whose 64-line LLC evicts early)."""
     digest = hashlib.sha256()
-    engines = (SimulationEngine(config=TINY_CONFIG),
-               SimulationEngine(config=TINY_CONFIG, mode="hierarchy"),
-               SimulationEngine(config=TINY_CONFIG,
-                                max_records=DIGEST_ACCESSES // 3))
     for workload in available_workloads():
         trace = generate_trace(workload, DIGEST_ACCESSES)
-        for engine in engines:
-            result = engine.run(trace, policy_name)
+        llc_only = _run(trace, policy_name)
+        hierarchy = SimulationEngine(config=TINY_CONFIG, mode="hierarchy").run(
+            trace, policy_name)
+        table = llc_only.log.to_table().to_dict()
+        head = {name: values[:DIGEST_ACCESSES // 3]
+                for name, values in table.items()}
+        for result, cells in ((llc_only, table),
+                              (hierarchy, hierarchy.log.to_table().to_dict()),
+                              (llc_only, head)):
             digest.update(repr((
-                result.log.to_table().to_dict(), result.wrong_evictions,
+                cells, result.wrong_evictions,
                 result.llc_stats.as_tuple(), result.timing.cycles)).encode())
     return digest.hexdigest()[:16]
 

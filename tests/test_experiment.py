@@ -3,6 +3,7 @@ equivalence with single-config sessions, persistence, serving and CLI."""
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -17,7 +18,11 @@ from repro.core.pipeline import SimulationCache
 from repro.errors import UnknownNameError
 from repro.sim.config import HierarchyConfig
 from repro.sim.engine import SimulationEngine
-from repro.tracedb.store import TraceStore
+from repro.tracedb.store import (
+    STORE_SCHEMA_VERSION,
+    StoreCorruptionWarning,
+    TraceStore,
+)
 from repro.workloads.generator import generate_trace
 
 from conftest import SESSION_KWARGS
@@ -390,6 +395,55 @@ def test_identical_runs_write_identical_records(tmp_path):
     assert trees[0] == trees[1]
     # One result record per cell and the experiment record.
     assert len(trees[0]) == len(spec.compile().jobs) + 1
+
+
+def test_warm_rerun_leaves_its_record_alone(tmp_path):
+    """A run that simulates nothing and finds its experiment record writes
+    nothing; a missing or corrupt record is written again, and a read-only
+    mount skips the write without a warning."""
+    root = str(tmp_path / "store")
+    spec = small_spec(workloads=["astar"], configs=[TINY_CONFIG])
+    ExperimentRunner(simulation_cache=SimulationCache(store=root)).run(spec)
+    store = TraceStore(root)
+    (path,) = [os.path.join(root, name) for name in _objects(root)
+               if os.path.basename(name).startswith("experiment-")]
+    before = os.stat(path)
+    for _ in range(2):
+        warm = ExperimentRunner(
+            simulation_cache=SimulationCache(store=store)).run(spec)
+        assert warm.counters["simulations_run"] == 0
+    assert store.saves == 0
+    after = os.stat(path)
+    assert ((after.st_ino, after.st_mtime_ns)
+            == (before.st_ino, before.st_mtime_ns))
+
+    os.unlink(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ExperimentRunner(simulation_cache=SimulationCache(
+            store=TraceStore(root, read_only=True))).run(spec)
+    assert not os.path.exists(path)
+    ExperimentRunner(simulation_cache=SimulationCache(store=store)).run(spec)
+    assert store.saves == 1 and os.path.exists(path)
+
+    with open(path, "r+b") as handle:
+        handle.seek(-1, os.SEEK_END)
+        last = handle.read(1)
+        handle.seek(-1, os.SEEK_END)
+        handle.write(bytes([last[0] ^ 0xFF]))
+    with pytest.warns(StoreCorruptionWarning):
+        ExperimentRunner(simulation_cache=SimulationCache(store=store)).run(
+            spec)
+    assert store.saves == 2
+
+    foreign = TraceStore(root)
+    foreign.schema_version = STORE_SCHEMA_VERSION + 1
+    foreign.save_experiment(spec.fingerprint(), {})
+    with pytest.warns(StoreCorruptionWarning, match="does not match"):
+        ExperimentRunner(simulation_cache=SimulationCache(store=store)).run(
+            spec)
+    assert store.saves == 3
+    assert ExperimentResult.load(store, spec.fingerprint()) is not None
 
 
 # ----------------------------------------------------------------------

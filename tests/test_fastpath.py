@@ -22,11 +22,12 @@ from repro.sim.cache import Cache, CacheStats
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.tracedb.database import make_entry
-from repro.tracedb.schema import HIT_LABEL, NEVER_REUSED, records_to_table
+from repro.tracedb.schema import HIT_LABEL, NEVER_REUSED
 from repro.tracedb.stats import (CacheStatisticalExpert, PCStatistics,
                                  WorkloadStatistics, _pearson)
 from repro.tracedb.table import LazyColumn
 from repro.workloads.generator import available_workloads, generate_trace
+from row_oracle import records_to_table, to_records
 
 #: the columns ``AccessLog.to_table`` builds on read.
 SNAPSHOT_COLUMNS = ("current_cache_lines", "recent_access_history",
@@ -57,7 +58,9 @@ def test_stats_replay_matches_full_replay(workload, policy):
     full = SimulationEngine(config=TINY_CONFIG).run(trace, policy)
     stats = SimulationEngine(config=TINY_CONFIG, detail="stats").run(trace, policy)
     assert _counters(full.llc_stats) == _counters(stats.llc_stats)
-    assert full.set_hit_rates == stats.set_hit_rates
+    rates = stats.llc_stats.set_hit_rates()
+    assert rates and all(0.0 <= rate <= 1.0 for rate in rates.values())
+    assert full.llc_stats.set_hit_rates() == rates
     assert full.timing.instructions == stats.timing.instructions
     assert full.timing.cycles == stats.timing.cycles
     assert full.timing.ipc == stats.timing.ipc
@@ -71,12 +74,12 @@ def test_columnar_table_identical_to_row_materialised_table(workload, policy):
     """The columnar spine's table path is byte-identical to the object path.
 
     ``AccessLog.to_table`` (columns built directly from the engine's arrays)
-    must produce exactly the table the legacy path gets by materialising
+    must produce exactly the table the row oracle gets by materialising
     ``AccessRecord`` rows and transposing them.
     """
     result = SimulationEngine(config=TINY_CONFIG).run(_trace(workload), policy)
     columnar = result.log.to_table()
-    row_based = records_to_table(result.log.to_records())
+    row_based = records_to_table(to_records(result.log))
     assert columnar.columns == row_based.columns
 
     # Row reads, row selections and analytics slices build only the cells
@@ -112,7 +115,7 @@ def test_concurrent_reads_of_a_lazy_table_see_the_eager_values():
     """Threads racing to build the same cells, while one swaps the columns
     for lists, may build a cell twice but never read a different value."""
     result = SimulationEngine(config=TINY_CONFIG).run(_trace("mcf"), "lru")
-    expected = records_to_table(result.log.to_records()).rows()
+    expected = records_to_table(to_records(result.log)).rows()
     table = result.log.to_table()
 
     def read(worker):
@@ -218,15 +221,12 @@ def _reference_pc_statistics(table, pc):
 @pytest.mark.parametrize("workload", available_workloads())
 def test_statistics_match_row_loop_reference(workload, policy, mode):
     """The replay's statistics (read from its access log) equal the
-    row-loop reference, with and without a record cap; per-PC statistics
-    read from the table's columns do too, and leave its snapshot columns
-    unbuilt."""
-    for max_records in (66, None):
-        result = SimulationEngine(config=TINY_CONFIG, mode=mode,
-                                  max_records=max_records).run(
-            _trace(workload), policy)
-        reference = records_to_table(result.log.to_records())
-        assert result.statistics == _reference_workload_statistics(reference)
+    row-loop reference; per-PC statistics read from the table's columns do
+    too, and leave its snapshot columns unbuilt."""
+    result = SimulationEngine(config=TINY_CONFIG, mode=mode).run(
+        _trace(workload), policy)
+    reference = records_to_table(to_records(result.log))
+    assert result.statistics == _reference_workload_statistics(reference)
     table = result.log.to_table()
     expert = CacheStatisticalExpert(table)
     pcs = expert.pcs()
@@ -252,18 +252,18 @@ def test_stats_detail_skips_records():
     result = SimulationEngine(config=TINY_CONFIG, detail="stats").run(
         _trace("astar"), "lru")
     assert result.detail == "stats"
-    assert result.records == []
+    assert result.log is None and result.num_records == 0
     # Full-detail replay still produces one record per access.
     full = SimulationEngine(config=TINY_CONFIG).run(_trace("astar"), "lru")
     assert full.detail == "full"
-    assert len(full.records) == NUM_ACCESSES
+    assert len(to_records(full.log)) == NUM_ACCESSES
 
 
 def test_make_entry_refuses_a_stats_detail_result():
     """A stats-detail result has no access log: no table, no entry."""
     result = SimulationEngine(config=TINY_CONFIG, detail="stats").run(
         _trace("astar"), "lru")
-    assert result.log is None and result.llc_miss_rate > 0
+    assert result.log is None and result.llc_stats.miss_rate > 0
     with pytest.raises(ValueError, match="access log"):
         make_entry(result)
 
@@ -273,15 +273,6 @@ def test_invalid_detail_rejected():
         SimulationEngine(config=TINY_CONFIG, detail="verbose")
     with pytest.raises(ValueError):
         Cache(TINY_CONFIG.llc, detail="verbose")
-
-
-def test_set_hit_rates_is_lazy_and_cached():
-    result = SimulationEngine(config=TINY_CONFIG, detail="stats").run(
-        _trace("astar"), "lru")
-    assert "set_hit_rates" not in result.__dict__  # not derived yet
-    rates = result.set_hit_rates
-    assert rates and all(0.0 <= rate <= 1.0 for rate in rates.values())
-    assert result.__dict__["set_hit_rates"] is rates  # cached after first read
 
 
 def test_per_set_counters_are_preallocated_lists():

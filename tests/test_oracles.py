@@ -52,8 +52,8 @@ def _trace(workload, num_accesses=NUM_ACCESSES):
 # ----------------------------------------------------------------------
 # the reference simulator
 # ----------------------------------------------------------------------
-#: Recent accesses the reference records per access, as the engine's
-#: default ``history_window``.
+#: Recent accesses the reference records per access, as the access log's
+#: ``HISTORY_WINDOW``.
 HISTORY = 8
 
 

@@ -272,7 +272,7 @@ def test_cache_keys_by_trace_content_not_metadata():
         return CacheMind(workloads=["renamed"], policies=["lru"],
                          num_accesses=300, config=TINY_CONFIG,
                          simulation_cache=cache).simulate(
-                             "renamed", "lru").llc_miss_rate
+                             "renamed", "lru").llc_stats.miss_rate
 
     cache = SimulationCache()
     try:

@@ -24,6 +24,7 @@ from repro.core.plan import PlannedJob
 from repro.errors import StoreVersionError
 from repro.sim.batch import RolloutSpec
 from repro.sim.config import TINY_CONFIG
+from repro.sim.engine import SimulationEngine
 from repro.tracedb.objstore import (
     PICKLED_RECORD_MAGIC,
     decode_header,
@@ -39,6 +40,7 @@ from repro.tracedb.store import (
 )
 from repro.workloads.generator import generate_trace, unregister_workload
 from repro.workloads.ingest import import_trace_file, write_text_trace
+from row_oracle import to_records
 
 WORKLOADS = ["astar", "lbm"]
 POLICIES = ["lru", "belady"]
@@ -142,8 +144,9 @@ def test_result_round_trip_via_run_jobs(tmp_path):
     assert warm.llc_stats.as_tuple() == cold.llc_stats.as_tuple()
     assert warm.timing.ipc == cold.timing.ipc
     # Row views rebuild from the shipped columnar log.
-    assert len(warm.records) == len(cold.records)
-    assert warm.records[10].__dict__ == cold.records[10].__dict__
+    warm_records, cold_records = to_records(warm.log), to_records(cold.log)
+    assert len(warm_records) == len(cold_records)
+    assert warm_records[10].__dict__ == cold_records[10].__dict__
 
 
 def test_builds_persist_results_so_simulate_is_warm_too(tmp_path):
@@ -174,10 +177,13 @@ def test_store_keys_follow_trace_content():
     other = generate_trace("astar", NUM_ACCESSES, seed=1)
     other.seed = trace.seed  # same metadata, different content
     assert simulation_key(spec, trace) != simulation_key(spec, other)
-    # The digest names the record file: pinned, so stores written by
-    # earlier builds stay warm.
+    assert simulation_key(spec, trace) == (
+        "astar", "lru", TINY_CONFIG, "llc_only", "full", NUM_ACCESSES, 0,
+        trace.fingerprint())
+    # The digest names the record file: pinned, because a key that changes
+    # strands every stored result and needs a STORE_SCHEMA_VERSION bump.
     assert (key_digest(simulation_key(spec, trace))
-            == "000bf2aa389d1c2ff5d6ab0b3d905775")
+            == "1221712b95cffd099c755adbdc7700ed")
 
 
 # ----------------------------------------------------------------------
@@ -545,9 +551,6 @@ def test_a_loaded_log_stays_compressed_until_read(tmp_path, monkeypatch):
     assert (pickle.dumps(warm_db.entry(key).result.log)
             == pickle.dumps(cold_db.entry(key).result.log))
     assert len(decoded) == 2
-    # A loaded result has the image of the trace it was simulated with.
-    assert (entry.result.binary.describe()
-            == cold_db.entry("astar_evictions_lru").result.binary.describe())
 
 
 def _schema_3_store(root):
@@ -592,6 +595,29 @@ def test_a_schema_3_store_is_foreign_by_magic_until_gc(tmp_path, capsys):
         _ = CacheMind(store_dir=root, simulation_cache=cache,
                       **SESSION_KWARGS).database
     assert cold.misses > 0 and warm.misses == 0
+
+
+def test_a_schema_4_store_is_refused_until_gc(tmp_path, capsys):
+    """Schema 4 keyed results by the record cap, history window and context
+    flag too: its records would sit under digests no lookup computes."""
+    root = str(tmp_path)
+    spec = RolloutSpec("lru", TINY_CONFIG, detail="full")
+    trace = generate_trace("astar", NUM_ACCESSES, seed=0)
+    old = TraceStore(root)
+    old.schema_version = 4
+    old.save_result(simulation_key(spec, trace) + (None, 8, True),
+                    SimulationEngine(config=TINY_CONFIG).run(trace, "lru"))
+    with open(os.path.join(root, "manifest.json"), "w") as handle:
+        json.dump({"schema": 4, "layout": "sharded"}, handle)
+    with pytest.raises(StoreVersionError, match="store gc"):
+        TraceStore(root)
+    assert main(["store", "load", "--dir", root, "--workloads", "astar",
+                 "--policies", "lru", "--accesses", "300", "--config",
+                 "tiny"]) == 1
+    assert "store gc" in capsys.readouterr().err
+    assert main(["store", "gc", "--dir", root]) == 0
+    assert "removed (schema): result-" in capsys.readouterr().out
+    assert len(TraceStore(root)) == 0
 
 
 def test_store_save_writes_identical_records_under_any_jobs(tmp_path,
